@@ -3,7 +3,7 @@
 #
 #   ci/check.sh            run the full matrix (asan, ubsan, tsan, obs-off,
 #                          bench-smoke, crash-resume, monitor, profile, soa,
-#                          blackbox, serve, tracing)
+#                          blackbox, serve, tracing, werror)
 #   ci/check.sh asan       run one configuration
 #
 # Configurations:
@@ -76,6 +76,9 @@
 #            rolling windows and /metrics exports the windowed p99; then
 #            shut down and resolve a /tracez id to the same request's
 #            records in the black-box dump via `tdg_blackbox --trace_id`
+#   werror   plain RelWithDebInfo build of every target with
+#            -DCMAKE_CXX_FLAGS=-Werror on the command line: the repo's
+#            -Wall -Wextra warnings fail the build
 #
 # Build trees live under build-ci/<config> so they never disturb ./build.
 
@@ -854,6 +857,16 @@ EOF
   echo "==> [tracing] OK"
 }
 
+run_werror() {
+  local build_dir="build-ci/werror"
+  echo "==> [werror] configure (-Werror)"
+  cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+  echo "==> [werror] build every target"
+  cmake --build "${build_dir}" -j "${JOBS}" >/dev/null
+  echo "==> [werror] OK"
+}
+
 run_config() {
   local config="$1"
   if [[ "${config}" == "bench-smoke" ]]; then
@@ -888,6 +901,10 @@ run_config() {
     run_tracing
     return
   fi
+  if [[ "${config}" == "werror" ]]; then
+    run_werror
+    return
+  fi
   local build_dir="build-ci/${config}"
   echo "==> [${config}] configure"
   cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -905,7 +922,7 @@ if [[ $# -gt 0 ]]; then
   for config in "$@"; do run_config "${config}"; done
 else
   for config in asan ubsan tsan obs-off bench-smoke crash-resume monitor \
-      profile soa blackbox serve tracing; do
+      profile soa blackbox serve tracing werror; do
     run_config "${config}"
   done
 fi

@@ -433,9 +433,9 @@ int main(int argc, char** argv) {
     tdg::obs::ProgressTracker::Global().SetEnabled(true);
     tdg::obs::ProgressTracker::Global().SetStderrReport(progress);
   }
-  std::unique_ptr<tdg::obs::StatsServer> stats_server;
+  std::unique_ptr<tdg::util::net::HttpServer> stats_server;
   if (stats_port >= 0) {
-    tdg::obs::StatsServer::Options server_options;
+    tdg::obs::StatsServerOptions server_options;
     server_options.port = stats_port;
     server_options.port_file = flags.GetString("stats_port_file", "");
     server_options.manifest = tdg::obs::RunManifest::Capture(
@@ -448,7 +448,7 @@ int main(int argc, char** argv) {
       server_options.heartbeat_paths.push_back(checkpoint + ".heartbeat");
     }
     server_options.blackbox_path = blackbox;  // "" → global recorder path
-    auto server = tdg::obs::StatsServer::Start(std::move(server_options));
+    auto server = tdg::obs::StartStatsServer(std::move(server_options));
     if (!server.ok()) return Fail(server.status());
     stats_server = std::move(server).value();
     std::fprintf(stderr,

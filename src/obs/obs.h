@@ -22,10 +22,12 @@
 ///
 /// A third pillar — the live monitoring plane (stats_server.h, progress.h,
 /// heartbeat.h, prometheus.h) — serves the same registry over loopback HTTP
-/// (/metrics Prometheus exposition, /statusz, /progressz, /healthz), tracks
-/// sweep progress/ETA, and lets crash-safe shards advertise liveness via
-/// atomic heartbeat files. All of it only *reads* experiment state: outputs
-/// are byte-identical with and without the server.
+/// (/metrics Prometheus exposition, /statusz, /healthz, /blackboxz: the
+/// shared routes both obs::StartStatsServer, which adds /progressz, and
+/// serve::CohortServer answer on a util::net::HttpServer), tracks sweep
+/// progress/ETA, and lets crash-safe shards advertise liveness via atomic
+/// heartbeat files. All of it only *reads* experiment state: outputs are
+/// byte-identical with and without the server.
 ///
 /// A fourth pillar — kernel profiling (perf_counters.h, perf_profile.h) —
 /// reads hardware counters (cycles, instructions, cache/branch misses) via

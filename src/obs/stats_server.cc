@@ -5,178 +5,159 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/prometheus.h"
-#include "util/file_util.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace tdg::obs {
 namespace {
 
-// Poll granularity of the accept loop — the latency ceiling on Stop().
-constexpr int kAcceptPollMs = 100;
+std::string OkResponse(std::string_view content_type, std::string_view body) {
+  return util::net::BuildHttpResponse(200, "OK", content_type, body);
+}
+
+std::string HealthzResponse(const StatsRouteOptions& options) {
+  // Liveness alone is not health: fold in the registered shard heartbeats.
+  // Stale (writer stopped beating) or torn (crashed host mid-write) degrade
+  // the probe to 503 so an orchestrator restarts or reschedules the worker;
+  // "missing" stays ok — the shard may simply not have started writing yet.
+  std::string degraded;
+  for (const HeartbeatStatus& status :
+       CollectHeartbeats(options.heartbeat_paths, UnixMillis(),
+                         options.heartbeat_stale_after_ms)) {
+    if (status.state == "stale" || status.state == "torn") {
+      degraded += util::StrFormat("%s: %s\n", status.path.c_str(),
+                                  status.state.c_str());
+    }
+  }
+  if (degraded.empty()) return OkResponse("text/plain", "ok\n");
+  return util::net::BuildHttpResponse(503, "Service Unavailable",
+                                      "text/plain", "degraded\n" + degraded);
+}
+
+std::string BlackboxzResponse(const StatsRouteOptions& options) {
+  const std::string path = !options.blackbox_path.empty()
+                               ? options.blackbox_path
+                               : FlightRecorder::Global().path();
+  if (path.empty()) {
+    return util::net::BuildHttpJsonError(404, "Not Found",
+                                         "no flight recorder active");
+  }
+  // Tail the *file*, never the live mapping: a fresh read has no data race
+  // with the writers, and the decoder skips in-flight records by magic
+  // validation. One JSON object per line, oldest first.
+  auto dump = ReadBlackbox(path);
+  if (!dump.ok()) {
+    return util::net::BuildHttpJsonError(503, "Service Unavailable",
+                                         dump.status().ToString());
+  }
+  const std::size_t total = dump->events.size();
+  const std::size_t tail =
+      options.blackbox_tail > 0 &&
+              static_cast<std::size_t>(options.blackbox_tail) < total
+          ? static_cast<std::size_t>(options.blackbox_tail)
+          : total;
+  std::string body;
+  for (std::size_t i = total - tail; i < total; ++i) {
+    body += BlackboxEventToJson(dump->events[i]).Serialize();
+    body += '\n';
+  }
+  return OkResponse("application/jsonl", body);
+}
 
 /// Read bounds for one monitoring request. Scrapes carry no body, so the
 /// body cap only has to admit the empty one; 2 s total is generous for a
 /// loopback client that is not dead or hostile.
-util::net::HttpLimits RequestLimits() {
+util::net::HttpLimits StatsLimits() {
   util::net::HttpLimits limits;
-  limits.max_head_bytes = 16 * 1024;
   limits.max_body_bytes = 16 * 1024;
-  limits.read_timeout_ms = 2000;
   return limits;
 }
 
-std::string HttpResponse(int code, const char* reason,
-                         const std::string& content_type,
-                         const std::string& body) {
-  return util::net::BuildHttpResponse(code, reason, content_type, body);
-}
-
-std::string JsonResponse(const util::JsonValue& json) {
-  return HttpResponse(200, "OK", "application/json",
-                      json.SerializePretty() + "\n");
-}
-
-}  // namespace
-
-util::StatusOr<std::unique_ptr<StatsServer>> StatsServer::Start(
-    Options options) {
-  if (options.manifest.git_sha.empty()) {
-    options.manifest = RunManifest::Capture();
-  }
-  std::unique_ptr<StatsServer> server(new StatsServer(std::move(options)));
-  TDG_ASSIGN_OR_RETURN(server->listener_,
-                       util::net::ServerSocket::Listen(
-                           server->options_.port));
-  if (!server->options_.port_file.empty()) {
-    TDG_RETURN_IF_ERROR(util::WriteFileAtomic(
-        server->options_.port_file,
-        std::to_string(server->listener_.port()) + "\n"));
-  }
-  server->start_micros_ = util::MonotonicMicros();
-  server->thread_ = std::thread([raw = server.get()] { raw->AcceptLoop(); });
-  return server;
-}
-
-void StatsServer::Stop() {
-  if (!thread_.joinable()) return;
-  stop_.store(true, std::memory_order_relaxed);
-  thread_.join();
-  listener_.Close();
-}
-
-void StatsServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    auto connection = listener_.AcceptWithTimeout(kAcceptPollMs);
-    if (!connection.ok()) return;  // listener broke; nothing to serve
-    if (!connection->is_open()) continue;  // poll timeout — check stop flag
-    HandleConnection(std::move(connection).value());
-  }
-}
-
-void StatsServer::HandleConnection(util::net::Socket connection) {
-  auto request = util::net::ReadHttpRequest(connection, RequestLimits());
+void ServeStatsConnection(const util::net::HttpServer& server,
+                          const StatsServerOptions& options,
+                          util::net::Socket connection) {
+  auto request = util::net::ReadHttpRequest(connection, server.limits());
   std::string response;
-  std::string method;
-  std::string path;
-  if (request.ok()) {
-    method = request->method;
-    path = request->path;
-  }
   if (!request.ok()) {
     // The shared machinery distinguishes malformed (400) from slow (408),
     // oversized (413), and unsupported-framing (501) requests; an already
     // hung-up peer gets the 400 written into the void, which is harmless.
     response = util::net::BuildHttpErrorResponse(request.status());
-  } else if (method != "GET" && method != "HEAD") {
-    response = HttpResponse(405, "Method Not Allowed", "text/plain",
-                            "only GET is supported\n");
-  } else if (path == "/healthz") {
-    // Liveness alone is not health: fold in the registered shard
-    // heartbeats. Stale (writer stopped beating) or torn (crashed host
-    // mid-write) degrade the probe to 503 so an orchestrator restarts or
-    // reschedules the worker; "missing" stays ok — the shard may simply
-    // not have started writing yet.
-    std::string degraded;
-    if (!options_.heartbeat_paths.empty()) {
-      const std::vector<HeartbeatStatus> fleet = CollectHeartbeats(
-          options_.heartbeat_paths, UnixMillis(),
-          options_.heartbeat_stale_after_ms);
-      for (const HeartbeatStatus& status : fleet) {
-        if (status.state == "stale" || status.state == "torn") {
-          degraded += util::StrFormat("%s: %s\n", status.path.c_str(),
-                                      status.state.c_str());
-        }
-      }
-    }
-    response = degraded.empty()
-                   ? HttpResponse(200, "OK", "text/plain", "ok\n")
-                   : HttpResponse(503, "Service Unavailable", "text/plain",
-                                  "degraded\n" + degraded);
-  } else if (path == "/blackboxz") {
-    const std::string blackbox_path =
-        !options_.blackbox_path.empty() ? options_.blackbox_path
-                                        : FlightRecorder::Global().path();
-    if (blackbox_path.empty()) {
-      response = HttpResponse(404, "Not Found", "text/plain",
-                              "no flight recorder active\n");
-    } else {
-      // Tail the *file*, never the live mapping: a fresh read has no data
-      // race with the writers, and the decoder skips in-flight records by
-      // magic validation. One JSON object per line, oldest first.
-      auto dump = ReadBlackbox(blackbox_path);
-      if (!dump.ok()) {
-        response = HttpResponse(503, "Service Unavailable", "text/plain",
-                                dump.status().ToString() + "\n");
-      } else {
-        std::string body;
-        const std::size_t total = dump->events.size();
-        const std::size_t tail =
-            options_.blackbox_tail > 0 &&
-                    static_cast<std::size_t>(options_.blackbox_tail) < total
-                ? static_cast<std::size_t>(options_.blackbox_tail)
-                : total;
-        for (std::size_t i = total - tail; i < total; ++i) {
-          body += BlackboxEventToJson(dump->events[i]).Serialize();
-          body += '\n';
-        }
-        response = HttpResponse(200, "OK", "application/jsonl", body);
-      }
-    }
-  } else if (path == "/metrics") {
+  } else if (auto shared = ServeStatsRoute(*request, server, options)) {
+    response = std::move(*shared);
+  } else if (request->path != "/progressz") {
+    response = util::net::BuildHttpJsonError(
+        404, "Not Found",
+        "not found; try /healthz /metrics /statusz /progressz /blackboxz");
+  } else if (request->method != "GET" && request->method != "HEAD") {
+    response = util::net::BuildHttpJsonError(
+        405, "Method Not Allowed", "method not allowed on this endpoint");
+  } else {
+    const ProgressTracker* progress = options.progress != nullptr
+                                          ? options.progress
+                                          : &ProgressTracker::Global();
+    response = OkResponse("application/json",
+                          progress->Snapshot().ToJson().SerializePretty() +
+                              "\n");
+  }
+  (void)connection.WriteAll(response);  // peer may have hung up; that's fine
+}
+
+}  // namespace
+
+std::optional<std::string> ServeStatsRoute(
+    const util::net::HttpRequest& request, const util::net::HttpServer& server,
+    const StatsRouteOptions& options, const StatsRouteHooks& hooks) {
+  const std::string& path = request.path;
+  if (path != "/healthz" && path != "/metrics" && path != "/statusz" &&
+      path != "/blackboxz") {
+    return std::nullopt;
+  }
+  if (request.method != "GET" && request.method != "HEAD") {
+    return util::net::BuildHttpJsonError(
+        405, "Method Not Allowed", "method not allowed on this endpoint");
+  }
+  if (path == "/healthz") return HealthzResponse(options);
+  if (path == "/blackboxz") return BlackboxzResponse(options);
+  if (path == "/metrics") {
     // Refresh the process gauges (uptime, peak RSS) so every scrape carries
     // them. Gauge::Set is a no-op under SetMetricsEnabled(false) — exactly
     // the runs that demand byte-stable outputs.
     RefreshProcessGauges();
-    response = HttpResponse(
-        200, "OK", kPrometheusContentType,
+    if (hooks.before_metrics) hooks.before_metrics();
+    return OkResponse(
+        kPrometheusContentType,
         RenderPrometheusText(MetricsRegistry::Global().Snapshot()));
-  } else if (path == "/statusz") {
-    util::JsonValue json = util::JsonValue::MakeObject();
-    json.Set("manifest", options_.manifest.ToJson());
-    json.Set("uptime_seconds",
-             static_cast<double>(util::MonotonicMicros() -
-                                 start_micros_) /
-                 1e6);
-    json.Set("peak_rss_bytes",
-             static_cast<long long>(ProcessPeakRssBytes()));
-    json.Set("requests_served",
-             static_cast<long long>(requests_served()));
-    json.Set("port", listener_.port());
-    response = JsonResponse(json);
-  } else if (path == "/progressz") {
-    const ProgressTracker* progress =
-        options_.progress != nullptr ? options_.progress
-                                     : &ProgressTracker::Global();
-    response = JsonResponse(progress->Snapshot().ToJson());
-  } else {
-    response = HttpResponse(
-        404, "Not Found", "text/plain",
-        "not found; try /healthz /metrics /statusz /progressz "
-        "/blackboxz\n");
   }
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  (void)connection.WriteAll(response);  // peer may have hung up; that's fine
+  util::JsonValue json = util::JsonValue::MakeObject();
+  json.Set("manifest", options.manifest.ToJson());
+  json.Set("uptime_seconds",
+           static_cast<double>(util::MonotonicMicros() -
+                               server.start_micros()) /
+               1e6);
+  json.Set("peak_rss_bytes", static_cast<long long>(ProcessPeakRssBytes()));
+  json.Set("requests_served",
+           static_cast<long long>(server.requests_served()));
+  json.Set("port", server.port());
+  if (hooks.add_statusz) hooks.add_statusz(json);
+  return OkResponse("application/json", json.Serialize() + "\n");
+}
+
+util::StatusOr<std::unique_ptr<util::net::HttpServer>> StartStatsServer(
+    StatsServerOptions options) {
+  if (options.manifest.git_sha.empty()) {
+    options.manifest = RunManifest::Capture();
+  }
+  util::net::HttpServer::Options http_options{
+      options.port, options.port_file, /*num_workers=*/4, StatsLimits()};
+  auto server = std::make_unique<util::net::HttpServer>(
+      std::move(http_options),
+      [options = std::move(options)](const util::net::HttpServer& server,
+                                     util::net::Socket connection) {
+        ServeStatsConnection(server, options, std::move(connection));
+      });
+  TDG_RETURN_IF_ERROR(server->Start());
+  return server;
 }
 
 }  // namespace tdg::obs

@@ -1,99 +1,82 @@
 #ifndef TDG_OBS_STATS_SERVER_H_
 #define TDG_OBS_STATS_SERVER_H_
 
-#include <atomic>
-#include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/progress.h"
 #include "obs/run_manifest.h"
+#include "util/json.h"
 #include "util/net.h"
 #include "util/statusor.h"
 
 namespace tdg::obs {
 
-/// Embedded HTTP/1.1 stats server (DESIGN.md §9) — the live-monitoring
-/// counterpart of the post-mortem exporters. One dedicated accept-loop
-/// thread, blocking sockets, loopback only, `Connection: close` per
-/// request. Off by default; when not started it costs nothing, and when
-/// started it only *reads* the metrics registry / progress tracker, so
-/// sweep outputs are byte-identical with and without it (asserted by
-/// StatsServerTest.SweepOutputsAreByteIdenticalWithServerOn).
-///
-/// Endpoints:
+/// What the shared monitoring endpoints serve (DESIGN.md §9).
+struct StatsRouteOptions {
+  /// Provenance served on /statusz. The servers capture it at Start when
+  /// left default-constructed (empty git_sha).
+  RunManifest manifest;
+  /// Heartbeat files /healthz folds into its verdict: "ok" while every
+  /// present heartbeat is fresh, "degraded" (HTTP 503) once any is stale
+  /// (updated older than heartbeat_stale_after_ms) or torn. A heartbeat
+  /// that does not exist yet counts as ok — the shard may simply not have
+  /// started. Empty (the default) keeps /healthz unconditional.
+  std::vector<std::string> heartbeat_paths;
+  long long heartbeat_stale_after_ms = 15000;
+  /// Dump file tailed by /blackboxz; the global FlightRecorder's active
+  /// path when empty.
+  std::string blackbox_path;
+  /// Events served per /blackboxz request (the newest ones).
+  int blackbox_tail = 256;
+};
+
+/// Server-specific additions to the shared endpoints; both may be empty.
+struct StatsRouteHooks {
+  /// Runs before /metrics renders the registry (refresh owned gauges).
+  std::function<void()> before_metrics;
+  /// Adds the server's own fields to the /statusz object.
+  std::function<void(util::JsonValue& statusz)> add_statusz;
+};
+
+/// The monitoring endpoints every embedded server answers first:
 ///   /healthz    200 "ok" — liveness probe; 503 "degraded" when any
 ///               registered shard heartbeat is stale or torn
 ///   /metrics    Prometheus text exposition of the metrics registry
-///               (see obs/prometheus.h), plus process_uptime_seconds
-///   /statusz    JSON: run manifest, uptime, requests served
-///   /progressz  JSON: ProgressTracker snapshot (cells done/total, EWMA
-///               latency, ETA, current grid coordinates)
+///               (see obs/prometheus.h), plus the process gauges
+///   /statusz    JSON: manifest, uptime_seconds, peak_rss_bytes,
+///               requests_served, port (+ the hook's fields)
 ///   /blackboxz  JSONL tail of the flight recorder's live dump (see
 ///               obs/flight_recorder.h)
-class StatsServer {
- public:
-  struct Options {
-    /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (see
-    /// port()).
-    int port = 0;
-    /// When non-empty, the bound port is written here (atomic replace) —
-    /// how scripts discover an ephemeral port.
-    std::string port_file;
-    /// Provenance served on /statusz. Captured at Start when left
-    /// default-constructed (empty git_sha).
-    RunManifest manifest;
-    /// Progress source for /progressz; the global tracker when null.
-    const ProgressTracker* progress = nullptr;
-    /// Heartbeat files /healthz folds into its verdict: "ok" while every
-    /// present heartbeat is fresh, "degraded" (HTTP 503) once any is stale
-    /// (updated older than heartbeat_stale_after_ms) or torn. A heartbeat
-    /// that does not exist yet counts as ok — the shard may simply not
-    /// have started. Empty (the default) keeps /healthz unconditional.
-    std::vector<std::string> heartbeat_paths;
-    long long heartbeat_stale_after_ms = 15000;
-    /// Dump file tailed by /blackboxz; the global FlightRecorder's active
-    /// path when empty.
-    std::string blackbox_path;
-    /// Events served per /blackboxz request (the newest ones).
-    int blackbox_tail = 256;
-  };
+/// Returns the complete response for those paths (405 for a method other
+/// than GET/HEAD), nullopt for every other path. Errors carry the
+/// {"error": ...} JSON body.
+std::optional<std::string> ServeStatsRoute(
+    const util::net::HttpRequest& request, const util::net::HttpServer& server,
+    const StatsRouteOptions& options, const StatsRouteHooks& hooks = {});
 
-  /// Binds, writes the port file, and launches the accept loop.
-  static util::StatusOr<std::unique_ptr<StatsServer>> Start(
-      Options options);
-
-  ~StatsServer() { Stop(); }
-
-  StatsServer(const StatsServer&) = delete;
-  StatsServer& operator=(const StatsServer&) = delete;
-
-  /// The actually bound port (resolves port 0 requests).
-  int port() const { return listener_.port(); }
-
-  int64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
-
-  /// Stops the accept loop and joins the thread. Idempotent.
-  void Stop();
-
- private:
-  explicit StatsServer(Options options)
-      : options_(std::move(options)) {}
-
-  void AcceptLoop();
-  void HandleConnection(util::net::Socket connection);
-
-  Options options_;
-  util::net::ServerSocket listener_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-  std::atomic<int64_t> requests_served_{0};
-  int64_t start_micros_ = 0;
+/// Options of the sweep-side monitoring server (StartStatsServer).
+struct StatsServerOptions : StatsRouteOptions {
+  /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port.
+  int port = 0;
+  /// When non-empty, the bound port is written here (atomic replace).
+  std::string port_file;
+  /// Progress source for /progressz; the global tracker when null.
+  const ProgressTracker* progress = nullptr;
 };
+
+/// Starts the sweep-side monitoring server: a util::net::HttpServer
+/// answering the shared routes above plus
+///   /progressz  JSON: ProgressTracker snapshot (cells done/total, EWMA
+///               latency, ETA, current grid coordinates)
+/// Off by default; when started it only *reads* the metrics registry /
+/// progress tracker, so sweep outputs are byte-identical with and without
+/// it (asserted by StatsServerTest.SweepOutputsAreByteIdenticalWithServerOn).
+util::StatusOr<std::unique_ptr<util::net::HttpServer>> StartStatsServer(
+    StatsServerOptions options);
 
 }  // namespace tdg::obs
 

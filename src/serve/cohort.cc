@@ -53,6 +53,22 @@ util::JsonValue CohortConfig::ToJson() const {
   return json;
 }
 
+namespace {
+
+/// A present integer field: a JSON number with no fractional part in
+/// [lo, hi). Checked before any cast, which is undefined out of range.
+util::StatusOr<double> IntegerField(const util::JsonValue& field,
+                                    const char* name, double lo, double hi) {
+  const double value = field.is_number() ? field.AsNumber() : std::nan("");
+  if (!(value >= lo && value < hi) || std::trunc(value) != value) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%s must be an integer in [%.0f, %.0f)", name, lo, hi));
+  }
+  return value;
+}
+
+}  // namespace
+
 util::StatusOr<CohortConfig> CohortConfig::FromJson(
     const util::JsonValue& json) {
   if (!json.is_object()) {
@@ -64,10 +80,10 @@ util::StatusOr<CohortConfig> CohortConfig::FromJson(
   // a silent fallback.
   CohortConfig config;
   if (auto field = json.GetField("group_size"); field.ok()) {
-    if (!field->is_number()) {
-      return util::Status::InvalidArgument("group_size must be a number");
-    }
-    config.group_size = static_cast<int>(field->AsNumber());
+    TDG_ASSIGN_OR_RETURN(
+        double group_size,
+        IntegerField(*field, "group_size", -0x1p31, 0x1p31));
+    config.group_size = static_cast<int>(group_size);
   }
   if (auto field = json.GetField("policy"); field.ok()) {
     if (!field->is_string()) {
@@ -88,10 +104,11 @@ util::StatusOr<CohortConfig> CohortConfig::FromJson(
     config.learning_rate = field->AsNumber();
   }
   if (auto field = json.GetField("seed"); field.ok()) {
-    if (!field->is_number()) {
-      return util::Status::InvalidArgument("seed must be a number");
-    }
-    config.seed = static_cast<uint64_t>(field->AsNumber());
+    // ToJson writes the seed as a signed 64-bit integer, so [0, 2^63) is
+    // what survives the journal round trip.
+    TDG_ASSIGN_OR_RETURN(double seed,
+                         IntegerField(*field, "seed", 0.0, 0x1p63));
+    config.seed = static_cast<uint64_t>(seed);
   }
   TDG_RETURN_IF_ERROR(config.Validate());
   return config;
@@ -110,6 +127,26 @@ util::JsonValue CohortRoundToJson(const CohortRound& round,
   json.Set("num_groups", round.num_groups);
   json.Set("round", round_index);
   return json;
+}
+
+util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
+    const util::JsonValue& json) {
+  if (!json.is_array()) {
+    return util::Status::InvalidArgument(
+        "'participants' must be an array of {key, skill} objects");
+  }
+  std::vector<CohortParticipant> participants;
+  participants.reserve(json.AsArray().size());
+  for (const util::JsonValue& entry : json.AsArray()) {
+    TDG_ASSIGN_OR_RETURN(util::JsonValue key, entry.GetField("key"));
+    TDG_ASSIGN_OR_RETURN(util::JsonValue skill, entry.GetField("skill"));
+    if (!key.is_string() || !skill.is_number()) {
+      return util::Status::InvalidArgument(
+          "participant entries need a string 'key' and a number 'skill'");
+    }
+    participants.push_back({key.AsString(), skill.AsNumber()});
+  }
+  return participants;
 }
 
 util::Status ValidateCohortId(std::string_view id) {

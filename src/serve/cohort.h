@@ -84,6 +84,10 @@ struct CohortRound {
 /// offline rounds can be byte-compared after Serialize().
 util::JsonValue CohortRoundToJson(const CohortRound& round, int round_index);
 
+/// Parses the enroll payload's [{"key": string, "skill": number}, ...].
+util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
+    const util::JsonValue& json);
+
 /// Syntax rules for identifiers that travel through URLs, JSON, and journal
 /// file names. Cohort ids: [A-Za-z0-9_-]{1,64}. Participant keys:
 /// printable ASCII without '/' or '"', 1..128 bytes.

@@ -50,26 +50,6 @@ util::JsonValue ParticipantsToJson(
   return array;
 }
 
-util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
-    const util::JsonValue& json) {
-  if (!json.is_array()) {
-    return util::Status::InvalidArgument(
-        "'participants' must be an array of {key, skill} objects");
-  }
-  std::vector<CohortParticipant> participants;
-  participants.reserve(json.AsArray().size());
-  for (const util::JsonValue& entry : json.AsArray()) {
-    TDG_ASSIGN_OR_RETURN(util::JsonValue key, entry.GetField("key"));
-    TDG_ASSIGN_OR_RETURN(util::JsonValue skill, entry.GetField("skill"));
-    if (!key.is_string() || !skill.is_number()) {
-      return util::Status::InvalidArgument(
-          "participant entries need a string 'key' and a number 'skill'");
-    }
-    participants.push_back({key.AsString(), skill.AsNumber()});
-  }
-  return participants;
-}
-
 std::string HeaderLine(const std::string& id, const CohortConfig& config,
                        const std::vector<CohortParticipant>& participants) {
   util::JsonValue header = util::JsonValue::MakeObject();
@@ -413,7 +393,8 @@ util::Status CohortManager::Leave(const std::string& id,
   return util::Status::OK();
 }
 
-util::StatusOr<double> CohortManager::Advance(const std::string& id) {
+util::StatusOr<CohortManager::Advanced> CohortManager::Advance(
+    const std::string& id) {
   TDG_ASSIGN_OR_RETURN(Entry * entry, Find(id));
   std::unique_lock<std::mutex> lock(entry->mutex, std::defer_lock);
   {
@@ -429,7 +410,8 @@ util::StatusOr<double> CohortManager::Advance(const std::string& id) {
 #if defined(TDG_TEST_HOOKS)
   MaybeInjectSlowAdvance();
 #endif
-  return entry->cohort.Advance();
+  TDG_ASSIGN_OR_RETURN(double gain, entry->cohort.Advance());
+  return Advanced{gain, entry->cohort.rounds_advanced() - 1};
 }
 
 std::vector<std::string> CohortManager::CohortIds() const {

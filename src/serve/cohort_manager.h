@@ -65,8 +65,15 @@ class CohortManager {
   util::Status Join(const std::string& id, const std::string& key,
                     double skill);
   util::Status Leave(const std::string& id, const std::string& key);
-  /// Advances one round; returns its learning gain.
-  util::StatusOr<double> Advance(const std::string& id);
+  /// One advanced round: its learning gain and its index, read together
+  /// under the cohort lock, so concurrent advances never mix them up.
+  struct Advanced {
+    double gain = 0.0;
+    int round = 0;
+    bool operator==(const Advanced&) const = default;
+  };
+  /// Advances one round.
+  util::StatusOr<Advanced> Advance(const std::string& id);
 
   struct Summary {
     std::string id;

@@ -2,65 +2,39 @@
 
 #include <utility>
 
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/prometheus.h"
-#include "util/file_util.h"
-#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace tdg::serve {
 namespace {
 
-// Poll granularity of the accept loop — the latency ceiling on Stop().
-constexpr int kAcceptPollMs = 100;
-
-std::string JsonBody(const util::JsonValue& json) {
-  return json.Serialize() + "\n";
-}
-
 std::string OkJson(const util::JsonValue& json) {
   return util::net::BuildHttpResponse(200, "OK", "application/json",
-                                      JsonBody(json));
-}
-
-util::JsonValue ErrorJson(const util::Status& status) {
-  util::JsonValue json = util::JsonValue::MakeObject();
-  json.Set("error", status.message());
-  return json;
+                                      json.Serialize() + "\n");
 }
 
 /// Application-level status → HTTP. (Transport-level read failures go
 /// through util::net::BuildHttpErrorResponse instead.)
 std::string AppErrorResponse(const util::Status& status) {
-  int code = 500;
-  const char* reason = "Internal Server Error";
   switch (status.code()) {
     case util::StatusCode::kNotFound:
-      code = 404;
-      reason = "Not Found";
-      break;
+      return util::net::BuildHttpJsonError(404, "Not Found",
+                                           status.message());
     case util::StatusCode::kFailedPrecondition:
-      code = 409;
-      reason = "Conflict";
-      break;
+      return util::net::BuildHttpJsonError(409, "Conflict", status.message());
     case util::StatusCode::kInvalidArgument:
-      code = 400;
-      reason = "Bad Request";
-      break;
+      return util::net::BuildHttpJsonError(400, "Bad Request",
+                                           status.message());
     default:
-      break;
+      return util::net::BuildHttpJsonError(500, "Internal Server Error",
+                                           status.message());
   }
-  return util::net::BuildHttpResponse(code, reason, "application/json",
-                                      JsonBody(ErrorJson(status)));
 }
 
 std::string MethodNotAllowed() {
-  return util::net::BuildHttpResponse(
-      405, "Method Not Allowed", "application/json",
-      JsonBody(ErrorJson(util::Status::InvalidArgument(
-          "method not allowed on this endpoint"))));
+  return util::net::BuildHttpJsonError(405, "Method Not Allowed",
+                                       "method not allowed on this endpoint");
 }
 
 util::JsonValue SummaryJson(const CohortManager::Summary& summary) {
@@ -70,26 +44,6 @@ util::JsonValue SummaryJson(const CohortManager::Summary& summary) {
   json.Set("participants", summary.participants);
   json.Set("rounds", summary.rounds);
   return json;
-}
-
-util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
-    const util::JsonValue& json) {
-  if (!json.is_array()) {
-    return util::Status::InvalidArgument(
-        "'participants' must be an array of {key, skill} objects");
-  }
-  std::vector<CohortParticipant> participants;
-  participants.reserve(json.AsArray().size());
-  for (const util::JsonValue& entry : json.AsArray()) {
-    TDG_ASSIGN_OR_RETURN(util::JsonValue key, entry.GetField("key"));
-    TDG_ASSIGN_OR_RETURN(util::JsonValue skill, entry.GetField("skill"));
-    if (!key.is_string() || !skill.is_number()) {
-      return util::Status::InvalidArgument(
-          "participant entries need a string 'key' and a number 'skill'");
-    }
-    participants.push_back({key.AsString(), skill.AsNumber()});
-  }
-  return participants;
 }
 
 /// Splits "/cohorts/<id>[/<verb>[/<arg>]]" into its path segments after
@@ -118,77 +72,29 @@ bool SplitCohortPath(std::string_view path,
 
 }  // namespace
 
+CohortServer::CohortServer(CohortManager* manager, Options options)
+    : manager_(manager),
+      tail_sampler_(options.tail),
+      http_(options, [this](const util::net::HttpServer&,
+                            util::net::Socket connection) {
+        HandleConnection(std::move(connection));
+      }) {
+  routes_.manifest = std::move(options.manifest);
+}
+
 util::StatusOr<std::unique_ptr<CohortServer>> CohortServer::Start(
     CohortManager* manager, Options options) {
   if (manager == nullptr) {
     return util::Status::InvalidArgument(
         "CohortServer needs a CohortManager");
   }
-  if (options.num_workers < 1) {
-    return util::Status::InvalidArgument("num_workers must be >= 1");
-  }
   if (options.manifest.git_sha.empty()) {
     options.manifest = obs::RunManifest::Capture();
   }
   std::unique_ptr<CohortServer> server(
       new CohortServer(manager, std::move(options)));
-  TDG_ASSIGN_OR_RETURN(
-      server->listener_,
-      util::net::ServerSocket::Listen(server->options_.port));
-  if (!server->options_.port_file.empty()) {
-    TDG_RETURN_IF_ERROR(util::WriteFileAtomic(
-        server->options_.port_file,
-        std::to_string(server->listener_.port()) + "\n"));
-  }
-  server->start_micros_ = util::MonotonicMicros();
-  server->workers_.reserve(static_cast<size_t>(server->options_.num_workers));
-  for (int i = 0; i < server->options_.num_workers; ++i) {
-    server->workers_.emplace_back([raw = server.get()] { raw->WorkerLoop(); });
-  }
-  server->accept_thread_ =
-      std::thread([raw = server.get()] { raw->AcceptLoop(); });
+  TDG_RETURN_IF_ERROR(server->http_.Start());
   return server;
-}
-
-void CohortServer::Stop() {
-  if (!accept_thread_.joinable()) return;
-  stop_.store(true, std::memory_order_relaxed);
-  accept_thread_.join();
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
-  listener_.Close();
-}
-
-void CohortServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    auto connection = listener_.AcceptWithTimeout(kAcceptPollMs);
-    if (!connection.ok()) return;  // listener broke; workers drain and stop
-    if (!connection->is_open()) continue;  // poll timeout — check stop flag
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      queue_.push_back(std::move(connection).value());
-    }
-    queue_cv_.notify_one();
-  }
-}
-
-void CohortServer::WorkerLoop() {
-  for (;;) {
-    util::net::Socket connection;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return !queue_.empty() || stop_.load(std::memory_order_relaxed);
-      });
-      // Drain what was accepted before stopping: every accepted client
-      // gets a response even across shutdown.
-      if (queue_.empty()) return;
-      connection = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    HandleConnection(std::move(connection));
-  }
 }
 
 void CohortServer::HandleConnection(util::net::Socket connection) {
@@ -202,7 +108,7 @@ void CohortServer::HandleConnection(util::net::Socket connection) {
 
   util::StatusOr<util::net::HttpRequest> request = [&] {
     obs::ScopedRequestPhase parse_phase(obs::RequestPhase::kParse);
-    return util::net::ReadHttpRequest(connection, options_.limits);
+    return util::net::ReadHttpRequest(connection, http_.limits());
   }();
   std::string endpoint_label = "other";
   std::string response;
@@ -221,7 +127,6 @@ void CohortServer::HandleConnection(util::net::Socket connection) {
     connection.Close();
   }
 
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
   auto code = util::net::HttpStatusCode(response);
   const int status = code.ok() ? *code : 500;
   context.endpoint = endpoint_label;
@@ -258,6 +163,13 @@ void CohortServer::HandleConnection(util::net::Socket connection) {
 
 std::string CohortServer::Route(const util::net::HttpRequest& request,
                                 std::string* endpoint_label) {
+  if (auto shared = obs::ServeStatsRoute(
+          request, http_, routes_,
+          {[this] { RefreshGauges(); },
+           [this](util::JsonValue& json) { AddStatusz(json); }})) {
+    *endpoint_label = request.path.substr(1);
+    return std::move(*shared);
+  }
   const std::string& method = request.method;
   const std::string& path = request.path;
   const bool get = method == "GET" || method == "HEAD";
@@ -265,69 +177,6 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
   if (!get && !post) {
     *endpoint_label = "other";
     return MethodNotAllowed();
-  }
-
-  if (path == "/healthz") {
-    *endpoint_label = "healthz";
-    if (!get) return MethodNotAllowed();
-    return util::net::BuildHttpResponse(200, "OK", "text/plain", "ok\n");
-  }
-
-  if (path == "/metrics") {
-    *endpoint_label = "metrics";
-    if (!get) return MethodNotAllowed();
-    obs::RefreshProcessGauges();
-    TDG_OBS_GAUGE_SET("serve/cohorts",
-                      static_cast<double>(manager_->num_cohorts()));
-    TDG_OBS_GAUGE_SET(
-        "serve/resident_participants",
-        static_cast<double>(manager_->total_participants()));
-    return util::net::BuildHttpResponse(
-        200, "OK", "text/plain; version=0.0.4",
-        obs::RenderPrometheusText(
-            obs::MetricsRegistry::Global().Snapshot()));
-  }
-
-  if (path == "/statusz") {
-    *endpoint_label = "statusz";
-    if (!get) return MethodNotAllowed();
-    util::JsonValue json = util::JsonValue::MakeObject();
-    json.Set("cohorts", manager_->num_cohorts());
-    json.Set("manifest", options_.manifest.ToJson());
-    json.Set("requests_served",
-             static_cast<long long>(
-                 requests_served_.load(std::memory_order_relaxed)));
-    json.Set("resident_participants",
-             static_cast<long long>(manager_->total_participants()));
-    json.Set("uptime_seconds",
-             static_cast<double>(util::MonotonicMicros() - start_micros_) /
-                 1e6);
-    // Rolling latency windows per endpoint: {"advance": {"1m": {qps, p50,
-    // p95, p99, error_rate, count}, ...}, ...}. Latencies in seconds.
-    util::JsonValue windows_json = util::JsonValue::MakeObject();
-    const obs::MetricsSnapshot snapshot =
-        obs::MetricsRegistry::Global().Snapshot();
-    constexpr std::string_view kWindowedPrefix = "serve/latency_seconds/";
-    for (const auto& [name, stats] : snapshot.windowed) {
-      if (name.substr(0, kWindowedPrefix.size()) != kWindowedPrefix) {
-        continue;
-      }
-      util::JsonValue per_endpoint = util::JsonValue::MakeObject();
-      for (const obs::WindowStats& w : stats.windows) {
-        util::JsonValue entry = util::JsonValue::MakeObject();
-        entry.Set("count", static_cast<long long>(w.count));
-        entry.Set("qps", w.qps);
-        entry.Set("error_rate", w.error_rate);
-        entry.Set("p50", w.p50);
-        entry.Set("p95", w.p95);
-        entry.Set("p99", w.p99);
-        per_endpoint.Set(w.label, std::move(entry));
-      }
-      windows_json.Set(std::string(name.substr(kWindowedPrefix.size())),
-                       std::move(per_endpoint));
-    }
-    json.Set("windows", std::move(windows_json));
-    return OkJson(json);
   }
 
   if (path == "/tracez") {
@@ -378,7 +227,7 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
     json.Set("participants",
              static_cast<long long>(participants->size()));
     return util::net::BuildHttpResponse(201, "Created", "application/json",
-                                        JsonBody(json));
+                                        json.Serialize() + "\n");
   }
 
   std::vector<std::string> segments;
@@ -394,12 +243,11 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
     if (segments.size() == 2 && segments[1] == "advance") {
       *endpoint_label = "advance";
       if (!post) return MethodNotAllowed();
-      auto gain = manager_->Advance(id);
-      if (!gain.ok()) return AppErrorResponse(gain.status());
-      auto summary = manager_->GetSummary(id);
+      auto advanced = manager_->Advance(id);
+      if (!advanced.ok()) return AppErrorResponse(advanced.status());
       util::JsonValue json = util::JsonValue::MakeObject();
-      json.Set("gain", *gain);
-      json.Set("round", summary.ok() ? summary->rounds - 1 : -1);
+      json.Set("gain", advanced->gain);
+      json.Set("round", advanced->round);
       return OkJson(json);
     }
     if (segments.size() == 3 && segments[1] == "rounds") {
@@ -449,9 +297,43 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
   }
 
   *endpoint_label = "other";
-  return util::net::BuildHttpResponse(
-      404, "Not Found", "application/json",
-      JsonBody(ErrorJson(util::Status::NotFound("no such endpoint"))));
+  return util::net::BuildHttpJsonError(404, "Not Found", "no such endpoint");
+}
+
+void CohortServer::RefreshGauges() const {
+  TDG_OBS_GAUGE_SET("serve/cohorts",
+                    static_cast<double>(manager_->num_cohorts()));
+  TDG_OBS_GAUGE_SET("serve/resident_participants",
+                    static_cast<double>(manager_->total_participants()));
+}
+
+void CohortServer::AddStatusz(util::JsonValue& json) const {
+  json.Set("cohorts", manager_->num_cohorts());
+  json.Set("resident_participants",
+           static_cast<long long>(manager_->total_participants()));
+  // Rolling latency windows per endpoint: {"advance": {"1m": {qps, p50,
+  // p95, p99, error_rate, count}, ...}, ...}. Latencies in seconds.
+  util::JsonValue windows_json = util::JsonValue::MakeObject();
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  constexpr std::string_view kWindowedPrefix = "serve/latency_seconds/";
+  for (const auto& [name, stats] : snapshot.windowed) {
+    if (name.substr(0, kWindowedPrefix.size()) != kWindowedPrefix) continue;
+    util::JsonValue per_endpoint = util::JsonValue::MakeObject();
+    for (const obs::WindowStats& w : stats.windows) {
+      util::JsonValue entry = util::JsonValue::MakeObject();
+      entry.Set("count", static_cast<long long>(w.count));
+      entry.Set("qps", w.qps);
+      entry.Set("error_rate", w.error_rate);
+      entry.Set("p50", w.p50);
+      entry.Set("p95", w.p95);
+      entry.Set("p99", w.p99);
+      per_endpoint.Set(w.label, std::move(entry));
+    }
+    windows_json.Set(std::string(name.substr(kWindowedPrefix.size())),
+                     std::move(per_endpoint));
+  }
+  json.Set("windows", std::move(windows_json));
 }
 
 }  // namespace tdg::serve

@@ -1,17 +1,12 @@
 #ifndef TDG_SERVE_COHORT_SERVER_H_
 #define TDG_SERVE_COHORT_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/run_manifest.h"
+#include "obs/stats_server.h"
 #include "obs/tail_sampler.h"
 #include "serve/cohort_manager.h"
 #include "util/net.h"
@@ -19,19 +14,20 @@
 
 namespace tdg::serve {
 
-/// The grouping-as-a-service front end (DESIGN.md §13): an HTTP/1.1 server
-/// over a CohortManager, built on the same util::net machinery as
-/// obs::StatsServer but with a worker pool — cohort operations take locks
-/// and write journals, so one slow request must not head-of-line-block the
-/// monitoring scrapes. One accept-loop thread hands connections to
-/// `num_workers` handler threads; loopback only, `Connection: close`.
+/// The grouping-as-a-service front end (DESIGN.md §13): cohort routes over
+/// a CohortManager on a util::net::HttpServer worker pool — cohort
+/// operations take locks and write journals, so one slow request must not
+/// head-of-line-block the monitoring scrapes. Loopback only,
+/// `Connection: close`.
 ///
 /// Endpoints (JSON in, JSON out):
-///   GET  /healthz                    200 "ok"
-///   GET  /metrics                    Prometheus text (registry + serve
-///                                    gauges: cohorts, resident
-///                                    participants)
-///   GET  /statusz                    manifest + uptime + request counts
+///   GET  /healthz /metrics /blackboxz  the shared monitoring routes
+///                                    (obs::ServeStatsRoute); /metrics also
+///                                    carries the serve gauges (cohorts,
+///                                    resident participants)
+///   GET  /statusz                    the shared fields + cohorts,
+///                                    resident_participants, and the
+///                                    rolling latency windows
 ///   GET  /cohorts                    {"cohorts":[summary...]}
 ///   POST /cohorts                    {"id","config","participants"} → 201
 ///   GET  /cohorts/<id>               one summary
@@ -51,15 +47,7 @@ namespace tdg::serve {
 /// carries {"error": message} JSON.
 class CohortServer {
  public:
-  struct Options {
-    /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see port()).
-    int port = 0;
-    /// When non-empty, the bound port is written here (atomic replace).
-    std::string port_file;
-    /// Handler threads. Requests queue (unbounded) when all are busy.
-    int num_workers = 4;
-    /// Per-request read bounds (the fuzz/battery knobs).
-    util::net::HttpLimits limits;
+  struct Options : util::net::HttpServer::Options {
     /// Provenance served on /statusz; captured at Start when left default.
     obs::RunManifest manifest;
     /// Tail-sampling knobs for /slowz and /tracez (threshold, 1-in-N
@@ -72,50 +60,34 @@ class CohortServer {
   static util::StatusOr<std::unique_ptr<CohortServer>> Start(
       CohortManager* manager, Options options);
 
-  ~CohortServer() { Stop(); }
-
   CohortServer(const CohortServer&) = delete;
   CohortServer& operator=(const CohortServer&) = delete;
 
   /// The actually bound port (resolves port 0 requests).
-  int port() const { return listener_.port(); }
-
-  int64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
+  int port() const { return http_.port(); }
+  int64_t requests_served() const { return http_.requests_served(); }
 
   /// The /slowz + /tracez sampler (exposed for tests).
   const obs::TailSampler& tail_sampler() const { return tail_sampler_; }
 
   /// Stops accepting, drains queued connections, joins all threads.
   /// Idempotent.
-  void Stop();
+  void Stop() { http_.Stop(); }
 
  private:
-  CohortServer(CohortManager* manager, Options options)
-      : manager_(manager),
-        options_(std::move(options)),
-        tail_sampler_(options_.tail) {}
+  CohortServer(CohortManager* manager, Options options);
 
-  void AcceptLoop();
-  void WorkerLoop();
   void HandleConnection(util::net::Socket connection);
   std::string Route(const util::net::HttpRequest& request,
                     std::string* endpoint_label);
+  // The serve additions to the shared monitoring routes.
+  void RefreshGauges() const;
+  void AddStatusz(util::JsonValue& json) const;
 
   CohortManager* manager_;  // not owned
-  Options options_;
-  obs::TailSampler tail_sampler_;  // after options_: initialized from tail
-  util::net::ServerSocket listener_;
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> stop_{false};
-  std::atomic<int64_t> requests_served_{0};
-  int64_t start_micros_ = 0;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<util::net::Socket> queue_;
+  obs::StatsRouteOptions routes_;
+  obs::TailSampler tail_sampler_;
+  util::net::HttpServer http_;  // last: its threads use the members above
 };
 
 }  // namespace tdg::serve

@@ -10,11 +10,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "util/file_util.h"
+#include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace tdg::util::net {
 namespace {
+
+// Poll granularity of HttpServer's accept loop — the latency ceiling on
+// Stop().
+constexpr int kAcceptPollMs = 100;
 
 Status Errno(const char* what) {
   return Status::IOError(
@@ -435,6 +441,77 @@ std::string BuildHttpErrorResponse(const Status& status) {
     default:
       return BuildHttpResponse(500, "Internal Server Error", "text/plain",
                                "internal error\n");
+  }
+}
+
+std::string BuildHttpJsonError(int code, std::string_view reason,
+                               std::string_view message) {
+  JsonValue json = JsonValue::MakeObject();
+  json.Set("error", std::string(message));
+  return BuildHttpResponse(code, reason, "application/json",
+                           json.Serialize() + "\n");
+}
+
+Status HttpServer::Start() {
+  if (options_.num_workers < 1) {
+    return Status::InvalidArgument("num_workers must be >= 1");
+  }
+  TDG_ASSIGN_OR_RETURN(listener_, ServerSocket::Listen(options_.port));
+  if (!options_.port_file.empty()) {
+    TDG_RETURN_IF_ERROR(WriteFileAtomic(
+        options_.port_file, std::to_string(listener_.port()) + "\n"));
+  }
+  start_micros_ = MonotonicMicros();
+  workers_.reserve(static_cast<size_t>(options_.num_workers));
+  for (int i = 0; i < options_.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  return Status::OK();
+}
+
+void HttpServer::Stop() {
+  if (!accept_thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    stop_.store(true, std::memory_order_relaxed);
+  }
+  accept_thread_.join();
+  queue_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
+  listener_.Close();
+}
+
+void HttpServer::AcceptLoop() {
+  while (!stop_.load(std::memory_order_relaxed)) {
+    auto connection = listener_.AcceptWithTimeout(kAcceptPollMs);
+    if (!connection.ok()) return;  // listener broke; workers drain and stop
+    if (!connection->is_open()) continue;  // poll timeout — check stop flag
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      queue_.push_back(std::move(connection).value());
+    }
+    queue_cv_.notify_one();
+  }
+}
+
+void HttpServer::WorkerLoop() {
+  for (;;) {
+    Socket connection;
+    {
+      std::unique_lock<std::mutex> lock(queue_mutex_);
+      queue_cv_.wait(lock, [this] {
+        return !queue_.empty() || stop_.load(std::memory_order_relaxed);
+      });
+      // Drain what was accepted before stopping: every accepted client
+      // gets a response even across shutdown.
+      if (queue_.empty()) return;
+      connection = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    requests_served_.fetch_add(1, std::memory_order_relaxed);
+    handler_(*this, std::move(connection));
   }
 }
 

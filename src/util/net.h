@@ -1,9 +1,15 @@
 #ifndef TDG_UTIL_NET_H_
 #define TDG_UTIL_NET_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -12,11 +18,11 @@
 
 namespace tdg::util::net {
 
-/// Minimal blocking TCP primitives for the embedded HTTP servers
-/// (obs::StatsServer, serve::CohortServer) and their tests. Dependency-free
-/// POSIX sockets; the library targets linux. Everything binds/connects
-/// loopback only — the endpoints carry no authentication, so they are
-/// deliberately not reachable from other hosts (DESIGN.md §9).
+/// Minimal blocking TCP primitives and HttpServer, the one server core
+/// under obs::StartStatsServer and serve::CohortServer. Dependency-free POSIX
+/// sockets; the library targets linux. Everything binds/connects loopback
+/// only — the endpoints carry no authentication, so they are deliberately
+/// not reachable from other hosts (DESIGN.md §9).
 
 /// Blocks until `fd` is readable, up to `timeout_ms` (-1 = forever).
 /// Returns true when readable, false on timeout; IOError on poll failure.
@@ -47,7 +53,7 @@ class Socket {
   /// of *total* elapsed time (FailedPrecondition). The timeout is a hard
   /// deadline from the moment of the call, not a per-chunk progress window:
   /// a client dribbling one byte per poll interval cannot hold the socket —
-  /// and with it a single-threaded accept loop — open forever.
+  /// and with it a server worker — open forever.
   StatusOr<std::string> ReadUntil(std::string_view delimiter,
                                   size_t max_bytes, int timeout_ms);
 
@@ -148,6 +154,76 @@ std::string BuildHttpResponse(int code, std::string_view reason,
 /// The error response for a failed ReadHttpRequest, per the mapping above
 /// (unlisted codes become a 500).
 std::string BuildHttpErrorResponse(const Status& status);
+
+/// An application error response: `{"error": message}` JSON, the body every
+/// routed endpoint uses for its 4xx/5xx answers (DESIGN.md §13).
+std::string BuildHttpJsonError(int code, std::string_view reason,
+                               std::string_view message);
+
+/// The loopback HTTP/1.1 server core: one accept thread queues connections
+/// (unbounded) for `num_workers` worker threads, each calling the handler
+/// with one connection to read (ReadHttpRequest under limits()), answer,
+/// and close. A slow client holds one worker, never the accept thread.
+class HttpServer {
+ public:
+  struct Options {
+    /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see port()).
+    int port = 0;
+    /// When non-empty, the bound port is written here (atomic replace).
+    std::string port_file;
+    int num_workers = 4;
+    HttpLimits limits;
+  };
+
+  /// Runs on a worker thread, concurrently with other workers; `server` is
+  /// the server that accepted the connection.
+  using Handler =
+      std::function<void(const HttpServer& server, Socket connection)>;
+
+  HttpServer(Options options, Handler handler)
+      : options_(std::move(options)), handler_(std::move(handler)) {}
+  ~HttpServer() { Stop(); }
+
+  HttpServer(const HttpServer&) = delete;
+  HttpServer& operator=(const HttpServer&) = delete;
+
+  /// Binds, writes the port file, and launches the workers and the accept
+  /// thread. Call at most once.
+  Status Start();
+
+  /// Stops accepting, lets the workers answer every connection already
+  /// accepted, and joins all threads. Idempotent.
+  void Stop();
+
+  /// The actually bound port (resolves port 0 requests).
+  int port() const { return listener_.port(); }
+  const HttpLimits& limits() const { return options_.limits; }
+  /// MonotonicMicros() when Start bound the port.
+  int64_t start_micros() const { return start_micros_; }
+  /// Connections taken up by a worker, counted before the handler runs: a
+  /// client holding its response has always been counted.
+  int64_t requests_served() const {
+    return requests_served_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  void AcceptLoop();
+  void WorkerLoop();
+
+  const Options options_;
+  const Handler handler_;
+  ServerSocket listener_;
+  int64_t start_micros_ = 0;
+  std::atomic<bool> stop_{false};
+  std::atomic<int64_t> requests_served_{0};
+
+  std::mutex queue_mutex_;
+  std::condition_variable queue_cv_;
+  std::deque<Socket> queue_;  // guarded by queue_mutex_
+
+  std::vector<std::thread> workers_;
+  std::thread accept_thread_;
+};
 
 /// One-shot HTTP/1.1 GET against 127.0.0.1:`port` (the test/scripting
 /// counterpart of the stats server). Returns the raw response — status

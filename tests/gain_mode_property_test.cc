@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <type_traits>
 
 #include "core/dygroups.h"
 #include "core/interaction.h"
@@ -15,12 +18,15 @@
 namespace tdg {
 namespace {
 
+// Plain bytes, no pointers and no padding: gtest lists each test with a
+// byte dump of its parameter, so a std::string member here would put a heap
+// address into the listed test name and change it from run to run.
 struct GainModeCase {
-  std::string gain_name;  // constructor key
+  char gain_name[36];  // constructor key, NUL-terminated
   InteractionMode mode;
 
   std::string Name() const {
-    std::string name = gain_name + "_" +
+    std::string name = std::string(gain_name) + "_" +
                        std::string(InteractionModeName(mode));
     for (char& c : name) {
       if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
@@ -123,11 +129,18 @@ std::vector<GainModeCase> MakeCases() {
        {"linear", "linear-low", "power", "log", "satexp"}) {
     for (InteractionMode mode :
          {InteractionMode::kStar, InteractionMode::kClique}) {
-      cases.push_back(GainModeCase{gain, mode});
+      GainModeCase c{};
+      std::snprintf(c.gain_name, sizeof(c.gain_name), "%s", gain);
+      c.mode = mode;
+      cases.push_back(c);
     }
   }
   return cases;
 }
+
+static_assert(sizeof(GainModeCase) == 40 &&
+                  std::has_unique_object_representations_v<GainModeCase>,
+              "the parameter's byte dump must not contain padding");
 
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, GainModePropertyTest, testing::ValuesIn(MakeCases()),

@@ -19,7 +19,9 @@ void SpinTaskClock(int64_t min_delta_ns) {
   const PerfSample start = counters.Read();
   volatile double sink = 0.0;
   for (;;) {
-    for (int i = 0; i < 5000; ++i) sink += static_cast<double>(i) * 1e-9;
+    for (int i = 0; i < 5000; ++i) {
+      sink = sink + static_cast<double>(i) * 1e-9;
+    }
     const PerfSample now = counters.Read();
     if (now.DeltaSince(start)[PerfEvent::kTaskClockNs] >= min_delta_ns) {
       return;

@@ -2,9 +2,9 @@
 // label escaping, cumulative bucket rendering, and a golden file pinning
 // the full exposition of a hand-built snapshot.
 //
-// Regenerate the golden after an intentional format change with:
-//   TDG_UPDATE_GOLDEN=1 ./build/tests/tdg_tests \
-//       --gtest_filter=PrometheusGoldenTest.*
+// Regenerate the golden after an intentional format change by running
+//   ./build/tests/tdg_tests --gtest_filter=PrometheusGoldenTest.*
+// with TDG_UPDATE_GOLDEN=1 set in the environment.
 
 #include "obs/prometheus.h"
 

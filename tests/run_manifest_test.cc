@@ -4,9 +4,9 @@
 // file over the Normalized() form (volatile fields pinned to placeholders
 // so the golden bytes only change when the schema does).
 //
-// To regenerate after an intentional schema change:
-//   TDG_UPDATE_GOLDEN=1 ./build/tests/tdg_tests \
-//       --gtest_filter='RunManifestGoldenTest.*'
+// To regenerate after an intentional schema change, run
+//   ./build/tests/tdg_tests --gtest_filter='RunManifestGoldenTest.*'
+// with TDG_UPDATE_GOLDEN=1 set in the environment.
 
 #include "obs/run_manifest.h"
 

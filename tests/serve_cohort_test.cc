@@ -4,7 +4,8 @@
 //   * equivalence — a churn-free, evenly divisible cohort reproduces the
 //     batch core::RunProcess run *bitwise* (groupings, gains, skills),
 //     which is what makes served groupings offline-auditable;
-//   * the m/m+1 size profile and the join/leave/advance validation grammar;
+//   * the m/m+1 size profile and the join/leave/advance validation grammar,
+//     and the strict integer fields of the enroll config;
 //   * durability — journals replay to bitwise-identical state (RNG stream
 //     included), a torn final line is healed, a corrupt middle line or a
 //     foreign digest is refused, and a restored cohort's *future* rounds
@@ -20,8 +21,11 @@
 #include "core/dygroups.h"
 #include "core/process.h"
 #include "serve/cohort_manager.h"
+#include "serve/cohort_server.h"
 #include "sweep_shard_test_util.h"
 #include "util/file_util.h"
+#include "util/json.h"
+#include "util/net.h"
 
 namespace tdg::serve {
 namespace {
@@ -110,6 +114,45 @@ TEST(ServeCohortTest, ValidationGrammar) {
   }
   EXPECT_EQ(cohort->Advance().status().code(),
             util::StatusCode::kFailedPrecondition);
+}
+
+TEST(ServeCohortTest, ConfigFromJsonIsStrictOnIntegerFields) {
+  auto parse = [](const std::string& text) {
+    auto json = util::JsonValue::Parse(text);
+    EXPECT_TRUE(json.ok()) << text;
+    return CohortConfig::FromJson(*json);
+  };
+  auto config = parse(R"({"group_size": 3, "seed": 9007199254740992})");
+  ASSERT_TRUE(config.ok()) << config.status();
+  EXPECT_EQ(config->group_size, 3);
+  EXPECT_EQ(config->seed, uint64_t{1} << 53);
+  EXPECT_TRUE(parse(R"({"seed": 0})").ok());
+
+  // Non-integers and values outside the field's range are refused before
+  // any cast: group_size is an int, and the seed must survive the journal
+  // header's signed 64-bit round trip.
+  for (const char* bad :
+       {R"({"group_size": 2.5})", R"({"group_size": 1e10})",
+        R"({"group_size": -1e10})", R"({"group_size": 1e20})",
+        R"({"group_size": -1})", R"({"seed": -1})", R"({"seed": 2.5})",
+        R"({"seed": 1e19})", R"({"seed": 1e20})"}) {
+    EXPECT_EQ(parse(bad).status().code(), util::StatusCode::kInvalidArgument)
+        << bad;
+  }
+
+  // Over HTTP the same refusal is a 400 on enroll.
+  auto manager = CohortManager::Open({});
+  ASSERT_TRUE(manager.ok()) << manager.status();
+  auto server = CohortServer::Start(manager->get(), {});
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto response = util::net::HttpDo(
+      (*server)->port(), "POST", "/cohorts",
+      R"({"id": "frac", "config": {"group_size": 2.5},)"
+      R"( "participants": [{"key": "a", "skill": 1.0}]})");
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(*util::net::HttpStatusCode(*response), 400) << *response;
+  EXPECT_NE(response->find("group_size"), std::string::npos) << *response;
+  EXPECT_EQ((*manager)->num_cohorts(), 0);
 }
 
 // The load-bearing equivalence: a churn-free cohort whose size divides

@@ -13,10 +13,8 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fuzz_mutate_test_util.h"
@@ -131,13 +129,9 @@ TEST(ServeHttpFuzzTest, MutatedRequestsAlwaysGetWellFormedResponses) {
   auto summary_code = util::net::HttpStatusCode(summary);
   ASSERT_TRUE(summary_code.ok()) << summary;
   EXPECT_EQ(*summary_code, 200) << summary;
-  // requests_served is bumped after the response socket closes, so the last
-  // client can observe EOF a beat before the counter moves — poll briefly.
-  const int64_t expected = kRounds + 3;
-  for (int i = 0; i < 200 && (*server)->requests_served() < expected; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE((*server)->requests_served(), expected);
+  // requests_served counts a connection before its handler runs, so every
+  // client that already holds its response is counted.
+  EXPECT_GE((*server)->requests_served(), kRounds + 3);
   (*server)->Stop();
 }
 

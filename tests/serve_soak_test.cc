@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,26 +28,49 @@
 namespace tdg::serve {
 namespace {
 
-/// Sends one request and returns the HTTP status code; -1 on any transport
-/// or parse failure (the caller EXPECTs on it — gtest assertions are not
-/// usable for early return inside worker lambdas).
-int Request(int port, const std::string& wire) {
+/// Sends one request and returns the raw response; empty on any transport
+/// failure.
+std::string Exchange(int port, const std::string& wire) {
   auto client = util::net::ConnectLoopback(port, /*timeout_ms=*/5000);
-  if (!client.ok()) return -1;
-  if (!client->WriteAll(wire).ok()) return -1;
+  if (!client.ok()) return "";
+  if (!client->WriteAll(wire).ok()) return "";
   auto response = client->ReadToEof(1 << 20, /*timeout_ms=*/10000);
-  if (!response.ok()) return -1;
-  auto code = util::net::HttpStatusCode(*response);
+  return response.ok() ? *response : "";
+}
+
+/// The HTTP status code of a raw response; -1 on any transport or parse
+/// failure (the caller EXPECTs on it — gtest assertions are not usable for
+/// early return inside worker lambdas).
+int StatusOf(const std::string& response) {
+  auto code = util::net::HttpStatusCode(response);
   return code.ok() ? *code : -1;
 }
 
+std::string GetWire(const std::string& path) {
+  return "GET " + path + " HTTP/1.1\r\n\r\n";
+}
+
+std::string PostWire(const std::string& path, const std::string& body) {
+  return "POST " + path + " HTTP/1.1\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
 int Get(int port, const std::string& path) {
-  return Request(port, "GET " + path + " HTTP/1.1\r\n\r\n");
+  return StatusOf(Exchange(port, GetWire(path)));
 }
 
 int Post(int port, const std::string& path, const std::string& body) {
-  return Request(port, "POST " + path + " HTTP/1.1\r\nContent-Length: " +
-                           std::to_string(body.size()) + "\r\n\r\n" + body);
+  return StatusOf(Exchange(port, PostWire(path, body)));
+}
+
+/// A numeric field of a JSON response body; NaN when absent or unparsable.
+double BodyNumber(const std::string& response, const char* field) {
+  auto body = util::net::HttpBody(response);
+  if (!body.ok()) return std::nan("");
+  auto json = util::JsonValue::Parse(*body);
+  if (!json.ok()) return std::nan("");
+  auto value = json->GetField(field);
+  return value.ok() && value->is_number() ? value->AsNumber() : std::nan("");
 }
 
 std::string EnrollBody(const std::string& id, int participants) {
@@ -126,31 +151,50 @@ TEST(ServeSoakTest, ContendedAdvancesOnOneCohortNeverLoseARound) {
 
   ASSERT_EQ(Post(port, "/cohorts", EnrollBody("shared", 9)), 201);
 
-  constexpr int kThreads = 3;
-  constexpr int kAdvancesPerThread = 10;
-  std::atomic<int> acknowledged{0};
+  constexpr int kThreads = 4;
+  constexpr int kAdvancesPerThread = 300;
+  constexpr int kAdvances = kThreads * kAdvancesPerThread;
+  // Each driver keeps its own acks; merged after the join.
+  std::vector<std::vector<std::string>> acks(kThreads);
   std::vector<std::thread> drivers;
   for (int t = 0; t < kThreads; ++t) {
-    drivers.emplace_back([port, &acknowledged] {
+    drivers.emplace_back([port, &ack = acks[t]] {
       for (int i = 0; i < kAdvancesPerThread; ++i) {
-        if (Post(port, "/cohorts/shared/advance", "{}") == 200) {
-          acknowledged.fetch_add(1, std::memory_order_relaxed);
-        }
+        ack.push_back(
+            Exchange(port, PostWire("/cohorts/shared/advance", "{}")));
       }
     });
   }
   for (std::thread& driver : drivers) driver.join();
 
   // Per-cohort operations are serialized by the entry lock: every request
-  // succeeds, and the round count equals the acknowledgment count exactly.
-  EXPECT_EQ(acknowledged.load(), kThreads * kAdvancesPerThread);
+  // succeeds, the round count equals the acknowledgment count exactly, and
+  // each ack names the round its gain came from — so the reported rounds
+  // are exactly {0..N-1} and each gain is that round's served gain.
+  std::map<int, double> reported;  // round -> acknowledged gain
+  for (const std::vector<std::string>& ack : acks) {
+    for (const std::string& response : ack) {
+      ASSERT_EQ(StatusOf(response), 200) << response;
+      const double round = BodyNumber(response, "round");
+      ASSERT_FALSE(std::isnan(round)) << response;
+      ASSERT_TRUE(reported.emplace(static_cast<int>(round),
+                                   BodyNumber(response, "gain"))
+                      .second)
+          << "round " << round << " acknowledged twice";
+    }
+  }
+  ASSERT_EQ(static_cast<int>(reported.size()), kAdvances);
+  EXPECT_EQ(reported.begin()->first, 0);
+  EXPECT_EQ(reported.rbegin()->first, kAdvances - 1);
   auto summary = (*manager)->GetSummary("shared");
   ASSERT_TRUE(summary.ok()) << summary.status();
-  EXPECT_EQ(summary->rounds, acknowledged.load());
-  // Every round the cohort acknowledged is servable.
-  for (int round = 0; round < summary->rounds; ++round) {
-    EXPECT_EQ(
-        Get(port, "/cohorts/shared/rounds/" + std::to_string(round)), 200);
+  EXPECT_EQ(summary->rounds, kAdvances);
+  // Every round the cohort acknowledged is servable, with the acked gain.
+  for (const auto& [round, gain] : reported) {
+    const std::string served = Exchange(
+        port, GetWire("/cohorts/shared/rounds/" + std::to_string(round)));
+    ASSERT_EQ(StatusOf(served), 200) << served;
+    EXPECT_EQ(BodyNumber(served, "gain"), gain) << "round " << round;
   }
   EXPECT_EQ(Get(port, "/cohorts/shared/rounds/" +
                           std::to_string(summary->rounds)),

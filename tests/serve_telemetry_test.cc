@@ -221,7 +221,10 @@ TEST_F(ServeTelemetryTest, StatuszCarriesTheWindowsTable) {
   ASSERT_EQ(*util::net::HttpStatusCode(
                 *util::net::HttpGet(port(), "/healthz")),
             200);
-  // Same post-write race as /metrics: poll until the healthz window lands.
+  // Same post-write race as /metrics: poll until the healthz sample lands.
+  // The window's entry alone is not enough — the registry creates it just
+  // before the sample is recorded, so a concurrent /statusz can see it
+  // empty.
   std::string body;
   ASSERT_TRUE(Eventually([&] {
     auto response = util::net::HttpGet(port(), "/statusz");
@@ -232,8 +235,13 @@ TEST_F(ServeTelemetryTest, StatuszCarriesTheWindowsTable) {
     auto probe = util::JsonValue::Parse(body);
     if (!probe.ok()) return false;
     auto probe_windows = probe->GetField("windows");
-    return probe_windows.ok() && probe_windows->GetField("healthz").ok();
-  })) << "healthz window never appeared on /statusz";
+    if (!probe_windows.ok()) return false;
+    auto probe_healthz = probe_windows->GetField("healthz");
+    if (!probe_healthz.ok()) return false;
+    auto probe_minute = probe_healthz->GetField("1m");
+    return probe_minute.ok() &&
+           probe_minute->GetField("count")->AsNumber() >= 1.0;
+  })) << "healthz sample never appeared on /statusz";
   auto json = util::JsonValue::Parse(body);
   ASSERT_TRUE(json.ok()) << json.status();
   auto windows = json->GetField("windows");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,13 +22,15 @@
 #include "util/file_util.h"
 #include "util/json.h"
 #include "util/net.h"
+#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace tdg::obs {
 namespace {
 
-std::unique_ptr<StatsServer> StartServer(StatsServer::Options options = {}) {
-  auto server = StatsServer::Start(std::move(options));
+std::unique_ptr<util::net::HttpServer> StartServer(
+    StatsServerOptions options = {}) {
+  auto server = StartStatsServer(std::move(options));
   EXPECT_TRUE(server.ok()) << server.status();
   return server.ok() ? std::move(server).value() : nullptr;
 }
@@ -41,7 +44,7 @@ std::string Get(int port, const std::string& path) {
 TEST(StatsServerTest, BindsEphemeralPortAndWritesPortFile) {
   const std::string port_file =
       test::MakeScratchDir() + "/stats.port";
-  StatsServer::Options options;
+  StatsServerOptions options;
   options.port = 0;
   options.port_file = port_file;
   auto server = StartServer(std::move(options));
@@ -81,7 +84,7 @@ TEST(StatsServerTest, HealthzDegradesOnStaleOrTornHeartbeat) {
   // A fresh heartbeat plus one that does not exist yet: still healthy (the
   // missing shard may simply not have started).
   {
-    StatsServer::Options options;
+    StatsServerOptions options;
     options.heartbeat_paths = {fresh_path, dir + "/not-yet.heartbeat"};
     auto server = StartServer(std::move(options));
     ASSERT_NE(server, nullptr);
@@ -95,7 +98,7 @@ TEST(StatsServerTest, HealthzDegradesOnStaleOrTornHeartbeat) {
   stale.updated_unix_ms = UnixMillis() - 10 * 60 * 1000;
   ASSERT_TRUE(WriteHeartbeat(stale_path, stale).ok());
   {
-    StatsServer::Options options;
+    StatsServerOptions options;
     options.heartbeat_paths = {fresh_path, stale_path};
     auto server = StartServer(std::move(options));
     ASSERT_NE(server, nullptr);
@@ -112,7 +115,7 @@ TEST(StatsServerTest, HealthzDegradesOnStaleOrTornHeartbeat) {
   // A torn heartbeat (crashed host mid-write) also degrades.
   ASSERT_TRUE(util::WriteFileAtomic(torn_path, "{\"schema\": \"tdg.he").ok());
   {
-    StatsServer::Options options;
+    StatsServerOptions options;
     options.heartbeat_paths = {torn_path};
     auto server = StartServer(std::move(options));
     ASSERT_NE(server, nullptr);
@@ -135,7 +138,7 @@ TEST(StatsServerTest, BlackboxzTailsTheDump) {
                     {static_cast<double>(i), 1.0, static_cast<double>(i)});
   }
 
-  StatsServer::Options options;
+  StatsServerOptions options;
   options.blackbox_path = path;
   options.blackbox_tail = 3;
   auto server = StartServer(std::move(options));
@@ -160,7 +163,7 @@ TEST(StatsServerTest, BlackboxzTailsTheDump) {
 }
 
 TEST(StatsServerTest, BlackboxzReportsUnreadableDumpAs503) {
-  StatsServer::Options options;
+  StatsServerOptions options;
   options.blackbox_path = test::MakeScratchDir() + "/never-written.bin";
   auto server = StartServer(std::move(options));
   ASSERT_NE(server, nullptr);
@@ -232,7 +235,7 @@ TEST(StatsServerTest, MetricsServesPrometheusExposition) {
 }
 
 TEST(StatsServerTest, StatuszServesManifestAndUptime) {
-  StatsServer::Options options;
+  StatsServerOptions options;
   options.manifest = RunManifest::Capture(/*seed=*/99);
   auto server = StartServer(std::move(options));
   ASSERT_NE(server, nullptr);
@@ -257,7 +260,7 @@ TEST(StatsServerTest, ProgresszServesTrackerSnapshot) {
   tracker.BeginRun("progressz-test", 8, 2);
   tracker.RecordCell("cell-2", 1000.0);
 
-  StatsServer::Options options;
+  StatsServerOptions options;
   options.progress = &tracker;
   auto server = StartServer(std::move(options));
   ASSERT_NE(server, nullptr);
@@ -302,6 +305,22 @@ TEST(StatsServerTest, ConcurrentScrapesAllSucceed) {
   EXPECT_GE(server->requests_served(), kThreads * kRequestsPerThread);
 }
 
+TEST(StatsServerTest, SilentClientDoesNotDelayHealthz) {
+  // Requests are served from a worker pool: a client that connects and
+  // sends nothing holds one worker until the 2 s read deadline, never the
+  // accept thread or the other workers.
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  auto silent = util::net::ConnectLoopback(server->port());
+  ASSERT_TRUE(silent.ok()) << silent.status();
+
+  const int64_t start = util::MonotonicMicros();
+  const std::string response = Get(server->port(), "/healthz");
+  const int64_t elapsed_micros = util::MonotonicMicros() - start;
+  EXPECT_TRUE(util::StartsWith(response, "HTTP/1.1 200")) << response;
+  EXPECT_LT(elapsed_micros, 500 * 1000);
+}
+
 TEST(StatsServerTest, StopIsIdempotentAndPortCloses) {
   auto server = StartServer();
   ASSERT_NE(server, nullptr);
@@ -342,7 +361,7 @@ TEST(StatsServerTest, ObsDisabledBuildDegradesCleanly) {
   recorder.Record(BlackboxEventType::kNote, {2.0});
 
   // Endpoints answer while both planes are live.
-  StatsServer::Options options;
+  StatsServerOptions options;
   options.blackbox_path = blackbox;
   auto server = StartServer(std::move(options));
   ASSERT_NE(server, nullptr);
@@ -384,12 +403,20 @@ TEST(StatsServerTest, SweepOutputsAreByteIdenticalWithServerOn) {
   auto server = StartServer();
   ASSERT_NE(server, nullptr);
   std::atomic<bool> stop_scraping{false};
-  std::thread scraper([port = server->port(), &stop_scraping] {
+  std::atomic<bool> scraped{false};
+  std::thread scraper([port = server->port(), &stop_scraping, &scraped] {
     while (!stop_scraping.load(std::memory_order_relaxed)) {
-      (void)util::net::HttpGet(port, "/metrics");
+      if (util::net::HttpGet(port, "/metrics").ok()) scraped.store(true);
       (void)util::net::HttpGet(port, "/progressz");
     }
   });
+  // The sweep starts only once a scrape has landed, so the server is
+  // demonstrably serving while the cells run.
+  const int64_t deadline = util::MonotonicMicros() + 10 * 1000 * 1000;
+  while (!scraped.load() && util::MonotonicMicros() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(scraped.load()) << "no scrape succeeded within 10 s";
 
   auto monitored = exp::RunSweep(config);
 

@@ -8,10 +8,10 @@
 // tdg::obs metrics registry so it is deterministically 0 (the documented
 // behavior of SweepCell::mean_micros).
 //
-// To regenerate after an intentional output change:
-//   TDG_UPDATE_GOLDEN=1 ./build/tests/tdg_tests \
-//       --gtest_filter='SweepGoldenTest.*'
-// and commit the rewritten files.
+// To regenerate after an intentional output change, run
+//   ./build/tests/tdg_tests --gtest_filter='SweepGoldenTest.*'
+// with TDG_UPDATE_GOLDEN=1 set in the environment, and commit the
+// rewritten files.
 
 #include <gtest/gtest.h>
 
