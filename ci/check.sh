@@ -48,13 +48,15 @@
 #            with tdg_perfdiff on wall time and on an instruction counter,
 #            falling back to task_clock_ns on hosts without a PMU
 #   blackbox flight-recorder e2e (DESIGN.md §12): run the recorder /
-#            record-ring / mmap / stats-server suites under tsan (the rings
-#            are lock-free and the /blackboxz reader tails a file that
-#            writers are still appending to), then a crash-dump e2e: kill a
-#            sweep shard mid-cell via TDG_TEST_CRASH_AFTER_CELLS and again
-#            with a raw `kill -9`, and require `tdg_blackbox` to decode a
-#            dump whose last sweep_cell_end agrees with the checkpoint's
-#            last appended cell
+#            span / record-ring / mmap / stats-server suites under tsan (the
+#            rings are lock-free and the /blackboxz reader tails a file that
+#            writers are still appending to); a clean leg: an unsharded
+#            sweep with --blackbox whose `tdg_blackbox --trace` view must
+#            parse as JSON with sweep/cell "X" spans and one sweep_cell_end
+#            per cell; then a crash-dump e2e: kill a sweep shard mid-cell
+#            via TDG_TEST_CRASH_AFTER_CELLS and again with a raw `kill -9`,
+#            and require `tdg_blackbox` to decode a dump whose last
+#            sweep_cell_end agrees with the checkpoint's last appended cell
 #   serve    cohort-serving e2e (DESIGN.md §13): run the serving-plane
 #            suites (cohort state machine, churn property battery, HTTP
 #            request fuzz, journal replay, concurrency soak) under asan and
@@ -116,7 +118,7 @@ ctest_args() {
     # multi-worker HTTP server, per-cohort locks, and journal appends under
     # concurrent clients — the serving plane's whole thread-safety story.
     tsan)
-      echo "-R ThreadPool|ParallelFor|Obs|Trace|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|EventLog|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|Heartbeat|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler"
+      echo "-R ThreadPool|ParallelFor|Obs|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|Heartbeat|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler"
       ;;
     crash-resume)
       echo "-R SweepShard|SweepCrash|SweepTornWrite|FileUtil|CheckDeathTest|LoggingDeathTest"
@@ -475,7 +477,7 @@ run_blackbox() {
     --target tdg_tests tdg_sweep_shard_child >/dev/null
   echo "==> [blackbox] ring-buffer / recorder / server suites (tsan)"
   (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    -R "FlightRecorder|Blackbox|RecordRing|MmapFile|StatsServer|EventLog")
+    -R "FlightRecorder|Blackbox|RecordRing|MmapFile|StatsServer|ObsThreading|ObsDeterminism")
 
   echo "==> [blackbox] crash-dump e2e"
   local build_dir="build-ci/blackbox"
@@ -505,6 +507,24 @@ threads = 1
 EOF
   local cli="${build_dir}/examples/example_tdg_cli"
   local decode="${build_dir}/examples/tdg_blackbox"
+
+  echo "==> [blackbox] clean sweep renders as a Chrome trace"
+  # No checkpoint: the unsharded RunSweep runs, and its spans and cell
+  # events reach the trace view from the one dump.
+  "${cli}" sweep --config="${work}/sweep.cfg" --no_metrics \
+    --csv="${work}/clean.csv" --blackbox="${work}/clean.blackbox" >/dev/null
+  "${decode}" --trace="${work}/clean.trace.json" "${work}/clean.blackbox"
+  python3 - "${work}/clean.trace.json" "${work}/clean.csv" <<'PY'
+import csv, json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+cells = len(list(csv.DictReader(open(sys.argv[2]))))
+spans = [e for e in events if e["ph"] == "X" and e["name"] == "sweep/cell"]
+ends = [e for e in events if e["args"].get("event") == "sweep_cell_end"]
+if not spans:
+    sys.exit("trace has no sweep/cell X event")
+if len(ends) != cells:
+    sys.exit(f"trace has {len(ends)} sweep_cell_end events for {cells} cells")
+PY
 
   local status=0
   TDG_TEST_CRASH_AFTER_CELLS=3 "${cli}" sweep \

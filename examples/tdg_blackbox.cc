@@ -1,18 +1,25 @@
 // tdg_blackbox — decoder for flight-recorder dumps (tdg.blackbox.v1, see
 // DESIGN.md §12).
 //
-//   tdg_blackbox DUMP.bin                 summary + tail of the timeline
+//   tdg_blackbox DUMP.bin                 summary: header facts, a
+//                                         per-event-kind table (count,
+//                                         threads, first/last ms), and the
+//                                         tail of the timeline
 //   tdg_blackbox --jsonl DUMP.bin         every event as JSONL on stdout
+//                                         (span records carry their name)
 //   tdg_blackbox --jsonl=OUT DUMP.bin     ... written to OUT
 //   tdg_blackbox --trace=OUT DUMP.bin     Chrome trace_event JSON (load in
-//                                         chrome://tracing / Perfetto)
+//                                         chrome://tracing / Perfetto):
+//                                         span records as complete "X"
+//                                         events
 //   tdg_blackbox --tail=N DUMP.bin        rows in the summary tail
 //   tdg_blackbox --trace_id=ID DUMP.bin   narrow any mode above to one
 //                                         served request: its request_
 //                                         start/phase/end records plus
 //                                         everything its thread recorded
 //                                         while the request ran (e.g. the
-//                                         cohort_round the core emitted)
+//                                         interaction/*_round span and the
+//                                         cohort_round the core recorded)
 //
 // The dump is written through a shared file mapping, so it is current even
 // when the recording process died by kill -9 — a dump without the
@@ -22,23 +29,23 @@
 //
 // Exit codes: 0 = decoded, 2 = usage or undecodable input.
 
+#include <cstdint>
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/flight_recorder.h"
 #include "util/file_util.h"
 #include "util/flags.h"
 #include "util/string_util.h"
+#include "util/table_printer.h"
 
 namespace {
 
 using tdg::obs::BlackboxDump;
 using tdg::obs::BlackboxEvent;
-using tdg::obs::BlackboxEventName;
 using tdg::obs::BlackboxEventToJson;
-using tdg::obs::BlackboxEventType;
 
 int Usage() {
   std::fprintf(stderr,
@@ -46,48 +53,6 @@ int Usage() {
                "  tdg_blackbox [--jsonl[=OUT]] [--trace=OUT] [--tail=N] "
                "[--trace_id=ID] DUMP.bin\n");
   return 2;
-}
-
-bool IsRequestEvent(const BlackboxEvent& event) {
-  return event.type == BlackboxEventType::kRequestStart ||
-         event.type == BlackboxEventType::kRequestPhase ||
-         event.type == BlackboxEventType::kRequestEnd;
-}
-
-// Narrows the dump to one request's causal path: the request_start/phase/
-// end records carrying `trace_id` plus every event the same thread
-// recorded inside the request's [start, end] window — which is where the
-// core's cohort_round / cohort_churn records land, since the serving plane
-// runs a request start-to-finish on one worker thread.
-void FilterTraceId(BlackboxDump* dump, unsigned long long trace_id) {
-  bool have_window = false;
-  std::int64_t window_begin = 0;
-  std::int64_t window_end = 0;
-  std::uint32_t request_tid = 0;
-  for (const BlackboxEvent& event : dump->events) {
-    if (!IsRequestEvent(event) ||
-        static_cast<unsigned long long>(event.values[0]) != trace_id) {
-      continue;
-    }
-    if (!have_window) {
-      have_window = true;
-      window_begin = event.ts_micros;
-      request_tid = event.tid;
-    }
-    if (event.ts_micros < window_begin) window_begin = event.ts_micros;
-    if (event.ts_micros > window_end) window_end = event.ts_micros;
-  }
-  std::vector<BlackboxEvent> kept;
-  for (const BlackboxEvent& event : dump->events) {
-    const bool owns_id =
-        IsRequestEvent(event) &&
-        static_cast<unsigned long long>(event.values[0]) == trace_id;
-    const bool in_thread_window =
-        have_window && !IsRequestEvent(event) && event.tid == request_tid &&
-        event.ts_micros >= window_begin && event.ts_micros <= window_end;
-    if (owns_id || in_thread_window) kept.push_back(event);
-  }
-  dump->events = std::move(kept);
 }
 
 std::string EventsJsonl(const BlackboxDump& dump) {
@@ -99,44 +64,37 @@ std::string EventsJsonl(const BlackboxDump& dump) {
   return out;
 }
 
-// Chrome trace_event JSON: sweep cells become duration (B/E) slices per
-// thread, everything else an instant event carrying its decoded fields.
-std::string EventsChromeTrace(const BlackboxDump& dump) {
-  std::string out = "[";
-  bool first = true;
+// One row per event kind (span records per span name): how many, from how
+// many threads, and when the first and last landed relative to the first
+// decoded event.
+void PrintKindTable(const BlackboxDump& dump) {
+  struct Kind {
+    long long count = 0;
+    std::set<std::uint32_t> tids;
+    std::int64_t first_ts = 0;
+    std::int64_t last_ts = 0;
+  };
+  std::map<std::string, Kind> kinds;
   for (const BlackboxEvent& event : dump.events) {
-    const std::string_view name = BlackboxEventName(event.type);
-    const char* phase = "i";
-    if (event.type == BlackboxEventType::kSweepCellStart) phase = "B";
-    if (event.type == BlackboxEventType::kSweepCellEnd) phase = "E";
-    // Served requests render as duration slices too, named by trace id so
-    // one request's span lines up with the instants it encloses.
-    if (event.type == BlackboxEventType::kRequestStart) phase = "B";
-    if (event.type == BlackboxEventType::kRequestEnd) phase = "E";
-    std::string label(name.empty() ? "unknown" : name);
-    if (event.type == BlackboxEventType::kSweepCellStart ||
-        event.type == BlackboxEventType::kSweepCellEnd) {
-      label = tdg::util::StrFormat("cell %lld",
-                                   static_cast<long long>(event.values[0]));
-    }
-    if (event.type == BlackboxEventType::kRequestStart ||
-        event.type == BlackboxEventType::kRequestEnd) {
-      label = tdg::util::StrFormat("req %lld",
-                                   static_cast<long long>(event.values[0]));
-    }
-    if (!first) out += ",";
-    first = false;
-    out += tdg::util::StrFormat(
-        "\n{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%lld,\"pid\":1,"
-        "\"tid\":%u",
-        label.c_str(), phase, static_cast<long long>(event.ts_micros),
-        event.tid);
-    if (phase[0] == 'i') out += ",\"s\":\"t\"";
-    out += tdg::util::StrFormat(
-        ",\"args\":%s}", BlackboxEventToJson(event).Serialize().c_str());
+    Kind& kind = kinds[tdg::obs::BlackboxEventLabel(event)];
+    if (kind.count++ == 0) kind.first_ts = event.ts_micros;
+    kind.last_ts = event.ts_micros;
+    kind.tids.insert(event.tid);
   }
-  out += "\n]\n";
-  return out;
+  const std::int64_t origin = dump.events.front().ts_micros;
+  tdg::util::TablePrinter table({"kind", "count", "threads", "first_ms",
+                                 "last_ms"});
+  for (const auto& [name, kind] : kinds) {
+    table.AddRow({name, std::to_string(kind.count),
+                  std::to_string(kind.tids.size()),
+                  tdg::util::StrFormat(
+                      "%.3f", static_cast<double>(kind.first_ts - origin) /
+                                  1000.0),
+                  tdg::util::StrFormat(
+                      "%.3f", static_cast<double>(kind.last_ts - origin) /
+                                  1000.0)});
+  }
+  std::printf("%s", table.ToString().c_str());
 }
 
 void PrintSummary(const std::string& path, const BlackboxDump& dump,
@@ -154,6 +112,7 @@ void PrintSummary(const std::string& path, const BlackboxDump& dump,
               static_cast<unsigned long long>(dump.torn),
               static_cast<unsigned long long>(dump.dropped));
   if (dump.events.empty()) return;
+  PrintKindTable(dump);
   const std::size_t n = dump.events.size();
   const std::size_t from =
       tail > 0 && static_cast<std::size_t>(tail) < n
@@ -197,8 +156,8 @@ int main(int argc, char** argv) {
   }
   const long long trace_id = flags.GetInt("trace_id", 0);
   if (trace_id != 0) {
-    FilterTraceId(&dump.value(),
-                  static_cast<unsigned long long>(trace_id));
+    tdg::obs::FilterBlackboxTrace(&dump.value(),
+                                  static_cast<std::uint64_t>(trace_id));
   }
 
   bool emitted = false;
@@ -216,8 +175,9 @@ int main(int argc, char** argv) {
     emitted = true;
   }
   if (!trace.empty()) {
-    auto status =
-        tdg::util::WriteFileAtomic(trace, EventsChromeTrace(dump.value()));
+    auto status = tdg::util::WriteFileAtomic(
+        trace,
+        tdg::obs::BlackboxToChromeTrace(dump.value()).Serialize() + "\n");
     if (!status.ok()) {
       std::fprintf(stderr, "tdg_blackbox: %s\n", status.ToString().c_str());
       return 2;

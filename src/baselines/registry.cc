@@ -1,64 +1,12 @@
 #include "baselines/registry.h"
 
-#include <utility>
-
 #include "baselines/kmeans.h"
 #include "baselines/lpa.h"
 #include "baselines/percentile_partitions.h"
 #include "baselines/random_assignment.h"
 #include "core/dygroups.h"
-#include "obs/obs.h"
-#include "util/stopwatch.h"
 
 namespace tdg::baselines {
-namespace {
-
-#if !defined(TDG_OBS_DISABLED)
-// Transparent observability wrapper around any registry policy: every
-// FormGroups call is timed into `policy/<name>/form_micros`, counted in
-// `policy/<name>/form_calls`, and covered by a `policy/<name>` trace span.
-// name() passes through, so benchmark tables and sweep results are
-// unaffected.
-class TimedPolicy : public GroupingPolicy {
- public:
-  explicit TimedPolicy(std::unique_ptr<GroupingPolicy> inner)
-      : inner_(std::move(inner)),
-        span_name_("policy/" + std::string(inner_->name())),
-        form_micros_(obs::MetricsRegistry::Global().GetHistogram(
-            span_name_ + "/form_micros")),
-        form_calls_(obs::MetricsRegistry::Global().GetCounter(
-            span_name_ + "/form_calls")) {}
-
-  util::StatusOr<Grouping> FormGroups(const SkillVector& skills,
-                                      int num_groups) override {
-    TDG_TRACE_SPAN(span_name_);
-    util::Stopwatch watch;
-    auto grouping = inner_->FormGroups(skills, num_groups);
-    form_micros_.Record(static_cast<double>(watch.TotalMicros()));
-    form_calls_.Add(1);
-    return grouping;
-  }
-
-  std::string_view name() const override { return inner_->name(); }
-
- private:
-  std::unique_ptr<GroupingPolicy> inner_;
-  std::string span_name_;
-  obs::Histogram& form_micros_;
-  obs::Counter& form_calls_;
-};
-#endif  // !TDG_OBS_DISABLED
-
-std::unique_ptr<GroupingPolicy> WithTiming(
-    std::unique_ptr<GroupingPolicy> policy) {
-#if defined(TDG_OBS_DISABLED)
-  return policy;
-#else
-  return std::make_unique<TimedPolicy>(std::move(policy));
-#endif
-}
-
-}  // namespace
 
 const std::vector<std::string>& AllPolicyNames() {
   static const std::vector<std::string>* const kNames =
@@ -73,26 +21,22 @@ const std::vector<std::string>& AllPolicyNames() {
 util::StatusOr<std::unique_ptr<GroupingPolicy>> MakePolicy(
     std::string_view name, uint64_t seed) {
   if (name == "DyGroups-Star") {
-    return WithTiming(std::unique_ptr<GroupingPolicy>(
-        new DyGroupsStarPolicy()));
+    return std::unique_ptr<GroupingPolicy>(new DyGroupsStarPolicy());
   }
   if (name == "DyGroups-Clique") {
-    return WithTiming(std::unique_ptr<GroupingPolicy>(
-        new DyGroupsCliquePolicy()));
+    return std::unique_ptr<GroupingPolicy>(new DyGroupsCliquePolicy());
   }
   if (name == "Random-Assignment") {
-    return WithTiming(std::unique_ptr<GroupingPolicy>(
-        new RandomAssignmentPolicy(seed)));
+    return std::unique_ptr<GroupingPolicy>(new RandomAssignmentPolicy(seed));
   }
   if (name == "Percentile-Partitions") {
-    return WithTiming(std::unique_ptr<GroupingPolicy>(
-        new PercentilePartitionsPolicy()));
+    return std::unique_ptr<GroupingPolicy>(new PercentilePartitionsPolicy());
   }
   if (name == "LPA") {
-    return WithTiming(std::unique_ptr<GroupingPolicy>(new LpaPolicy()));
+    return std::unique_ptr<GroupingPolicy>(new LpaPolicy());
   }
   if (name == "k-means") {
-    return WithTiming(std::unique_ptr<GroupingPolicy>(new KMeansPolicy(seed)));
+    return std::unique_ptr<GroupingPolicy>(new KMeansPolicy(seed));
   }
   return util::Status::NotFound("unknown policy: '" + std::string(name) +
                                 "'");

@@ -133,7 +133,7 @@ util::StatusOr<BruteForceResult> SolveTdgBruteForce(
   if (num_rounds < 0) {
     return util::Status::InvalidArgument("num_rounds must be >= 0");
   }
-  TDG_TRACE_SPAN("solver/brute_force");
+  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kSolverBruteForce);
   // Coordination self time (enumeration, sharding, result selection); the
   // per-shard searches attribute separately from their worker threads.
   TDG_PERF_SCOPE("core/brute_force/search");

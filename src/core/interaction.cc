@@ -40,8 +40,9 @@ util::StatusOr<double> ApplyRoundImpl(InteractionMode mode,
                                           nullptr) {
   TDG_RETURN_IF_ERROR(
       grouping.ValidatePartition(static_cast<int>(skills.size())));
-  TDG_TRACE_SPAN(mode == InteractionMode::kStar ? "interaction/star_round"
-                                                : "interaction/clique_round");
+  TDG_BLACKBOX_SPAN(mode == InteractionMode::kStar
+                        ? obs::BlackboxSpan::kInteractionStarRound
+                        : obs::BlackboxSpan::kInteractionCliqueRound);
 #if !defined(TDG_OBS_DISABLED)
   // Attribute the round to the kernel that actually runs: star update,
   // Theorem-3 linear-clique prefix sums, or the naive O(t^2) clique path.

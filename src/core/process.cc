@@ -20,7 +20,7 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
         "num_rounds must be >= 0, got %d", config.num_rounds));
   }
 
-  TDG_TRACE_SPAN("process/run");
+  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kProcessRun);
   TDG_OBS_COUNTER_ADD("process/runs", 1);
 
   // Policies with a closed-form layout run the fused SoA round: one sort,
@@ -60,7 +60,7 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
   }
 
   for (int t = 0; t < config.num_rounds; ++t) {
-    TDG_TRACE_SPAN("process/round");
+    TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kProcessRound);
     double round_gain;
     if (fused) {
       auto gain_or = soa::DyGroupsRound(

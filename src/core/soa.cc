@@ -713,8 +713,9 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
         num_groups));
   }
   const int group_size = n / num_groups;
-  TDG_TRACE_SPAN(mode == InteractionMode::kStar ? "interaction/star_round"
-                                                : "interaction/clique_round");
+  TDG_BLACKBOX_SPAN(mode == InteractionMode::kStar
+                        ? obs::BlackboxSpan::kInteractionStarRound
+                        : obs::BlackboxSpan::kInteractionCliqueRound);
   ArenaScope scope(arena);
   std::span<KeyId> pairs = SortKeyIds(skills, arena);
   // Rank-order skill values come from inverting the sort keys — a

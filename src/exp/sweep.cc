@@ -72,7 +72,7 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
                                        int runs, uint64_t point_seed,
                                        uint64_t policy_seed,
                                        std::vector<double>* run_gains) {
-  TDG_TRACE_SPAN("sweep/cell");
+  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kSweepCell);
   std::vector<double> gains;
   gains.reserve(runs);
   // Per-run process wall time is recorded into a per-cell registry
@@ -122,13 +122,6 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
       timed_runs > 0
           ? (micros_after.sum - micros_before.sum) / timed_runs
           : 0.0;
-  TDG_OBS_EVENT("sweep/cell", (util::JsonValue::Object{
-                                  {"point", PointLabel(point)},
-                                  {"policy", policy_name},
-                                  {"runs", runs},
-                                  {"mean_gain", cell.mean_gain},
-                                  {"mean_micros", cell.mean_micros},
-                              }));
   if (run_gains != nullptr) {
     run_gains->insert(run_gains->end(), gains.begin(), gains.end());
   }
@@ -138,7 +131,7 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
 util::StatusOr<SweepResult> RunSweep(const SweepConfig& config) {
   TDG_RETURN_IF_ERROR(config.Validate());
   obs::InstallThreadPoolInstrumentation();
-  TDG_TRACE_SPAN("sweep/run");
+  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kSweepRun);
   std::vector<std::string> policies =
       config.policies.empty() ? baselines::AllPolicyNames() : config.policies;
   std::vector<SweepPoint> points = GridPoints(config);
@@ -146,13 +139,6 @@ util::StatusOr<SweepResult> RunSweep(const SweepConfig& config) {
   SweepResult result;
   result.name = config.name;
   result.cells.resize(points.size() * policies.size());
-  TDG_OBS_EVENT("sweep/start",
-                (util::JsonValue::Object{
-                    {"name", config.name},
-                    {"points", static_cast<long long>(points.size())},
-                    {"policies", static_cast<long long>(policies.size())},
-                    {"cells", static_cast<long long>(result.cells.size())},
-                }));
 
   std::atomic<bool> failed{false};
   util::Status first_error;
@@ -173,16 +159,23 @@ util::StatusOr<SweepResult> RunSweep(const SweepConfig& config) {
         size_t policy_index = static_cast<size_t>(index) % policies.size();
         const int64_t cell_start =
             progress.enabled() ? util::MonotonicMicros() : 0;
+        const SweepPoint& point = points[point_index];
+        TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellStart,
+                     static_cast<double>(index), static_cast<double>(point.n),
+                     static_cast<double>(point.k),
+                     static_cast<double>(point.alpha));
         // Seeds depend only on the grid position — thread-schedule free.
         CellSeeds seeds = SeedsForCell(config.seed, index, policies.size());
-        auto cell = RunSweepCell(points[point_index], policies[policy_index],
-                                 config.runs, seeds.point_seed,
-                                 seeds.policy_seed);
+        auto cell = RunSweepCell(point, policies[policy_index], config.runs,
+                                 seeds.point_seed, seeds.policy_seed);
         if (!cell.ok()) {
           std::lock_guard<std::mutex> lock(error_mutex);
           if (!failed.exchange(true)) first_error = cell.status();
           return;
         }
+        TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellEnd,
+                     static_cast<double>(index), cell->mean_gain,
+                     static_cast<double>(cell->runs));
         result.cells[index] = std::move(cell).value();
         if (progress.enabled()) {
           progress.RecordCell(
@@ -192,10 +185,6 @@ util::StatusOr<SweepResult> RunSweep(const SweepConfig& config) {
         }
       });
   progress.EndRun();
-  TDG_OBS_EVENT("sweep/end", (util::JsonValue::Object{
-                                 {"name", config.name},
-                                 {"ok", !failed.load()},
-                             }));
   if (failed.load()) return first_error;
   return result;
 }

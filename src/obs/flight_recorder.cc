@@ -137,6 +137,8 @@ struct ThreadSlot {
   std::uint32_t tid = 0;
 };
 thread_local ThreadSlot tls_slot;
+// Nesting depth of this thread's open recorded spans.
+thread_local int tls_span_depth = 0;
 
 }  // namespace
 
@@ -239,6 +241,21 @@ void FlightRecorder::AcquireRing(State* state) {
 
 void FlightRecorder::Record(BlackboxEventType type,
                             std::initializer_list<double> values) {
+  RecordAt(type, /*ts_micros=*/-1, values);
+}
+
+void FlightRecorder::RecordSpan(BlackboxSpan span, std::int64_t start_micros,
+                                int depth) {
+  // One clock read stamps the record and ends the duration, so decoded
+  // [ts - micros, ts] intervals nest exactly.
+  const std::int64_t now = util::MonotonicMicros();
+  RecordAt(BlackboxEventType::kSpan, now,
+           {static_cast<double>(span), static_cast<double>(now - start_micros),
+            static_cast<double>(depth)});
+}
+
+void FlightRecorder::RecordAt(BlackboxEventType type, std::int64_t ts_micros,
+                              std::initializer_list<double> values) {
   if (!active_.load(std::memory_order_relaxed)) return;
   State* state = state_.load(std::memory_order_acquire);
   if (state == nullptr) return;
@@ -252,7 +269,7 @@ void FlightRecorder::Record(BlackboxEventType type,
   record.magic_type = (kRecordMagic << 8) |
                       static_cast<std::uint32_t>(type);
   record.tid = slot.tid;
-  record.ts_micros = util::MonotonicMicros();
+  record.ts_micros = ts_micros < 0 ? util::MonotonicMicros() : ts_micros;
   std::size_t i = 0;
   for (double value : values) {
     if (i >= 6) break;
@@ -260,6 +277,16 @@ void FlightRecorder::Record(BlackboxEventType type,
   }
   for (; i < 6; ++i) record.values[i] = 0.0;
   slot.writer.Append(&record);
+}
+
+void ScopedBlackboxSpan::Open() {
+  depth_ = tls_span_depth++;
+  start_micros_ = util::MonotonicMicros();
+}
+
+void ScopedBlackboxSpan::Close() {
+  --tls_span_depth;
+  FlightRecorder::Global().RecordSpan(span_, start_micros_, depth_);
 }
 
 std::int64_t FlightRecorder::dropped() const {
@@ -327,6 +354,8 @@ std::string_view BlackboxEventName(BlackboxEventType type) {
       return "request_phase";
     case BlackboxEventType::kRequestEnd:
       return "request_end";
+    case BlackboxEventType::kSpan:
+      return "span";
   }
   return {};
 }
@@ -365,13 +394,61 @@ std::vector<std::string_view> BlackboxEventFieldNames(
     case BlackboxEventType::kCohortRestore:
       return {"cohort", "rounds", "n"};
     case BlackboxEventType::kRequestStart:
-      return {"trace_id", "endpoint"};
+      return {"trace_id"};
     case BlackboxEventType::kRequestPhase:
       return {"trace_id", "phase", "micros"};
     case BlackboxEventType::kRequestEnd:
       return {"trace_id", "status", "micros", "endpoint"};
+    case BlackboxEventType::kSpan:
+      return {"span", "micros", "depth"};
   }
   return {};
+}
+
+std::string_view BlackboxSpanName(BlackboxSpan span) {
+  switch (span) {
+    case BlackboxSpan::kProcessRun:
+      return "process/run";
+    case BlackboxSpan::kProcessRound:
+      return "process/round";
+    case BlackboxSpan::kInteractionStarRound:
+      return "interaction/star_round";
+    case BlackboxSpan::kInteractionCliqueRound:
+      return "interaction/clique_round";
+    case BlackboxSpan::kSweepRun:
+      return "sweep/run";
+    case BlackboxSpan::kSweepCell:
+      return "sweep/cell";
+    case BlackboxSpan::kSweepShard:
+      return "sweep/shard";
+    case BlackboxSpan::kSolverBranchBound:
+      return "solver/branch_bound";
+    case BlackboxSpan::kSolverBruteForce:
+      return "solver/brute_force";
+    case BlackboxSpan::kAmtExperiment:
+      return "amt/experiment";
+    case BlackboxSpan::kAmtPopulation:
+      return "amt/population";
+    case BlackboxSpan::kAmtRound:
+      return "amt/round";
+  }
+  return {};
+}
+
+std::string BlackboxEventLabel(const BlackboxEvent& event) {
+  std::string_view name = BlackboxEventName(event.type);
+  if (event.type == BlackboxEventType::kSpan) {
+    const double span = event.values[0];
+    name = span >= 0 && span < 256
+               ? BlackboxSpanName(
+                     static_cast<BlackboxSpan>(static_cast<int>(span)))
+               : std::string_view();
+    if (name.empty()) return util::StrFormat("span_%g", span);
+  }
+  if (name.empty()) {
+    return util::StrFormat("unknown_%d", static_cast<int>(event.type));
+  }
+  return std::string(name);
 }
 
 util::JsonValue BlackboxEventToJson(const BlackboxEvent& event) {
@@ -379,11 +456,12 @@ util::JsonValue BlackboxEventToJson(const BlackboxEvent& event) {
   object["ts_micros"] = util::JsonValue(
       static_cast<long long>(event.ts_micros));
   object["tid"] = util::JsonValue(static_cast<long long>(event.tid));
-  const std::string_view name = BlackboxEventName(event.type);
-  object["event"] = util::JsonValue(
-      name.empty()
-          ? util::StrFormat("unknown_%d", static_cast<int>(event.type))
-          : std::string(name));
+  if (event.type == BlackboxEventType::kSpan) {
+    object["event"] = util::JsonValue("span");
+    object["name"] = util::JsonValue(BlackboxEventLabel(event));
+  } else {
+    object["event"] = util::JsonValue(BlackboxEventLabel(event));
+  }
   const std::vector<std::string_view> fields =
       BlackboxEventFieldNames(event.type);
   for (std::size_t i = 0; i < fields.size() && i < 6; ++i) {
@@ -487,6 +565,98 @@ util::StatusOr<BlackboxDump> ReadBlackbox(const std::string& path) {
   auto bytes = util::ReadFileToString(path);
   if (!bytes.ok()) return bytes.status();
   return DecodeBlackbox(bytes.value());
+}
+
+// ---------------------------------------------------------------------------
+// Views
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool IsRequestEvent(const BlackboxEvent& event) {
+  return event.type == BlackboxEventType::kRequestStart ||
+         event.type == BlackboxEventType::kRequestPhase ||
+         event.type == BlackboxEventType::kRequestEnd;
+}
+
+bool OwnsTraceId(const BlackboxEvent& event, std::uint64_t trace_id) {
+  return IsRequestEvent(event) &&
+         static_cast<std::uint64_t>(event.values[0]) == trace_id;
+}
+
+}  // namespace
+
+void FilterBlackboxTrace(BlackboxDump* dump, std::uint64_t trace_id) {
+  bool have_window = false;
+  std::int64_t window_begin = 0;
+  std::int64_t window_end = 0;
+  std::uint32_t request_tid = 0;
+  for (const BlackboxEvent& event : dump->events) {
+    if (!OwnsTraceId(event, trace_id)) continue;
+    if (!have_window) {
+      have_window = true;
+      window_begin = event.ts_micros;
+      request_tid = event.tid;
+    }
+    window_begin = std::min(window_begin, event.ts_micros);
+    window_end = std::max(window_end, event.ts_micros);
+  }
+  std::vector<BlackboxEvent> kept;
+  for (const BlackboxEvent& event : dump->events) {
+    const bool in_thread_window =
+        have_window && !IsRequestEvent(event) && event.tid == request_tid &&
+        event.ts_micros >= window_begin && event.ts_micros <= window_end;
+    if (OwnsTraceId(event, trace_id) || in_thread_window) {
+      kept.push_back(event);
+    }
+  }
+  dump->events = std::move(kept);
+}
+
+util::JsonValue BlackboxToChromeTrace(const BlackboxDump& dump) {
+  util::JsonValue trace_events = util::JsonValue::MakeArray();
+  for (const BlackboxEvent& event : dump.events) {
+    std::string name = BlackboxEventLabel(event);
+    std::string phase = "i";
+    double ts = static_cast<double>(event.ts_micros);
+    switch (event.type) {
+      case BlackboxEventType::kSpan:
+        phase = "X";
+        ts -= event.values[1];  // the record is stamped at close
+        break;
+      case BlackboxEventType::kSweepCellStart:
+      case BlackboxEventType::kSweepCellEnd:
+        phase = event.type == BlackboxEventType::kSweepCellStart ? "B" : "E";
+        name = util::StrFormat("cell %lld",
+                               static_cast<long long>(event.values[0]));
+        break;
+      // Served requests are slices named by trace id, so one request lines
+      // up with the spans and instants it encloses.
+      case BlackboxEventType::kRequestStart:
+      case BlackboxEventType::kRequestEnd:
+        phase = event.type == BlackboxEventType::kRequestStart ? "B" : "E";
+        name = util::StrFormat("req %lld",
+                               static_cast<long long>(event.values[0]));
+        break;
+      default:
+        break;
+    }
+    util::JsonValue entry = util::JsonValue::MakeObject();
+    entry.Set("name", name);
+    entry.Set("cat", "tdg");
+    entry.Set("ph", phase);
+    entry.Set("ts", ts);
+    if (phase == "X") entry.Set("dur", event.values[1]);
+    if (phase == "i") entry.Set("s", "t");
+    entry.Set("pid", 1);
+    entry.Set("tid", static_cast<double>(event.tid));
+    entry.Set("args", BlackboxEventToJson(event));
+    trace_events.Append(std::move(entry));
+  }
+  util::JsonValue root = util::JsonValue::MakeObject();
+  root.Set("traceEvents", std::move(trace_events));
+  root.Set("displayTimeUnit", "ms");
+  return root;
 }
 
 }  // namespace tdg::obs

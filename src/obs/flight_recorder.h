@@ -34,10 +34,14 @@ namespace tdg::obs {
 /// in-flight records are counted and skipped, never trusted.
 ///
 /// Start/Stop cost a mutex; Record costs two relaxed/acquire loads when
-/// inactive and one 64-byte memcpy when active. The TDG_BLACKBOX macro
-/// additionally compiles out — arguments unevaluated — under
-/// TDG_OBS_DISABLED, while the explicit API keeps working (EventLog
-/// precedent), so obs-off builds still honor an explicit --blackbox.
+/// inactive and one 64-byte memcpy when active. The TDG_BLACKBOX and
+/// TDG_BLACKBOX_SPAN macros additionally compile out — arguments
+/// unevaluated — under TDG_OBS_DISABLED, while the explicit API keeps
+/// working, so obs-off builds still honor an explicit --blackbox.
+///
+/// The recorder is the only event store: timed scopes are `span` records
+/// (one per closed span: name, duration, nesting depth), and the Chrome
+/// trace and JSONL views are rendered from a dump by `tdg_blackbox`.
 
 /// Binary schema identifier; bump kBlackboxVersion on incompatible change.
 inline constexpr char kBlackboxMagic[8] = {'T', 'D', 'G', 'B',
@@ -61,15 +65,36 @@ enum class BlackboxEventType : std::uint8_t {
   kCohortRound = 13,     // cohort, round, n, round_gain
   kCohortChurn = 14,     // cohort, round, joined, left, n
   kCohortRestore = 15,   // cohort, rounds, n (journal replay on restart)
-  kRequestStart = 16,    // trace_id, endpoint (request_context.h)
+  kRequestStart = 16,    // trace_id (request_context.h)
   kRequestPhase = 17,    // trace_id, phase, micros (one per timed phase)
   kRequestEnd = 18,      // trace_id, status, micros, endpoint
+  kSpan = 19,            // span, micros, depth; stamped when the span closes
+};
+
+/// Span vocabulary: the `span` slot of a kSpan record. Values are part of
+/// the on-disk format: append only.
+enum class BlackboxSpan : std::uint8_t {
+  kProcessRun = 1,
+  kProcessRound = 2,
+  kInteractionStarRound = 3,
+  kInteractionCliqueRound = 4,
+  kSweepRun = 5,
+  kSweepCell = 6,
+  kSweepShard = 7,
+  kSolverBranchBound = 8,
+  kSolverBruteForce = 9,
+  kAmtExperiment = 10,
+  kAmtPopulation = 11,
+  kAmtRound = 12,
 };
 
 /// Decoder-facing name ("round_end") and named payload slots for a type;
 /// unknown types decode as "unknown_<value>" with generic slot names.
 std::string_view BlackboxEventName(BlackboxEventType type);
 std::vector<std::string_view> BlackboxEventFieldNames(BlackboxEventType type);
+
+/// "process/run", "interaction/star_round", ...; "" for an unknown value.
+std::string_view BlackboxSpanName(BlackboxSpan span);
 
 /// One decoded event. Payload slots beyond the type's named fields are
 /// preserved (they decode under generic names) so old readers stay usable
@@ -81,8 +106,12 @@ struct BlackboxEvent {
   double values[6] = {0, 0, 0, 0, 0, 0};
 };
 
-/// {"ts_micros":..., "tid":..., "event":"round_end", <named fields>}.
+/// {"ts_micros":..., "tid":..., "event":"round_end", <named fields>}; a
+/// span record also carries its "name".
 util::JsonValue BlackboxEventToJson(const BlackboxEvent& event);
+
+/// Span records' display name ("process/run"); the event name otherwise.
+std::string BlackboxEventLabel(const BlackboxEvent& event);
 
 class FlightRecorder {
  public:
@@ -125,6 +154,10 @@ class FlightRecorder {
   /// values are recorded; extras are ignored.
   void Record(BlackboxEventType type, std::initializer_list<double> values);
 
+  /// Appends the kSpan record of a span that opened at `start_micros`
+  /// (util::MonotonicMicros) at nesting `depth` and closes now.
+  void RecordSpan(BlackboxSpan span, std::int64_t start_micros, int depth);
+
   /// Events dropped because the ring slots were exhausted (resets on
   /// Start).
   std::int64_t dropped() const;
@@ -143,6 +176,9 @@ class FlightRecorder {
 
  private:
   void AcquireRing(State* state);
+  // Record body; `ts_micros` < 0 stamps the current time.
+  void RecordAt(BlackboxEventType type, std::int64_t ts_micros,
+                std::initializer_list<double> values);
 
   std::atomic<bool> active_{false};
   std::atomic<State*> state_{nullptr};
@@ -170,6 +206,44 @@ struct BlackboxDump {
 util::StatusOr<BlackboxDump> DecodeBlackbox(std::string_view bytes);
 util::StatusOr<BlackboxDump> ReadBlackbox(const std::string& path);
 
+/// Narrows `dump` to one served request: the request_start/phase/end
+/// records carrying `trace_id` plus every event the same thread recorded
+/// inside the request's [start, end] window (the serving plane runs a
+/// request start to finish on one worker thread, so that is where the
+/// core's spans and cohort_round records land).
+void FilterBlackboxTrace(BlackboxDump* dump, std::uint64_t trace_id);
+
+/// Chrome trace_event JSON ("JSON Object Format"; load in chrome://tracing
+/// or https://ui.perfetto.dev): span records become complete ("X") events,
+/// sweep cells and served requests duration (B/E) slices, and everything
+/// else an instant event. Every event carries its decoded record as args.
+util::JsonValue BlackboxToChromeTrace(const BlackboxDump& dump);
+
+/// RAII span: records one kSpan record when the scope closes, provided the
+/// global recorder was active when it opened (otherwise the whole span
+/// costs one relaxed load). Prefer TDG_BLACKBOX_SPAN, which compiles out
+/// under TDG_OBS_DISABLED; the class itself records in every build.
+class ScopedBlackboxSpan {
+ public:
+  explicit ScopedBlackboxSpan(BlackboxSpan span) : span_(span) {
+    if (FlightRecorder::Global().active()) Open();
+  }
+  ~ScopedBlackboxSpan() {
+    if (start_micros_ >= 0) Close();
+  }
+
+  ScopedBlackboxSpan(const ScopedBlackboxSpan&) = delete;
+  ScopedBlackboxSpan& operator=(const ScopedBlackboxSpan&) = delete;
+
+ private:
+  void Open();
+  void Close();
+
+  BlackboxSpan span_;
+  int depth_ = 0;
+  std::int64_t start_micros_ = -1;  // -1: the recorder was off at open
+};
+
 }  // namespace tdg::obs
 
 /// Records a typed event into the global flight recorder. `...` are up to
@@ -190,6 +264,22 @@ util::StatusOr<BlackboxDump> ReadBlackbox(const std::string& path);
       tdg_blackbox_recorder.Record((type), {__VA_ARGS__});    \
     }                                                         \
   } while (0)
+#endif
+
+#define TDG_BLACKBOX_CONCAT_INNER(a, b) a##b
+#define TDG_BLACKBOX_CONCAT(a, b) TDG_BLACKBOX_CONCAT_INNER(a, b)
+
+/// Opens a span (an obs::BlackboxSpan value) covering the rest of the
+/// enclosing scope; compiles out under TDG_OBS_DISABLED.
+#if defined(TDG_OBS_DISABLED)
+#define TDG_BLACKBOX_SPAN(span) \
+  do {                          \
+    (void)sizeof(span);         \
+  } while (0)
+#else
+#define TDG_BLACKBOX_SPAN(span)                                \
+  ::tdg::obs::ScopedBlackboxSpan TDG_BLACKBOX_CONCAT(          \
+      tdg_blackbox_span_, __LINE__)(span)
 #endif
 
 #endif  // TDG_OBS_FLIGHT_RECORDER_H_

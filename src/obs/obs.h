@@ -7,18 +7,22 @@
 ///   * a thread-safe metrics registry (metrics.h): named counters, gauges,
 ///     and fixed-bucket latency histograms with p50/p95/p99 summaries,
 ///     exportable to JSON / CSV / an ASCII table;
-///   * scoped tracing spans (trace.h): TDG_TRACE_SPAN("policy/...") records
-///     into per-thread ring buffers, exported as Chrome trace_event JSON.
+///   * the flight recorder (flight_recorder.h): the one event store. Scoped
+///     spans (TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kProcessRun)) and typed
+///     semantic events (TDG_BLACKBOX) land in per-thread mmap-backed ring
+///     buffers whose dump survives kill -9; `tdg_blackbox` decodes it into
+///     a summary, JSONL, or a Chrome trace, and /blackboxz tails it live.
 ///
 /// Controls:
 ///   * compile time — building with -DTDG_OBS_DISABLED compiles every
-///     TDG_TRACE_SPAN / TDG_OBS_* macro to nothing. Explicit API calls
-///     (e.g. the sweep's process-latency histogram that feeds mean_micros)
-///     remain functional: they are product features, not optional
-///     instrumentation.
-///   * runtime — SetMetricsEnabled(false) freezes every metric, and tracing
-///     is off unless StartTracing() was called. With both off, instrumented
-///     hot paths cost one relaxed atomic load per site.
+///     TDG_BLACKBOX* / TDG_OBS_* macro to nothing. Explicit API calls
+///     (e.g. the sweep's process-latency histogram that feeds mean_micros,
+///     FlightRecorder::Record) remain functional: they are product
+///     features, not optional instrumentation.
+///   * runtime — SetMetricsEnabled(false) freezes every metric, and the
+///     recorder is off unless FlightRecorder::Start ran (--blackbox). With
+///     both off, instrumented hot paths cost one relaxed atomic load per
+///     site.
 ///
 /// A third pillar — the live monitoring plane (stats_server.h, progress.h,
 /// heartbeat.h, prometheus.h) — serves the same registry over loopback HTTP
@@ -38,13 +42,7 @@
 /// reports without extra plumbing. Off by default; enable with `--profile`
 /// (bench/CLI binaries) or TDG_PROFILE=1.
 ///
-/// A fifth pillar — the flight recorder (flight_recorder.h) — is the
-/// always-on black box: per-thread mmap-backed ring buffers of compact
-/// semantic events (round objectives, group churn, sweep cell boundaries)
-/// whose dump file survives kill -9, decoded by `tdg_blackbox` and tailed
-/// live on /blackboxz.
-///
-/// A sixth pillar — request-scoped serving telemetry (request_context.h,
+/// A fifth pillar — request-scoped serving telemetry (request_context.h,
 /// windowed_histogram.h, tail_sampler.h) — gives the cohort serving plane
 /// per-request trace ids threaded into the flight recorder, rolling
 /// 10s/1m/5m latency windows (p50/p95/p99, QPS, error rate) on /metrics
@@ -53,7 +51,6 @@
 /// "Observability".
 
 #include "obs/bench_report.h"
-#include "obs/event_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
@@ -66,7 +63,6 @@
 #include "obs/run_manifest.h"
 #include "obs/stats_server.h"
 #include "obs/tail_sampler.h"
-#include "obs/trace.h"
 #include "obs/windowed_histogram.h"
 #include "util/status.h"
 

@@ -132,33 +132,26 @@ void CohortServer::HandleConnection(util::net::Socket connection) {
   context.endpoint = endpoint_label;
   obs::FinishRequest(context, status);
   tail_sampler_.Offer(context);
-  // Rolling windows are product surface (/statusz, servectl stats), like
-  // the tail sampler: explicit registry API, alive even under
-  // TDG_OBS_DISABLED. Label sets are bounded by the router, so dynamic
-  // names cannot grow the registry without bound.
-  obs::MetricsRegistry::Global()
+  // Per-endpoint latency (rolling windows and cumulative histogram) and
+  // response classes are tdg_serve's /metrics product surface, like the
+  // tail sampler: explicit registry API, alive even under TDG_OBS_DISABLED.
+  // Label sets are bounded by the router, so dynamic names cannot grow the
+  // registry without bound.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const double micros = static_cast<double>(context.total_micros);
+  registry
       .GetWindowed("serve/latency_seconds/" + endpoint_label,
                    /*output_scale=*/1e-6)
-      .Record(static_cast<double>(context.total_micros),
-              /*error=*/status >= 400);
-  TDG_OBS_COUNTER_ADD("serve/requests", 1);
-#if !defined(TDG_OBS_DISABLED)
-  // Dynamic metric names need the registry API (the macros cache one
-  // handle per site).
-  obs::MetricsRegistry::Global()
-      .GetHistogram("serve/latency/" + endpoint_label)
-      .Record(static_cast<double>(context.total_micros));
+      .Record(micros, /*error=*/status >= 400);
+  registry.GetHistogram("serve/latency/" + endpoint_label).Record(micros);
   const int klass = status / 100;
-  if (klass == 2) {
-    TDG_OBS_COUNTER_ADD("serve/responses/2xx", 1);
-  } else if (klass == 4) {
-    TDG_OBS_COUNTER_ADD("serve/responses/4xx", 1);
-  } else if (klass == 5) {
-    TDG_OBS_COUNTER_ADD("serve/responses/5xx", 1);
-  } else {
-    TDG_OBS_COUNTER_ADD("serve/responses/other", 1);
-  }
-#endif
+  registry
+      .GetCounter(klass == 2   ? "serve/responses/2xx"
+                  : klass == 4 ? "serve/responses/4xx"
+                  : klass == 5 ? "serve/responses/5xx"
+                               : "serve/responses/other")
+      .Add(1);
+  TDG_OBS_COUNTER_ADD("serve/requests", 1);
 }
 
 std::string CohortServer::Route(const util::net::HttpRequest& request,

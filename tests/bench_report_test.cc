@@ -1,22 +1,17 @@
 // Tests for obs::BenchReport / BenchReporter (the --report_out telemetry
-// artifact every bench binary emits) and the obs::EventLog JSONL stream:
-// accumulation semantics, flag parsing, JSON round-trips, structural
-// validation, counter-delta capture via ScopedBenchRep, and thread safety
-// of concurrent event emission.
+// artifact every bench binary emits): accumulation semantics, flag
+// parsing, JSON round-trips, structural validation, and counter-delta
+// capture via ScopedBenchRep.
 
 #include "obs/bench_report.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 
 namespace tdg::obs {
 namespace {
@@ -237,78 +232,6 @@ TEST(BenchReportTest, ValidateRejectsCounterSeriesLengthMismatch) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("perf/total/cycles"), std::string::npos)
       << status;
-}
-
-TEST(EventLogTest, EmitWritesParseableJsonlWithStamps) {
-  const std::string path = TempPath("tdg_event_log_test.jsonl");
-  EventLog log;
-  ASSERT_TRUE(log.Open(path).ok());
-  EXPECT_TRUE(log.active());
-  log.Emit("unit/start");
-  log.Emit("unit/cell", util::JsonValue::Object{
-                            {"policy", "DyGroups-Star"},
-                            {"mean_gain", 12.5},
-                        });
-  log.Close();
-  EXPECT_FALSE(log.active());
-  EXPECT_EQ(log.events_written(), 2);
-
-  auto events = ParseEventLogFile(path);
-  ASSERT_TRUE(events.ok()) << events.status();
-  ASSERT_EQ(events->size(), 2u);
-  EXPECT_EQ((*events)[0].event, "unit/start");
-  EXPECT_EQ((*events)[1].event, "unit/cell");
-  EXPECT_GE((*events)[1].ts_micros, (*events)[0].ts_micros);
-  auto policy = (*events)[1].fields.GetField("policy");
-  ASSERT_TRUE(policy.ok());
-  EXPECT_EQ(policy->AsString(), "DyGroups-Star");
-  std::remove(path.c_str());
-}
-
-TEST(EventLogTest, InactiveEmitIsANoOpAndParseReportsBadLines) {
-  EventLog log;
-  log.Emit("dropped");  // never opened: must not crash, must not count
-  EXPECT_EQ(log.events_written(), 0);
-
-  const std::string path = TempPath("tdg_event_log_bad.jsonl");
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"event\": \"ok\", \"ts_micros\": 1, \"tid\": 0}\n";
-    out << "this is not json\n";
-  }
-  auto events = ParseEventLogFile(path);
-  EXPECT_FALSE(events.ok());
-  // The error names the offending line.
-  EXPECT_NE(events.status().ToString().find(":2:"), std::string::npos)
-      << events.status();
-  std::remove(path.c_str());
-}
-
-TEST(EventLogTest, ConcurrentEmitsNeverInterleave) {
-  const std::string path = TempPath("tdg_event_log_mt.jsonl");
-  EventLog log;
-  ASSERT_TRUE(log.Open(path).ok());
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 50;
-  util::ThreadPool pool(kThreads);
-  util::ParallelFor(pool, kThreads * kPerThread, [&](int i) {
-    log.Emit("mt/event", util::JsonValue::Object{{"i", i}});
-  });
-  log.Close();
-  EXPECT_EQ(log.events_written(), kThreads * kPerThread);
-
-  auto events = ParseEventLogFile(path);
-  ASSERT_TRUE(events.ok()) << events.status();  // every line parses whole
-  ASSERT_EQ(events->size(),
-            static_cast<size_t>(kThreads * kPerThread));
-  std::set<int> seen;
-  for (const EventRecord& record : *events) {
-    auto i = record.fields.GetField("i");
-    ASSERT_TRUE(i.ok());
-    seen.insert(static_cast<int>(i->AsNumber()));
-  }
-  EXPECT_EQ(seen.size(), static_cast<size_t>(kThreads * kPerThread));
-  std::remove(path.c_str());
 }
 
 }  // namespace

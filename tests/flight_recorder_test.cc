@@ -1,7 +1,8 @@
 // Flight recorder tests (obs/flight_recorder.h, DESIGN.md §12): ring
 // arithmetic, the mmap substrate, record → decode roundtrips, wraparound
-// and drop accounting, torn-record tolerance, restart-onto-the-same-path
-// safety, and the end-to-end crash contract — a child shard killed by the
+// and drop accounting, span records (nesting, the JSONL and Chrome-trace
+// views), torn-record tolerance, restart-onto-the-same-path safety, and
+// the end-to-end crash contract — a child shard killed by the
 // fault hook must leave a decodable black box whose cell events match the
 // checkpoint it wrote.
 
@@ -21,6 +22,7 @@
 #include "obs/flight_recorder.h"
 #include "sweep_shard_test_util.h"
 #include "util/file_util.h"
+#include "util/json.h"
 #include "util/mmap_file.h"
 #include "util/record_ring.h"
 
@@ -290,6 +292,143 @@ TEST(FlightRecorderTest, RestartOntoSamePathStartsAFreshDump) {
   EXPECT_TRUE(dump->clean_shutdown);
   ASSERT_EQ(dump->events.size(), 1u);  // the first epoch's event is gone
   EXPECT_DOUBLE_EQ(dump->events[0].values[0], 2.0);
+}
+
+// --- span records ----------------------------------------------------------
+
+TEST(FlightRecorderSpanTest, SpansNestWithDepthAndContainment) {
+  const std::string path = MakeScratchDir() + "/bb.bin";
+  FlightRecorder& recorder = FlightRecorder::Global();
+  ASSERT_TRUE(recorder.Start(SmallOptions(path)).ok());
+  {
+    TDG_BLACKBOX_SPAN(BlackboxSpan::kSweepCell);
+    {
+      TDG_BLACKBOX_SPAN(BlackboxSpan::kProcessRun);
+    }
+    {
+      TDG_BLACKBOX_SPAN(BlackboxSpan::kProcessRun);
+    }
+  }
+  recorder.Stop();
+
+  auto dump = ReadBlackbox(path);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+#if defined(TDG_OBS_DISABLED)
+  // The macro compiles to nothing in the disabled build.
+  EXPECT_TRUE(dump->events.empty());
+#else
+  ASSERT_EQ(dump->events.size(), 3u);
+  // A span is recorded when it closes, so the enclosing one comes last.
+  const BlackboxEvent& outer = dump->events[2];
+  EXPECT_EQ(outer.type, BlackboxEventType::kSpan);
+  EXPECT_EQ(BlackboxEventLabel(outer), "sweep/cell");
+  EXPECT_EQ(outer.values[2], 0.0);  // depth
+  const double outer_start = outer.ts_micros - outer.values[1];
+  for (int i = 0; i < 2; ++i) {
+    const BlackboxEvent& inner = dump->events[i];
+    EXPECT_EQ(BlackboxEventLabel(inner), "process/run");
+    EXPECT_EQ(inner.values[2], 1.0);
+    EXPECT_EQ(inner.tid, outer.tid);
+    EXPECT_GE(inner.ts_micros - inner.values[1], outer_start);
+    EXPECT_LE(inner.ts_micros, outer.ts_micros);
+  }
+#endif
+}
+
+TEST(FlightRecorderSpanTest, ChromeJsonRoundTripsThroughParser) {
+  const std::string path = MakeScratchDir() + "/bb.bin";
+  FlightRecorder& recorder = FlightRecorder::Global();
+  ASSERT_TRUE(recorder.Start(SmallOptions(path)).ok());
+  {
+    // The class records in both builds (only the macro compiles out), so
+    // this also covers the view in TDG_OBS_DISABLED builds.
+    ScopedBlackboxSpan outer(BlackboxSpan::kAmtExperiment);
+    ScopedBlackboxSpan inner(BlackboxSpan::kAmtRound);
+  }
+  recorder.Record(BlackboxEventType::kRoundEnd, {0.0, 1.5, 1.5});
+  recorder.Stop();
+  auto dump = ReadBlackbox(path);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  auto parsed =
+      util::JsonValue::Parse(BlackboxToChromeTrace(dump.value()).Serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+
+  EXPECT_EQ(parsed->GetField("displayTimeUnit")->AsString(), "ms");
+  auto trace_events = parsed->GetField("traceEvents");
+  ASSERT_TRUE(trace_events.ok());
+  ASSERT_EQ(trace_events->AsArray().size(), 3u);
+  int complete = 0;
+  for (const util::JsonValue& event : trace_events->AsArray()) {
+    EXPECT_EQ(event.GetField("cat")->AsString(), "tdg");
+    EXPECT_TRUE(event.GetField("ts")->is_number());
+    EXPECT_TRUE(event.GetField("tid")->is_number());
+    EXPECT_TRUE(event.GetField("args")->is_object());
+    const std::string name = event.GetField("name")->AsString();
+    if (event.GetField("ph")->AsString() == "X") {
+      ++complete;
+      EXPECT_TRUE(name == "amt/experiment" || name == "amt/round") << name;
+      EXPECT_TRUE(event.GetField("dur")->is_number());
+    } else {
+      EXPECT_EQ(name, "round_end");
+      EXPECT_EQ(event.GetField("ph")->AsString(), "i");
+    }
+  }
+  EXPECT_EQ(complete, 2);
+}
+
+TEST(FlightRecorderSpanTest, InactiveRecorderRecordsNoSpans) {
+  const std::string path = MakeScratchDir() + "/bb.bin";
+  FlightRecorder& recorder = FlightRecorder::Global();
+  ASSERT_FALSE(recorder.active());
+  {
+    ScopedBlackboxSpan opened_while_off(BlackboxSpan::kProcessRun);
+    ASSERT_TRUE(recorder.Start(SmallOptions(path)).ok());
+    {
+      // Depth counts only spans that recorded: this one is outermost.
+      ScopedBlackboxSpan inner(BlackboxSpan::kProcessRound);
+    }
+  }  // closes while on, but opened while off: no record
+  recorder.Stop();
+  {
+    ScopedBlackboxSpan after_stop(BlackboxSpan::kProcessRun);
+  }
+
+  auto dump = ReadBlackbox(path);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  ASSERT_EQ(dump->events.size(), 1u);
+  EXPECT_EQ(BlackboxEventLabel(dump->events[0]), "process/round");
+  EXPECT_EQ(dump->events[0].values[2], 0.0);
+}
+
+TEST(FlightRecorderSpanTest, JsonlCarriesStampsAndSpanName) {
+  const std::string path = MakeScratchDir() + "/bb.bin";
+  FlightRecorder& recorder = FlightRecorder::Global();
+  ASSERT_TRUE(recorder.Start(SmallOptions(path)).ok());
+  {
+    ScopedBlackboxSpan span(BlackboxSpan::kSolverBranchBound);
+  }
+  recorder.Record(BlackboxEventType::kSpan, {200.0, 5.0, 0.0});
+  recorder.Stop();
+  auto dump = ReadBlackbox(path);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  ASSERT_EQ(dump->events.size(), 2u);
+
+  auto known = util::JsonValue::Parse(
+      BlackboxEventToJson(dump->events[0]).Serialize());
+  ASSERT_TRUE(known.ok()) << known.status();
+  EXPECT_EQ(known->GetField("event")->AsString(), "span");
+  EXPECT_EQ(known->GetField("name")->AsString(), "solver/branch_bound");
+  EXPECT_EQ(known->GetField("span")->AsNumber(),
+            static_cast<double>(BlackboxSpan::kSolverBranchBound));
+  EXPECT_GE(known->GetField("micros")->AsNumber(), 0.0);
+  EXPECT_EQ(known->GetField("depth")->AsNumber(), 0.0);
+  EXPECT_EQ(known->GetField("ts_micros")->AsNumber(),
+            static_cast<double>(dump->events[0].ts_micros));
+  EXPECT_EQ(known->GetField("tid")->AsNumber(),
+            static_cast<double>(dump->events[0].tid));
+  // A span id this reader does not know still decodes, under a generic
+  // name.
+  EXPECT_EQ(BlackboxEventLabel(dump->events[1]), "span_200");
 }
 
 // --- decoder hardening -----------------------------------------------------

@@ -1,10 +1,11 @@
 // Tests for the tdg::obs observability subsystem: metrics registry
-// arithmetic, histogram quantiles, trace span nesting, JSON export
-// round-trips, thread safety under ParallelFor, and the guarantee that
+// arithmetic, histogram quantiles, JSON export round-trips, thread safety
+// under ParallelFor (metrics and recorder spans), and the guarantee that
 // observability never perturbs simulation results (sweep determinism).
+// Span nesting and the Chrome-trace view are in flight_recorder_test.cc.
 //
 // Every test restores the global observability state it touches
-// (metrics enabled, tracing stopped) so test order never matters.
+// (metrics enabled, flight recorder stopped) so test order never matters.
 
 #include "obs/obs.h"
 
@@ -220,97 +221,6 @@ TEST(MetricsTest, SnapshotRoundTripsThroughJsonAndCsv) {
   EXPECT_NE(table.find("obs_test/snap_histogram"), std::string::npos);
 }
 
-TEST(TraceTest, SpansNestWithDepthAndContainment) {
-  StartTracing();
-  {
-    TDG_TRACE_SPAN("obs_test/outer");
-    {
-      TDG_TRACE_SPAN("obs_test/inner");
-    }
-    {
-      TDG_TRACE_SPAN("obs_test/inner");
-    }
-  }
-  StopTracing();
-  std::vector<TraceEvent> events = CollectTraceEvents();
-  ClearTrace();
-
-#if defined(TDG_OBS_DISABLED)
-  // The macros compile to nothing in the disabled build.
-  EXPECT_TRUE(events.empty());
-#else
-  ASSERT_EQ(events.size(), 3u);
-  // CollectTraceEvents sorts by start time: outer first.
-  const TraceEvent& outer = events[0];
-  EXPECT_EQ(outer.name, "obs_test/outer");
-  EXPECT_EQ(outer.depth, 0);
-  for (size_t i = 1; i < events.size(); ++i) {
-    const TraceEvent& inner = events[i];
-    EXPECT_EQ(inner.name, "obs_test/inner");
-    EXPECT_EQ(inner.depth, 1);
-    EXPECT_EQ(inner.tid, outer.tid);
-    EXPECT_GE(inner.ts_micros, outer.ts_micros);
-    EXPECT_LE(inner.ts_micros + inner.dur_micros,
-              outer.ts_micros + outer.dur_micros);
-  }
-#endif
-}
-
-TEST(TraceTest, ChromeJsonRoundTripsThroughParser) {
-  StartTracing();
-  {
-    // The TraceSpan class records in both builds (it is a product feature;
-    // only the macro compiles out), so this test covers TDG_OBS_DISABLED
-    // builds of the exporter too.
-    TraceSpan outer("obs_test/json_outer");
-    TraceSpan inner("obs_test/json_inner");
-  }
-  StopTracing();
-  auto parsed = util::JsonValue::Parse(TraceToJson().Serialize());
-  ClearTrace();
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-
-  auto display_unit = parsed->GetField("displayTimeUnit");
-  ASSERT_TRUE(display_unit.ok());
-  EXPECT_EQ(display_unit->AsString(), "ms");
-  auto trace_events = parsed->GetField("traceEvents");
-  ASSERT_TRUE(trace_events.ok());
-  ASSERT_TRUE(trace_events->is_array());
-  ASSERT_EQ(trace_events->AsArray().size(), 2u);
-  for (const util::JsonValue& event : trace_events->AsArray()) {
-    EXPECT_EQ(event.GetField("ph")->AsString(), "X");
-    EXPECT_EQ(event.GetField("cat")->AsString(), "tdg");
-    EXPECT_TRUE(event.GetField("ts")->is_number());
-    EXPECT_TRUE(event.GetField("dur")->is_number());
-    EXPECT_TRUE(event.GetField("tid")->is_number());
-    std::string name = event.GetField("name")->AsString();
-    EXPECT_TRUE(name == "obs_test/json_outer" ||
-                name == "obs_test/json_inner");
-  }
-}
-
-TEST(TraceTest, InactiveTracingRecordsNothing) {
-  ASSERT_FALSE(TracingActive());
-  {
-    TraceSpan span("obs_test/ignored");
-    TDG_TRACE_SPAN("obs_test/ignored_macro");
-  }
-  EXPECT_TRUE(CollectTraceEvents().empty());
-}
-
-TEST(TraceTest, RingBufferOverflowCountsDroppedEvents) {
-  StartTracing(/*per_thread_capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    TraceSpan span("obs_test/overflow");
-  }
-  StopTracing();
-  std::vector<TraceEvent> events = CollectTraceEvents();
-  uint64_t dropped = TraceDroppedEvents();
-  ClearTrace();
-  EXPECT_EQ(events.size(), 4u);
-  EXPECT_EQ(dropped, 6u);
-}
-
 TEST(ObsThreadingTest, ConcurrentRecordingIsLossless) {
   constexpr int kIterations = 1000;
   MetricsRegistry& registry = MetricsRegistry::Global();
@@ -323,16 +233,19 @@ TEST(ObsThreadingTest, ConcurrentRecordingIsLossless) {
   Histogram& task_micros = registry.GetHistogram("thread_pool/task_micros");
   const Histogram::Totals tasks_before = task_micros.GetTotals();
 
-  StartTracing();
+  const std::string dump_path = testing::TempDir() + "/obs_threading.bin";
+  FlightRecorder::Options recorder_options;
+  recorder_options.path = dump_path;
+  ASSERT_TRUE(FlightRecorder::Global().Start(recorder_options).ok());
   {
     util::ThreadPool pool(4);
     util::ParallelFor(pool, kIterations, [&](int i) {
-      TDG_TRACE_SPAN("obs_test/mt_span");
+      TDG_BLACKBOX_SPAN(BlackboxSpan::kSweepCell);
       counter.Add(1);
       histogram.Record(static_cast<double>(i % 100));
     });
   }
-  StopTracing();
+  FlightRecorder::Global().Stop();
 
   EXPECT_EQ(counter.Value(), kIterations);
   EXPECT_EQ(histogram.Count(), kIterations);
@@ -343,16 +256,18 @@ TEST(ObsThreadingTest, ConcurrentRecordingIsLossless) {
   EXPECT_GE(registry.GetGauge("thread_pool/queue_depth").Max(), 0.0);
 
 #if !defined(TDG_OBS_DISABLED)
-  std::vector<TraceEvent> events = CollectTraceEvents();
-  EXPECT_EQ(events.size(), static_cast<size_t>(kIterations));
+  auto dump = ReadBlackbox(dump_path);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  EXPECT_EQ(dump->overwritten, 0u);
+  EXPECT_EQ(dump->events.size(), static_cast<size_t>(kIterations));
 #endif
-  ClearTrace();
 }
 
 // Observability must never perturb results: gains from RunSweep are
-// bit-identical whether metrics/tracing are on (default) or disabled at
-// runtime. The compiled-out (TDG_OBS_DISABLED) build runs this same test,
-// extending the guarantee to the compile-out path.
+// bit-identical whether metrics and the flight recorder are on or
+// metrics are disabled at runtime. The compiled-out (TDG_OBS_DISABLED)
+// build runs this same test, extending the guarantee to the compile-out
+// path.
 TEST(ObsDeterminismTest, SweepGainsUnchangedByObservability) {
   exp::SweepConfig config;
   config.name = "obs-determinism";
@@ -367,10 +282,11 @@ TEST(ObsDeterminismTest, SweepGainsUnchangedByObservability) {
   config.threads = 2;
   config.seed = 20260806;
 
-  StartTracing();
+  FlightRecorder::Options recorder_options;
+  recorder_options.path = testing::TempDir() + "/obs_determinism.bin";
+  ASSERT_TRUE(FlightRecorder::Global().Start(recorder_options).ok());
   auto observed = exp::RunSweep(config);
-  StopTracing();
-  ClearTrace();
+  FlightRecorder::Global().Stop();
   ASSERT_TRUE(observed.ok()) << observed.status();
 
   SetMetricsEnabled(false);

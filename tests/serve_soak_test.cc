@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <thread>
@@ -275,6 +276,29 @@ TEST(ServeSoakTest, ContendedAdvancesAreTracedEndToEnd) {
   }
   EXPECT_TRUE(saw_start);
   EXPECT_TRUE(saw_end);
+
+#if !defined(TDG_OBS_DISABLED)
+  // Kernel time inside the served request is traced too: the window
+  // `tdg_blackbox --trace_id` cuts out (the request's thread, between its
+  // request_start and request_end) holds the round's span record and the
+  // cohort_round event.
+  obs::BlackboxDump window = dump.value();
+  obs::FilterBlackboxTrace(&window,
+                           static_cast<std::uint64_t>(advance_trace_id));
+  bool saw_round_span = false, saw_cohort_round = false;
+  for (const obs::BlackboxEvent& event : window.events) {
+    const std::string label = obs::BlackboxEventLabel(event);
+    if (label == "interaction/star_round" ||
+        label == "interaction/clique_round") {
+      saw_round_span = true;
+    }
+    if (event.type == obs::BlackboxEventType::kCohortRound) {
+      saw_cohort_round = true;
+    }
+  }
+  EXPECT_TRUE(saw_round_span);
+  EXPECT_TRUE(saw_cohort_round);
+#endif
 }
 
 }  // namespace

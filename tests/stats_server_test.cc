@@ -332,33 +332,24 @@ TEST(StatsServerTest, StopIsIdempotentAndPortCloses) {
 }
 
 // Satellite of the obs-off CI config: with TDG_OBS_DISABLED the macros
-// compile to nothing while the explicit APIs (EventLog::Global().Append,
-// FlightRecorder::Record, every HTTP endpoint) keep working — flushes and
-// scrapes degrade to cheap no-ops or smaller outputs, never crashes. The
-// same test runs in normal builds, where it additionally pins the macro
-// counts, so a skew between the two paths fails exactly one config.
+// compile to nothing while the explicit APIs (FlightRecorder::Record,
+// ScopedBlackboxSpan, every HTTP endpoint) keep working — scrapes degrade
+// to smaller outputs, never crashes. The same test runs in normal builds,
+// where it additionally pins the macro counts, so a skew between the two
+// paths fails exactly one config.
 TEST(StatsServerTest, ObsDisabledBuildDegradesCleanly) {
   const std::string dir = test::MakeScratchDir();
 
-  // EventLog: macro + explicit append + flush/close.
-  EventLog& log = EventLog::Global();
-  ASSERT_TRUE(log.Open(dir + "/events.jsonl").ok());
-  TDG_OBS_EVENT("obs_off_test/macro", (util::JsonValue::Object{}));
-  log.Emit("obs_off_test/explicit");
-  log.Flush();
-  const long long events = log.events_written();
-  log.Close();
-  log.Close();  // idempotent
-  log.Flush();  // no-op when closed
-
-  // Flight recorder: macro + explicit record.
+  // Flight recorder: event and span macros + explicit record and span.
   const std::string blackbox = dir + "/events.blackbox";
   FlightRecorder& recorder = FlightRecorder::Global();
   FlightRecorder::Options recorder_options;
   recorder_options.path = blackbox;
   ASSERT_TRUE(recorder.Start(recorder_options).ok());
   TDG_BLACKBOX(BlackboxEventType::kNote, 1.0);
+  { TDG_BLACKBOX_SPAN(BlackboxSpan::kProcessRun); }
   recorder.Record(BlackboxEventType::kNote, {2.0});
+  { ScopedBlackboxSpan span(BlackboxSpan::kProcessRound); }
 
   // Endpoints answer while both planes are live.
   StatsServerOptions options;
@@ -376,15 +367,19 @@ TEST(StatsServerTest, ObsDisabledBuildDegradesCleanly) {
 
   auto dump = ReadBlackbox(blackbox);
   ASSERT_TRUE(dump.ok()) << dump.status();
+  std::vector<std::string> labels;
+  for (const BlackboxEvent& event : dump->events) {
+    labels.push_back(BlackboxEventLabel(event));
+  }
 #if defined(TDG_OBS_DISABLED)
-  EXPECT_EQ(events, 1);  // only the explicit append
-  ASSERT_EQ(dump->events.size(), 1u);
+  // Only the explicit record and span.
+  EXPECT_EQ(labels, (std::vector<std::string>{"note", "process/round"}));
   EXPECT_DOUBLE_EQ(dump->events[0].values[0], 2.0);
 #else
-  EXPECT_EQ(events, 2);
-  ASSERT_EQ(dump->events.size(), 2u);
+  EXPECT_EQ(labels, (std::vector<std::string>{"note", "process/run", "note",
+                                               "process/round"}));
   EXPECT_DOUBLE_EQ(dump->events[0].values[0], 1.0);
-  EXPECT_DOUBLE_EQ(dump->events[1].values[0], 2.0);
+  EXPECT_DOUBLE_EQ(dump->events[2].values[0], 2.0);
 #endif
 }
 
