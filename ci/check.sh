@@ -407,8 +407,9 @@ EOF
 run_soa() {
   # Every suite that pins the SoA fast path: the AoS-vs-SoA differential
   # oracle, alignment/aliasing/shape edge cases, the summation-order pins,
-  # and the byte-identical sweep goldens + execution-path invariance.
-  local filter='Soa|Arena|SummationOrder|SortEdge|SimdRemainder|SimdDispatch|DyGroupsRoundEdge|GroupRoundMembersEdge|SweepGolden|Invariance'
+  # the byte-identical sweep goldens + execution-path invariance, and the
+  # served cohort rounds golden (served rounds run the fused kernel too).
+  local filter='Soa|Arena|SummationOrder|SortEdge|SimdRemainder|SimdDispatch|DyGroupsRoundEdge|GroupRoundMembersEdge|SweepGolden|ServeCohortGolden|Invariance'
 
   for san in address undefined; do
     local build_dir="build-ci/soa-${san}"
@@ -659,6 +660,26 @@ run_serve() {
   ]
 }
 EOF
+  # The same contract for the round-robin layout in clique mode.
+  cat > "${work}/steady_clique.json" <<'EOF'
+{
+  "id": "steady-clique",
+  "config": {"group_size": 4, "policy": "clique", "mode": "clique",
+             "learning_rate": 0.3, "seed": 7},
+  "participants": [
+    {"key": "q0", "skill": 1.2}, {"key": "q1", "skill": 4.1},
+    {"key": "q2", "skill": 2.7}, {"key": "q3", "skill": 0.9},
+    {"key": "q4", "skill": 3.3}, {"key": "q5", "skill": 5.6},
+    {"key": "q6", "skill": 2.7}, {"key": "q7", "skill": 1.8},
+    {"key": "q8", "skill": 4.9}, {"key": "q9", "skill": 3.0},
+    {"key": "q10", "skill": 0.6}, {"key": "q11", "skill": 2.2}
+  ],
+  "ops": [
+    {"op": "advance"}, {"op": "advance"}, {"op": "advance"},
+    {"op": "advance"}, {"op": "advance"}
+  ]
+}
+EOF
   # Random policy + mid-course join/leave: exercises the RNG stream and the
   # churn path; audited against a local serve::Cohort replay. The first
   # five ops (three rounds) run before the kill -9.
@@ -711,6 +732,14 @@ EOF
   "${ctl}" offline --schedule="${work}/steady.json" --via=cohort \
     > "${work}/offline_steady_cohort.jsonl"
   cmp "${work}/offline_steady.jsonl" "${work}/offline_steady_cohort.jsonl"
+  echo "==> [serve] steady clique schedule: served == batch RunProcess"
+  "${ctl}" run --port="${port}" --schedule="${work}/steady_clique.json"
+  "${ctl}" dump --port="${port}" --id=steady-clique \
+    > "${work}/served_steady_clique.jsonl"
+  "${ctl}" offline --schedule="${work}/steady_clique.json" --via=process \
+    > "${work}/offline_steady_clique.jsonl"
+  cmp "${work}/served_steady_clique.jsonl" \
+    "${work}/offline_steady_clique.jsonl"
 
   echo "==> [serve] churn schedule, first leg, then kill -9"
   "${ctl}" run --port="${port}" --schedule="${work}/churn.json" --to=5
@@ -734,7 +763,7 @@ EOF
     kill "${serve_pid}" 2>/dev/null || true
     exit 1
   fi
-  grep -q '2 cohorts restored' "${work}/serve2.log"
+  grep -q '3 cohorts restored' "${work}/serve2.log"
   "${ctl}" dump --port="${port}" --id=churn > "${work}/post_restart.jsonl"
   cmp "${work}/pre_kill.jsonl" "${work}/post_restart.jsonl"
   "${ctl}" run --port="${port}" --schedule="${work}/churn.json" --from=5

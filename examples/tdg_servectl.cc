@@ -372,12 +372,7 @@ int OfflineViaProcess(const Schedule& schedule, long long to) {
         result->history[static_cast<size_t>(t)];
     tdg::serve::CohortRound round;
     round.keys = keys;
-    round.assignment.assign(static_cast<size_t>(n), 0);
-    for (size_t g = 0; g < record.grouping.groups.size(); ++g) {
-      for (int id : record.grouping.groups[g]) {
-        round.assignment[static_cast<size_t>(id)] = static_cast<int>(g);
-      }
-    }
+    round.assignment = record.grouping.Assignment(n);
     round.num_groups = record.grouping.num_groups();
     round.gain = record.gain;
     std::printf("%s\n", CohortRoundToJson(round, t).Serialize().c_str());

@@ -103,6 +103,18 @@ std::string Grouping::ToString() const {
   return out;
 }
 
+std::vector<int> Grouping::Assignment(int n) const {
+  std::vector<int> assignment(static_cast<size_t>(n), 0);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (int id : groups[g]) {
+      if (id >= 0 && id < n) {
+        assignment[static_cast<size_t>(id)] = static_cast<int>(g);
+      }
+    }
+  }
+  return assignment;
+}
+
 util::StatusOr<Grouping> GroupingFromAssignment(
     const std::vector<int>& assignment, int num_groups) {
   if (num_groups <= 0) {

@@ -44,6 +44,11 @@ struct Grouping {
   /// "[[0,2],[1,3]]" — for debugging and test-failure messages.
   std::string ToString() const;
 
+  /// assignment[id] = index of the group holding participant `id`, for ids
+  /// in [0, n) — the inverse of GroupingFromAssignment. Ids in no group
+  /// map to 0; member ids outside [0, n) are ignored.
+  std::vector<int> Assignment(int n) const;
+
   bool operator==(const Grouping& other) const {
     return groups == other.groups;
   }

@@ -22,7 +22,16 @@ util::StatusOr<InteractionMode> ParseInteractionMode(std::string_view name) {
                                        std::string(name) + "'");
 }
 
-namespace {
+obs::PerfDomain& RoundKernelDomain(InteractionMode mode, bool clique_prefix) {
+  static obs::PerfDomain& star_domain =
+      obs::PerfDomain::Get("core/learning_gain/star");
+  static obs::PerfDomain& prefix_domain =
+      obs::PerfDomain::Get("core/theory/clique_prefix");
+  static obs::PerfDomain& naive_domain =
+      obs::PerfDomain::Get("core/learning_gain/clique_naive");
+  if (mode == InteractionMode::kStar) return star_domain;
+  return clique_prefix ? prefix_domain : naive_domain;
+}
 
 // The per-group work (gather, rank sort, gain kernel, scatter-add) lives on
 // the SoA plane: soa::GroupRoundMembers with a nullable update target, the
@@ -30,33 +39,19 @@ namespace {
 // *identical* arithmetic on the pre-round snapshot, which is what makes
 // EvaluateGroupGain (and the delta-objective built on it, objective.h)
 // bitwise-equal to a full ApplyRound over the same grouping.
-
-util::StatusOr<double> ApplyRoundImpl(InteractionMode mode,
-                                      const Grouping& grouping,
-                                      const LearningGainFunction& gain,
-                                      SkillVector& skills,
-                                      bool allow_fast_path,
-                                      std::vector<double>* group_gains_out =
-                                          nullptr) {
+util::StatusOr<double> ApplyRound(InteractionMode mode,
+                                  const Grouping& grouping,
+                                  const LearningGainFunction& gain,
+                                  SkillVector& skills,
+                                  std::vector<double>* group_gains_out) {
   TDG_RETURN_IF_ERROR(
       grouping.ValidatePartition(static_cast<int>(skills.size())));
   TDG_BLACKBOX_SPAN(mode == InteractionMode::kStar
                         ? obs::BlackboxSpan::kInteractionStarRound
                         : obs::BlackboxSpan::kInteractionCliqueRound);
 #if !defined(TDG_OBS_DISABLED)
-  // Attribute the round to the kernel that actually runs: star update,
-  // Theorem-3 linear-clique prefix sums, or the naive O(t^2) clique path.
-  static obs::PerfDomain& star_domain =
-      obs::PerfDomain::Get("core/learning_gain/star");
-  static obs::PerfDomain& prefix_domain =
-      obs::PerfDomain::Get("core/theory/clique_prefix");
-  static obs::PerfDomain& naive_domain =
-      obs::PerfDomain::Get("core/learning_gain/clique_naive");
   obs::ScopedPerfDomain perf_scope(
-      mode == InteractionMode::kStar
-          ? star_domain
-          : (allow_fast_path && gain.is_linear() ? prefix_domain
-                                                 : naive_domain));
+      RoundKernelDomain(mode, /*clique_prefix=*/gain.is_linear()));
 #endif
   soa::Arena& arena = soa::ThreadLocalArena();
   if (group_gains_out != nullptr) {
@@ -72,7 +67,7 @@ util::StatusOr<double> ApplyRoundImpl(InteractionMode mode,
     }
     ++updated_groups;
     const double group_gain = soa::GroupRoundMembers(
-        mode, gain, allow_fast_path, members, skills, skills.data(), arena);
+        mode, gain, members, skills, skills.data(), arena);
     round_gain += group_gain;
     if (group_gains_out != nullptr) group_gains_out->push_back(group_gain);
   }
@@ -82,25 +77,6 @@ util::StatusOr<double> ApplyRoundImpl(InteractionMode mode,
     TDG_OBS_COUNTER_ADD("interaction/clique_group_updates", updated_groups);
   }
   return round_gain;
-}
-
-}  // namespace
-
-util::StatusOr<double> ApplyRound(InteractionMode mode,
-                                  const Grouping& grouping,
-                                  const LearningGainFunction& gain,
-                                  SkillVector& skills,
-                                  std::vector<double>* group_gains_out) {
-  return ApplyRoundImpl(mode, grouping, gain, skills,
-                        /*allow_fast_path=*/true, group_gains_out);
-}
-
-util::StatusOr<double> ApplyRoundNaive(InteractionMode mode,
-                                       const Grouping& grouping,
-                                       const LearningGainFunction& gain,
-                                       SkillVector& skills) {
-  return ApplyRoundImpl(mode, grouping, gain, skills,
-                        /*allow_fast_path=*/false);
 }
 
 util::StatusOr<double> EvaluateRoundGain(InteractionMode mode,
@@ -123,8 +99,8 @@ util::StatusOr<double> EvaluateGroupGain(InteractionMode mode,
     }
   }
   if (members.size() <= 1) return 0.0;
-  return soa::GroupRoundMembers(mode, gain, /*allow_fast_path=*/true, members,
-                                skills, /*update_skills=*/nullptr,
+  return soa::GroupRoundMembers(mode, gain, members, skills,
+                                /*update_skills=*/nullptr,
                                 soa::ThreadLocalArena());
 }
 

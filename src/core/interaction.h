@@ -10,6 +10,10 @@
 
 namespace tdg {
 
+namespace obs {
+class PerfDomain;
+}  // namespace obs
+
 /// Within-group interaction structure (paper §II):
 ///  - Star: every member learns only from the group's highest-skilled member.
 ///  - Clique: every member learns from all higher-skilled members of the
@@ -46,13 +50,6 @@ util::StatusOr<double> ApplyRound(InteractionMode mode,
                                   std::vector<double>* group_gains_out =
                                       nullptr);
 
-/// Reference implementation that always evaluates every pairwise interaction
-/// (O(Σ t_x²) even for linear gains). Used to validate Theorem 3.
-util::StatusOr<double> ApplyRoundNaive(InteractionMode mode,
-                                       const Grouping& grouping,
-                                       const LearningGainFunction& gain,
-                                       SkillVector& skills);
-
 /// Round gain of `grouping` on `skills` without mutating them.
 util::StatusOr<double> EvaluateRoundGain(InteractionMode mode,
                                          const Grouping& grouping,
@@ -70,6 +67,12 @@ util::StatusOr<double> EvaluateGroupGain(InteractionMode mode,
                                          const std::vector<int>& members,
                                          const LearningGainFunction& gain,
                                          const SkillVector& skills);
+
+/// The perf-attribution domain (obs/perf_profile.h) of a round's update
+/// kernel: the star update, the Theorem-3 linear-clique prefix sums
+/// (`clique_prefix`), or the naive O(t²) clique path. The one selector
+/// behind ApplyRound, soa::DyGroupsRound and the reference kernels.
+obs::PerfDomain& RoundKernelDomain(InteractionMode mode, bool clique_prefix);
 
 }  // namespace tdg
 

@@ -51,9 +51,8 @@ util::StatusOr<SwapGainDelta> EvaluateRoundGainDelta(
   soa::ArenaScope scope(arena);
   auto group_gain = [&](std::span<const int> members) {
     if (members.size() <= 1) return 0.0;
-    return soa::GroupRoundMembers(mode, gain, /*allow_fast_path=*/true,
-                                  members, skills, /*update_skills=*/nullptr,
-                                  arena);
+    return soa::GroupRoundMembers(mode, gain, members, skills,
+                                  /*update_skills=*/nullptr, arena);
   };
   SwapGainDelta result;
   result.old_gain_a = known_old_gain_a != nullptr ? *known_old_gain_a

@@ -24,12 +24,11 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
   TDG_OBS_COUNTER_ADD("process/runs", 1);
 
   // Policies with a closed-form layout run the fused SoA round: one sort,
-  // no Grouping materialization, bitwise-identical results (soa.h). With
-  // record_history the materialized grouping is part of the output, so the
-  // generic path runs regardless.
+  // bitwise-identical results (soa.h). With record_history the round's
+  // Grouping comes out of the kernel as a pure extra output
+  // (soa::RoundIntrospection::grouping), so history costs no second path.
   const PolicyKernelKind kind = policy.kernel_kind();
-  const bool fused = !config.record_history &&
-                     kind != PolicyKernelKind::kGeneric;
+  const bool fused = kind != PolicyKernelKind::kGeneric;
 
   ProcessResult result;
   result.initial_skills = initial_skills;
@@ -41,15 +40,15 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
   // membership churn vs the previous round, and a per-group gain summary.
   // All of it flows through pure extra outputs (soa::RoundIntrospection /
   // ApplyRound's group_gains_out), so recorded and unrecorded runs are
-  // bitwise identical; when the recorder is inactive nothing below is
-  // computed.
+  // bitwise identical; when neither the recorder nor the history needs
+  // them, they are not computed.
 #if defined(TDG_OBS_DISABLED)
   const bool blackbox = false;
 #else
   const bool blackbox = obs::FlightRecorder::Global().active();
 #endif
   soa::RoundIntrospection introspection;
-  std::vector<int32_t> previous_group_of;
+  std::vector<int> previous_group_of;
   if (blackbox) {
     TDG_BLACKBOX(obs::BlackboxEventType::kProcessStart,
                  static_cast<double>(initial_skills.size()),
@@ -62,43 +61,39 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
   for (int t = 0; t < config.num_rounds; ++t) {
     TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kProcessRound);
     double round_gain;
+    RoundRecord record;
     if (fused) {
+      introspection.grouping =
+          config.record_history ? &record.grouping : nullptr;
       auto gain_or = soa::DyGroupsRound(
           kind == PolicyKernelKind::kDyGroupsStar
               ? soa::DyGroupsLayout::kStarBlocks
               : soa::DyGroupsLayout::kRoundRobin,
           config.mode, gain, skills, config.num_groups,
-          soa::ThreadLocalArena(), blackbox ? &introspection : nullptr);
+          soa::ThreadLocalArena(),
+          blackbox || config.record_history ? &introspection : nullptr);
       if (!gain_or.ok()) return gain_or.status();
       round_gain = gain_or.value();
     } else {
-      TDG_ASSIGN_OR_RETURN(Grouping grouping,
+      TDG_ASSIGN_OR_RETURN(record.grouping,
                            policy.FormGroups(skills, config.num_groups));
       TDG_RETURN_IF_ERROR(
-          grouping.ValidateEquiSized(static_cast<int>(skills.size())));
+          record.grouping.ValidateEquiSized(static_cast<int>(skills.size())));
       auto gain_or =
-          ApplyRound(config.mode, grouping, gain, skills,
+          ApplyRound(config.mode, record.grouping, gain, skills,
                      blackbox ? &introspection.group_gains : nullptr);
       if (!gain_or.ok()) return gain_or.status();
       round_gain = gain_or.value();
 
       if (blackbox) {
-        introspection.group_of.assign(skills.size(), 0);
-        for (std::size_t g = 0; g < grouping.groups.size(); ++g) {
-          for (int id : grouping.groups[g]) {
-            introspection.group_of[static_cast<std::size_t>(id)] =
-                static_cast<int32_t>(g);
-          }
-        }
+        introspection.group_of =
+            record.grouping.Assignment(static_cast<int>(skills.size()));
       }
-
-      if (config.record_history) {
-        RoundRecord record;
-        record.grouping = std::move(grouping);
-        record.gain = round_gain;
-        record.skills_after = skills;
-        result.history.push_back(std::move(record));
-      }
+    }
+    if (config.record_history) {
+      record.gain = round_gain;
+      record.skills_after = skills;
+      result.history.push_back(std::move(record));
     }
 
     TDG_OBS_COUNTER_ADD("process/rounds", 1);

@@ -49,8 +49,9 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
                                          GroupingPolicy& policy);
 
 /// Emits the flight recorder's kGroupGainSummary event for round `round`
-/// from the per-group gains ApplyRound produced (no-op when the recorder is
-/// inactive or `group_gains` is empty). Shared by RunProcess and the
+/// from the per-group gains the round produced (soa::RoundIntrospection or
+/// ApplyRound's group_gains_out; no-op when the recorder is inactive or
+/// `group_gains` is empty). Shared by RunProcess and the
 /// serving plane's resident cohorts (serve::Cohort) so black-box consumers
 /// see one event vocabulary no matter which driver ran the round.
 void RecordGroupGainSummary(int round, const std::vector<double>& group_gains);

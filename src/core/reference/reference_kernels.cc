@@ -181,19 +181,8 @@ util::StatusOr<double> ApplyRoundImpl(InteractionMode mode,
                         ? obs::BlackboxSpan::kInteractionStarRound
                         : obs::BlackboxSpan::kInteractionCliqueRound);
 #if !defined(TDG_OBS_DISABLED)
-  // Attribute the round to the kernel that actually runs: star update,
-  // Theorem-3 linear-clique prefix sums, or the naive O(t^2) clique path.
-  static obs::PerfDomain& star_domain =
-      obs::PerfDomain::Get("core/learning_gain/star");
-  static obs::PerfDomain& prefix_domain =
-      obs::PerfDomain::Get("core/theory/clique_prefix");
-  static obs::PerfDomain& naive_domain =
-      obs::PerfDomain::Get("core/learning_gain/clique_naive");
-  obs::ScopedPerfDomain perf_scope(
-      mode == InteractionMode::kStar
-          ? star_domain
-          : (allow_fast_path && gain.is_linear() ? prefix_domain
-                                                 : naive_domain));
+  obs::ScopedPerfDomain perf_scope(RoundKernelDomain(
+      mode, /*clique_prefix=*/allow_fast_path && gain.is_linear()));
 #endif
   double round_gain = 0.0;
   for (const auto& members : grouping.groups) {

@@ -571,7 +571,7 @@ void SortIdsByskillDescending(std::span<const double> skills,
 // ---------------------------------------------------------------------------
 
 double GroupGainSorted(InteractionMode mode, const LearningGainFunction& gain,
-                       bool allow_fast_path, std::span<const double> sorted,
+                       std::span<const double> sorted,
                        std::span<double> gains) {
   const size_t t = sorted.size();
   TDG_CHECK_EQ(gains.size(), t);
@@ -591,7 +591,7 @@ double GroupGainSorted(InteractionMode mode, const LearningGainFunction& gain,
       return OrderedSum(gains.subspan(1));
     }
     case InteractionMode::kClique: {
-      if (allow_fast_path && gain.is_linear()) {
+      if (gain.is_linear()) {
         // Theorem-3 prefix path — inherently sequential (each step extends
         // the prefix sum), kept scalar with the reference's exact
         // expression so the result is bitwise-stable.
@@ -649,7 +649,7 @@ bool MembersAlreadySorted(std::span<const int> members,
 
 double GroupRoundMembers(InteractionMode mode,
                          const LearningGainFunction& gain,
-                         bool allow_fast_path, std::span<const int> members,
+                         std::span<const int> members,
                          std::span<const double> skills, double* update_skills,
                          Arena& arena) {
   const size_t t = members.size();
@@ -679,8 +679,7 @@ double GroupRoundMembers(InteractionMode mode,
     }
     ids = sorted_ids;
   }
-  double group_gain =
-      GroupGainSorted(mode, gain, allow_fast_path, sorted, gains);
+  double group_gain = GroupGainSorted(mode, gain, sorted, gains);
   if (update_skills != nullptr) {
     for (size_t i = 1; i < t; ++i) update_skills[ids[i]] += gains[i];
   }
@@ -707,12 +706,23 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
     return util::Status::InvalidArgument(util::StrFormat(
         "num_groups (%d) exceeds population size (%d)", num_groups, n));
   }
-  if (n % num_groups != 0) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "population size %d is not divisible into %d equi-sized groups", n,
-        num_groups));
-  }
-  const int group_size = n / num_groups;
+  // The balanced profile (soa.h): the first `extra` groups hold base + 1
+  // members, the rest `base`.
+  const size_t k = static_cast<size_t>(num_groups);
+  const size_t base = static_cast<size_t>(n) / k;
+  const size_t extra = static_cast<size_t>(n) % k;
+  auto size_of = [&](size_t g) { return base + (g < extra ? 1 : 0); };
+  // Group g is rank g followed by size_g - 1 ranks starting at first(g),
+  // `stride` apart: contiguous learner blocks under kStarBlocks, and under
+  // kRoundRobin the ranks g + j*k (the last lap, j = base, reaches only
+  // the first `extra` groups).
+  const size_t stride = layout == DyGroupsLayout::kStarBlocks ? 1 : k;
+  auto first = [&](size_t g) {
+    return layout == DyGroupsLayout::kStarBlocks
+               ? k + g * (base - 1) + std::min(g, extra)
+               : g + k;
+  };
+
   TDG_BLACKBOX_SPAN(mode == InteractionMode::kStar
                         ? obs::BlackboxSpan::kInteractionStarRound
                         : obs::BlackboxSpan::kInteractionCliqueRound);
@@ -724,77 +734,53 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
   for (int i = 0; i < n; ++i) sorted[i] = SkillFromKey(pairs[i].key);
 
   if (introspect != nullptr) {
-    // Invert the implicit layout into id -> group. Rank p maps to group
-    // p (teachers) / (p - k) / (t - 1) (learner blocks) under kStarBlocks
-    // and to p % k under kRoundRobin; pairs[p].id names the participant at
-    // rank p. Pure output: the round below never reads these.
-    introspect->group_of.assign(static_cast<std::size_t>(n), 0);
-    introspect->group_gains.assign(static_cast<std::size_t>(num_groups),
-                                   0.0);
-    for (int p = 0; p < n; ++p) {
-      int g;
-      if (layout == DyGroupsLayout::kStarBlocks) {
-        g = p < num_groups ? p : (p - num_groups) / (group_size - 1);
-      } else {
-        g = p % num_groups;
+    // Membership in rank order; pairs[p].id names the participant at rank
+    // p. Pure output: the round below never reads these.
+    introspect->group_of.assign(static_cast<size_t>(n), 0);
+    introspect->group_gains.assign(k, 0.0);
+    Grouping* grouping = introspect->grouping;
+    if (grouping != nullptr) grouping->groups.assign(k, {});
+    for (size_t g = 0; g < k; ++g) {
+      const size_t t = size_of(g);
+      if (grouping != nullptr) grouping->groups[g].reserve(t);
+      for (size_t j = 0; j < t; ++j) {
+        const size_t rank = j == 0 ? g : first(g) + (j - 1) * stride;
+        const int id = static_cast<int>(pairs[rank].id);
+        introspect->group_of[static_cast<size_t>(id)] = static_cast<int>(g);
+        if (grouping != nullptr) grouping->groups[g].push_back(id);
       }
-      introspect->group_of[pairs[p].id] = g;
     }
   }
 
-  const int64_t updated_groups = group_size > 1 ? num_groups : 0;
   double round_gain = 0.0;
-  if (group_size > 1) {
+  int64_t updated_groups = 0;
+  if (size_of(0) > 1) {
 #if !defined(TDG_OBS_DISABLED)
     // Same attribution domains as the AoS ApplyRound (the sort above
     // charges core/skills/sort for itself).
-    static obs::PerfDomain& star_domain =
-        obs::PerfDomain::Get("core/learning_gain/star");
-    static obs::PerfDomain& prefix_domain =
-        obs::PerfDomain::Get("core/theory/clique_prefix");
-    static obs::PerfDomain& naive_domain =
-        obs::PerfDomain::Get("core/learning_gain/clique_naive");
     obs::ScopedPerfDomain perf_scope(
-        mode == InteractionMode::kStar
-            ? star_domain
-            : (gain.is_linear() ? prefix_domain : naive_domain));
+        RoundKernelDomain(mode, /*clique_prefix=*/gain.is_linear()));
 #endif
-    const size_t t = static_cast<size_t>(group_size);
-    std::span<double> group = arena.Alloc<double>(t);
-    std::span<double> gains = arena.Alloc<double>(t);
-    for (int g = 0; g < num_groups; ++g) {
+    std::span<double> group = arena.Alloc<double>(size_of(0));
+    std::span<double> gains = arena.Alloc<double>(size_of(0));
+    for (size_t g = 0; g < k; ++g) {
+      const size_t t = size_of(g);
+      if (t == 1) continue;  // nothing to learn from, as in ApplyRound
+      ++updated_groups;
       // Materialize the group's pre-round skills contiguously in rank
       // order; both layouts list members in descending-skill order, so the
       // per-group sort of the AoS path is a no-op here by construction.
-      if (layout == DyGroupsLayout::kStarBlocks) {
-        const size_t block = static_cast<size_t>(num_groups) +
-                             static_cast<size_t>(g) * (t - 1);
-        group[0] = sorted[g];
-        std::memcpy(group.data() + 1, sorted.data() + block,
-                    (t - 1) * sizeof(double));
-      } else {
-        for (size_t j = 0; j < t; ++j) {
-          group[j] = sorted[static_cast<size_t>(g) +
-                            j * static_cast<size_t>(num_groups)];
-        }
+      const size_t learners = first(g);
+      group[0] = sorted[g];
+      for (size_t j = 1; j < t; ++j) {
+        group[j] = sorted[learners + (j - 1) * stride];
       }
-      const double group_gain = GroupGainSorted(
-          mode, gain, /*allow_fast_path=*/true, group, gains);
+      const double group_gain =
+          GroupGainSorted(mode, gain, group.first(t), gains.first(t));
       round_gain += group_gain;
-      if (introspect != nullptr) {
-        introspect->group_gains[static_cast<std::size_t>(g)] = group_gain;
-      }
-      if (layout == DyGroupsLayout::kStarBlocks) {
-        const size_t block = static_cast<size_t>(num_groups) +
-                             static_cast<size_t>(g) * (t - 1);
-        for (size_t j = 1; j < t; ++j) {
-          skills[pairs[block + (j - 1)].id] += gains[j];
-        }
-      } else {
-        for (size_t j = 1; j < t; ++j) {
-          skills[pairs[static_cast<size_t>(g) +
-                       j * static_cast<size_t>(num_groups)].id] += gains[j];
-        }
+      if (introspect != nullptr) introspect->group_gains[g] = group_gain;
+      for (size_t j = 1; j < t; ++j) {
+        skills[pairs[learners + (j - 1) * stride].id] += gains[j];
       }
     }
   }

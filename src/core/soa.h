@@ -201,10 +201,10 @@ void SortIdsByskillDescending(std::span<const double> skills,
 /// Learning-gain round of one group given its pre-round skills in
 /// descending-rank order (`sorted`, size t >= 2). Writes the per-member
 /// gain into `gains` (gains[0] = 0: the teacher / top rank never learns)
-/// and returns the ordered group gain Σ gains[i]. `allow_fast_path` gates
-/// the Theorem-3 linear-clique prefix path exactly like the reference.
+/// and returns the ordered group gain Σ gains[i]. Linear clique gains take
+/// the Theorem-3 prefix path, exactly like the reference.
 double GroupGainSorted(InteractionMode mode, const LearningGainFunction& gain,
-                       bool allow_fast_path, std::span<const double> sorted,
+                       std::span<const double> sorted,
                        std::span<double> gains);
 
 /// Full per-group kernel over an unordered member list: gathers the
@@ -215,7 +215,7 @@ double GroupGainSorted(InteractionMode mode, const LearningGainFunction& gain,
 /// `members` must index into `skills`; groups of size <= 1 return 0.0.
 double GroupRoundMembers(InteractionMode mode,
                          const LearningGainFunction& gain,
-                         bool allow_fast_path, std::span<const int> members,
+                         std::span<const int> members,
                          std::span<const double> skills, double* update_skills,
                          Arena& arena);
 
@@ -232,24 +232,41 @@ enum class DyGroupsLayout { kStarBlocks, kRoundRobin };
 /// never touches the round's arithmetic or accumulation order, so the
 /// 0-ULP differential contract (DESIGN.md §11) is untouched. Feeds the
 /// flight recorder's semantic events (group churn, per-group gain
-/// summaries) in RunProcess.
+/// summaries), the served cohort's assignment, and RunProcess's history.
 struct RoundIntrospection {
   /// group_of[id] = index of the group participant `id` joined this round.
-  std::vector<int32_t> group_of;
+  std::vector<int> group_of;
   /// Ordered gain of each group (0.0 for size-1 groups, which never
   /// update).
   std::vector<double> group_gains;
+  /// When non-null, receives the round's groups with members in rank order
+  /// — the member order of the DyGroups*Local(Sized) builders.
+  Grouping* grouping = nullptr;
 };
 
 /// One fused DyGroups round: sorts `skills`, forms the layout implicitly
 /// (no Grouping materialization), applies the `mode` interaction update in
-/// place and returns the round gain LG(G_t). Bitwise-identical to
-/// reference::DyGroups*Local + reference::ApplyRound, including the order
-/// in which group gains accumulate into the round gain. Used by RunProcess
-/// when the policy declares a DyGroups kernel kind and history recording is
-/// off; also the subject of bench_soa_kernels. `introspect`, when non-null,
-/// receives the implicit membership and per-group gains as pure extra
-/// outputs.
+/// place and returns the round gain LG(G_t).
+///
+/// The layout runs on the balanced size profile: k = `num_groups` <= n
+/// groups, the first e = n mod k of size ceil(n/k) and the rest of size
+/// b = floor(n/k) — Cohort::SizeProfileFor's profile, and the equi-sized
+/// layout when k divides n. Over ranks p of the descending-skill order:
+///   - kStarBlocks: rank g leads group g; its size_g - 1 learners are the
+///     contiguous ranks from k + g*(b-1) + min(g, e).
+///   - kRoundRobin: rank p < b*k joins group p mod k, rank p >= b*k joins
+///     group p - b*k.
+/// Bitwise-identical to reference::DyGroups*Local (equal sizes) or
+/// DyGroups*LocalSized (balanced sizes) followed by reference::ApplyRound,
+/// including the group order in which gains accumulate into the round gain
+/// and the skipping of size-1 groups.
+///
+/// The one DyGroups round of the tree: RunProcess runs it for every policy
+/// that declares a DyGroups kernel kind (with or without history), served
+/// cohorts (serve::Cohort::Advance) run it for the star and clique
+/// policies, and bench_soa_kernels measures it. `introspect`, when
+/// non-null, receives the implicit membership and per-group gains as pure
+/// extra outputs.
 util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
                                      InteractionMode mode,
                                      const LearningGainFunction& gain,

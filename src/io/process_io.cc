@@ -72,15 +72,8 @@ util::JsonValue GroupingToFlatJson(const Grouping& grouping) {
   for (const auto& group : grouping.groups) {
     for (int id : group) n = std::max(n, id + 1);
   }
-  std::vector<int> assignment(static_cast<size_t>(n), 0);
-  for (size_t g = 0; g < grouping.groups.size(); ++g) {
-    for (int id : grouping.groups[g]) {
-      if (id >= 0 && id < n) assignment[static_cast<size_t>(id)] =
-          static_cast<int>(g);
-    }
-  }
   util::JsonValue flat = util::JsonValue::MakeArray();
-  for (int g : assignment) flat.Append(g);
+  for (int g : grouping.Assignment(n)) flat.Append(g);
   util::JsonValue root = util::JsonValue::MakeObject();
   root.Set("assignment", std::move(flat));
   root.Set("num_groups", grouping.num_groups());

@@ -1,9 +1,14 @@
 #include "serve/cohort.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "core/process.h"
+#include "core/soa.h"
 #include "core/variable_groups.h"
 #include "obs/obs.h"
 #include "util/string_util.h"
@@ -180,6 +185,20 @@ util::Status ValidateParticipantKey(std::string_view key) {
   return util::Status::OK();
 }
 
+namespace {
+
+// What CanJoin checks of the newcomer alone, before residency.
+util::Status ValidateJoinee(const std::string& key, double skill) {
+  TDG_RETURN_IF_ERROR(ValidateParticipantKey(key));
+  if (!(skill > 0.0) || !std::isfinite(skill)) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "skill must be a finite positive number, got %g", skill));
+  }
+  return util::Status::OK();
+}
+
+}  // namespace
+
 Cohort::Cohort(std::string id, const CohortConfig& config, LinearGain gain)
     : id_(std::move(id)),
       config_(config),
@@ -196,8 +215,18 @@ util::StatusOr<Cohort> Cohort::Create(
                        LinearGain::Create(config.learning_rate));
   Cohort cohort(id, config, gain);
   cohort.participants_.reserve(participants.size());
+  // Join's checks in input order, with duplicates found through a local set
+  // instead of Join's linear resident scan (quadratic over an enroll or a
+  // journal replay).
+  std::unordered_set<std::string_view> keys;
+  keys.reserve(participants.size());
   for (const CohortParticipant& participant : participants) {
-    TDG_RETURN_IF_ERROR(cohort.Join(participant.key, participant.skill));
+    TDG_RETURN_IF_ERROR(ValidateJoinee(participant.key, participant.skill));
+    if (!keys.insert(participant.key).second) {
+      // A repeat: CanJoin reports the earlier entry as already resident.
+      return cohort.CanJoin(participant.key, participant.skill);
+    }
+    cohort.participants_.push_back(participant);
   }
   return cohort;
 }
@@ -210,11 +239,7 @@ bool Cohort::HasParticipant(const std::string& key) const {
 }
 
 util::Status Cohort::CanJoin(const std::string& key, double skill) const {
-  TDG_RETURN_IF_ERROR(ValidateParticipantKey(key));
-  if (!(skill > 0.0) || !std::isfinite(skill)) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "skill must be a finite positive number, got %g", skill));
-  }
+  TDG_RETURN_IF_ERROR(ValidateJoinee(key, skill));
   if (HasParticipant(key)) {
     return util::Status::FailedPrecondition(util::StrFormat(
         "participant '%s' is already resident in cohort '%s'", key.c_str(),
@@ -290,39 +315,38 @@ util::StatusOr<double> Cohort::Advance() {
   TDG_ASSIGN_OR_RETURN(std::vector<int> sizes,
                        SizeProfileFor(n, config_.group_size));
 
-  SkillVector skills(static_cast<size_t>(n));
+  soa::Arena& arena = soa::ThreadLocalArena();
+  soa::ArenaScope scope(arena);
+  std::span<double> skills = arena.Alloc<double>(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     skills[static_cast<size_t>(i)] =
         participants_[static_cast<size_t>(i)].skill;
   }
-
-  util::StatusOr<Grouping> formed =
-      util::Status::Internal("unhandled cohort policy");
-  switch (config_.policy) {
-    case CohortPolicy::kStar:
-      formed = DyGroupsStarLocalSized(skills, sizes);
-      break;
-    case CohortPolicy::kClique:
-      formed = DyGroupsCliqueLocalSized(skills, sizes);
-      break;
-    case CohortPolicy::kRandom:
-      formed = RandomGroupingSized(skills, sizes, rng_);
-      break;
+  // Star and clique run the fused DyGroups round on the balanced profile
+  // (soa.h), which emits the membership directly; only the random control
+  // materializes a Grouping.
+  soa::RoundIntrospection introspection;
+  double round_gain;
+  if (config_.policy == CohortPolicy::kRandom) {
+    SkillVector random_skills(skills.begin(), skills.end());
+    TDG_ASSIGN_OR_RETURN(Grouping grouping,
+                         RandomGroupingSized(random_skills, sizes, rng_));
+    TDG_ASSIGN_OR_RETURN(round_gain,
+                         ApplyRound(config_.mode, grouping, gain_,
+                                    random_skills,
+                                    &introspection.group_gains));
+    std::copy(random_skills.begin(), random_skills.end(), skills.begin());
+    introspection.group_of = grouping.Assignment(n);
+  } else {
+    TDG_ASSIGN_OR_RETURN(
+        round_gain,
+        soa::DyGroupsRound(config_.policy == CohortPolicy::kStar
+                               ? soa::DyGroupsLayout::kStarBlocks
+                               : soa::DyGroupsLayout::kRoundRobin,
+                           config_.mode, gain_, skills,
+                           static_cast<int>(sizes.size()), arena,
+                           &introspection));
   }
-  if (!formed.ok()) return formed.status();
-  Grouping grouping = std::move(formed).value();
-  TDG_RETURN_IF_ERROR(grouping.ValidatePartition(n));
-
-#if defined(TDG_OBS_DISABLED)
-  const bool blackbox = false;
-#else
-  const bool blackbox = obs::FlightRecorder::Global().active();
-#endif
-  std::vector<double> group_gains;
-  TDG_ASSIGN_OR_RETURN(
-      double round_gain,
-      ApplyRound(config_.mode, grouping, gain_, skills,
-                 blackbox ? &group_gains : nullptr));
   for (int i = 0; i < n; ++i) {
     participants_[static_cast<size_t>(i)].skill =
         skills[static_cast<size_t>(i)];
@@ -334,25 +358,18 @@ util::StatusOr<double> Cohort::Advance() {
   for (const CohortParticipant& participant : participants_) {
     round.keys.push_back(participant.key);
   }
-  round.assignment.assign(static_cast<size_t>(n), 0);
-  for (size_t g = 0; g < grouping.groups.size(); ++g) {
-    for (int id : grouping.groups[g]) {
-      round.assignment[static_cast<size_t>(id)] = static_cast<int>(g);
-    }
-  }
-  round.num_groups = grouping.num_groups();
+  round.assignment = std::move(introspection.group_of);
+  round.num_groups = static_cast<int>(sizes.size());
   round.gain = round_gain;
   rounds_.push_back(std::move(round));
 
   TDG_OBS_COUNTER_ADD("serve/cohort_rounds", 1);
   TDG_OBS_HISTOGRAM_RECORD("serve/round_gain", round_gain);
-  RecordGroupGainSummary(round_index, group_gains);
-  if (blackbox) {
-    TDG_BLACKBOX(obs::BlackboxEventType::kCohortRound,
-                 static_cast<double>(id_hash_),
-                 static_cast<double>(round_index), static_cast<double>(n),
-                 round_gain);
-  }
+  RecordGroupGainSummary(round_index, introspection.group_gains);
+  TDG_BLACKBOX(obs::BlackboxEventType::kCohortRound,
+               static_cast<double>(id_hash_),
+               static_cast<double>(round_index), static_cast<double>(n),
+               round_gain);
   return round_gain;
 }
 

@@ -26,17 +26,21 @@ namespace tdg::serve {
 /// reproduces the same rounds *bitwise* — group membership, gains, and
 /// post-round skills. That is the restore contract of the journal layer
 /// (serve::CohortManager): replaying a journal is re-running the ops.
-/// For a churn-free cohort whose size divides evenly, the rounds are
-/// bitwise-identical to RunProcess with the matching policy, because both
-/// drive the same sized-grouping constructions (core/variable_groups.h
-/// reduces exactly to the equi-sized algorithms on an all-equal profile)
-/// and the same ApplyRound update kernel.
+/// The star and clique policies run the same fused round as RunProcess
+/// (soa::DyGroupsRound, on the balanced size profile), so a churn-free
+/// cohort whose size divides evenly reproduces RunProcess with the
+/// matching policy bitwise, and every cohort's rounds equal the sized
+/// builders of core/variable_groups.h followed by ApplyRound.
 
 /// Grouping rule the cohort runs each round.
 enum class CohortPolicy {
-  kStar,    // DyGroupsStarLocalSized (paper Algorithm 2, §VII-sized)
-  kClique,  // DyGroupsCliqueLocalSized (paper Algorithm 3, §VII-sized)
-  kRandom,  // RandomGroupingSized control, fed by the cohort's RNG stream
+  // Fused round, star-block layout: DyGroupsStarLocalSized's grouping
+  // (paper Algorithm 2, §VII-sized).
+  kStar,
+  // Fused round, round-robin layout: DyGroupsCliqueLocalSized's grouping
+  // (paper Algorithm 3, §VII-sized).
+  kClique,
+  kRandom,  // RandomGroupingSized + ApplyRound, fed by the cohort's RNG
 };
 
 std::string_view CohortPolicyName(CohortPolicy policy);
@@ -114,9 +118,9 @@ class Cohort {
   util::Status Join(const std::string& key, double skill);
   util::Status Leave(const std::string& key);
 
-  /// Runs one round over the current residents: forms the sized grouping
-  /// under the configured policy, applies the interaction update, records
-  /// the round. Returns the round's learning gain LG(G_t).
+  /// Runs one round over the current residents under the configured
+  /// policy on the balanced size profile, applies the interaction update
+  /// and records the round. Returns the round's learning gain LG(G_t).
   util::StatusOr<double> Advance();
 
   const std::string& id() const { return id_; }

@@ -13,6 +13,7 @@
 #include "core/dygroups.h"
 #include "core/interaction.h"
 #include "core/process.h"
+#include "core/reference/reference_kernels.h"
 #include "random/distributions.h"
 
 namespace tdg {
@@ -115,7 +116,8 @@ TEST_P(GainModePropertyTest, FastAndNaiveUpdatesAgree) {
   grouping.groups.resize(3);
   for (int i = 0; i < 18; ++i) grouping.groups[i % 3].push_back(i);
   auto fast_gain = ApplyRound(GetParam().mode, grouping, *gain, fast);
-  auto naive_gain = ApplyRoundNaive(GetParam().mode, grouping, *gain, naive);
+  auto naive_gain =
+      reference::ApplyRoundNaive(GetParam().mode, grouping, *gain, naive);
   ASSERT_TRUE(fast_gain.ok() && naive_gain.ok());
   EXPECT_NEAR(fast_gain.value(), naive_gain.value(), 1e-9);
   for (size_t i = 0; i < fast.size(); ++i) {

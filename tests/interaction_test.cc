@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/learning_gain.h"
+#include "core/reference/reference_kernels.h"
 #include "random/distributions.h"
 
 namespace tdg {
@@ -159,8 +160,8 @@ TEST(CliqueModeTest, FastPathMatchesNaive) {
     LinearGain gain(0.05 + 0.9 * rng.NextDouble());
     auto fast_gain =
         ApplyRound(InteractionMode::kClique, grouping, gain, fast);
-    auto naive_gain =
-        ApplyRoundNaive(InteractionMode::kClique, grouping, gain, naive);
+    auto naive_gain = reference::ApplyRoundNaive(InteractionMode::kClique,
+                                                 grouping, gain, naive);
     ASSERT_TRUE(fast_gain.ok());
     ASSERT_TRUE(naive_gain.ok());
     EXPECT_NEAR(fast_gain.value(), naive_gain.value(), 1e-9);

@@ -91,6 +91,15 @@ TEST(ServeCohortTest, ValidationGrammar) {
   EXPECT_FALSE(ValidateParticipantKey("quo\"te").ok());
   EXPECT_FALSE(ValidateParticipantKey("ctrl\x01").ok());
 
+  // An initial list that repeats a key names the first repeat.
+  auto repeated = MakeParticipants(4);
+  repeated.push_back({"p2", 9.0});
+  repeated.push_back({"p1", 9.0});
+  auto duplicate = Cohort::Create("c", StarConfig(2), repeated);
+  EXPECT_EQ(duplicate.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(duplicate.status().message(),
+            "participant 'p2' is already resident in cohort 'c'");
+
   auto cohort = Cohort::Create("c", StarConfig(2), MakeParticipants(4));
   ASSERT_TRUE(cohort.ok()) << cohort.status();
   // Join: bad skills and duplicates.

@@ -16,7 +16,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dygroups.h"
@@ -27,7 +30,9 @@
 #include "core/reference/reference_kernels.h"
 #include "core/skills.h"
 #include "core/soa.h"
+#include "core/variable_groups.h"
 #include "random/distributions.h"
+#include "serve/cohort.h"
 
 namespace tdg {
 namespace {
@@ -183,16 +188,6 @@ void RunDifferentialInstance(uint64_t seed, int n) {
   EXPECT_BITEQ(round.value(), round_ref.value());
   ExpectBitwiseEqual(updated, updated_ref, "skills after ApplyRound");
 
-  // ... and the naive (no Theorem-3 shortcut) path.
-  SkillVector naive = skills;
-  SkillVector naive_ref = skills;
-  auto nround = ApplyRoundNaive(mode, grouping, gain, naive);
-  auto nround_ref =
-      reference::ApplyRoundNaive(mode, grouping, gain, naive_ref);
-  ASSERT_TRUE(nround.ok() && nround_ref.ok());
-  EXPECT_BITEQ(nround.value(), nround_ref.value());
-  ExpectBitwiseEqual(naive, naive_ref, "skills after ApplyRoundNaive");
-
   // Kernel 5: per-group gain evaluation (the objective's building block).
   for (const auto& members : grouping.groups) {
     auto g = EvaluateGroupGain(mode, members, gain, skills);
@@ -325,8 +320,8 @@ TEST_P(SoaDifferentialTest, RandomizedWideSortInstances) {
 }
 
 // A multi-round process through the production driver (which takes the
-// fused SoA path for DyGroups policies when history is off) against a
-// hand-rolled reference loop.
+// fused SoA path for DyGroups policies) against a hand-rolled reference
+// loop.
 TEST_P(SoaDifferentialTest, MultiRoundProcessMatchesReferenceLoop) {
   for (uint64_t seed = 21; seed <= 40; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -343,7 +338,7 @@ TEST_P(SoaDifferentialTest, MultiRoundProcessMatchesReferenceLoop) {
     config.num_groups = num_groups;
     config.num_rounds = 6;
     config.mode = mode;
-    config.record_history = false;  // engage the fused SoA path
+    config.record_history = false;
     auto policy = MakeDyGroupsPolicy(mode);
     auto result = RunProcess(skills, config, gain, *policy);
     ASSERT_TRUE(result.ok());
@@ -364,8 +359,9 @@ TEST_P(SoaDifferentialTest, MultiRoundProcessMatchesReferenceLoop) {
   }
 }
 
-// The fused path and the record_history (generic) path must agree exactly —
-// they are the same process, differing only in data layout.
+// RunProcess records history from the fused round's introspection, so each
+// recorded Grouping must be exactly what the reference builder forms on the
+// pre-round skills — partition, group order and member order.
 TEST_P(SoaDifferentialTest, FusedAndHistoryPathsAgree) {
   for (uint64_t seed = 61; seed <= 75; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -381,16 +377,94 @@ TEST_P(SoaDifferentialTest, FusedAndHistoryPathsAgree) {
     config.num_groups = num_groups;
     config.num_rounds = 5;
     config.mode = mode;
-    config.record_history = false;  // fused SoA path
-    auto policy = MakeDyGroupsPolicy(mode);
-    auto fused = RunProcess(skills, config, gain, *policy);
     config.record_history = true;
-    auto generic = RunProcess(skills, config, gain, *policy);
-    ASSERT_TRUE(fused.ok() && generic.ok());
-    ExpectBitwiseEqual(fused.value().round_gains,
-                       generic.value().round_gains, "round gains");
-    ExpectBitwiseEqual(fused.value().final_skills,
-                       generic.value().final_skills, "final skills");
+    auto policy = MakeDyGroupsPolicy(mode);
+    auto result = RunProcess(skills, config, gain, *policy);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->history.size(), 5u);
+
+    SkillVector before = skills;
+    for (const RoundRecord& record : result->history) {
+      auto formed = mode == InteractionMode::kStar
+                        ? reference::DyGroupsStarLocal(before, num_groups)
+                        : reference::DyGroupsCliqueLocal(before, num_groups);
+      ASSERT_TRUE(formed.ok());
+      EXPECT_EQ(record.grouping.groups, formed.value().groups);
+      before = record.skills_after;
+    }
+    ExpectBitwiseEqual(before, result->final_skills, "final skills");
+  }
+}
+
+// The fused round on balanced profiles against the sized builders +
+// reference::ApplyRound, both layouts in both modes: the profiles a served
+// cohort of n residents and target group size m forms
+// (Cohort::SizeProfileFor) for every n in 1..300 with m in 1..8 and for n
+// around 4096 with m = 4, plus every k <= n for n <= 64.
+TEST_P(SoaDifferentialTest, BalancedProfilesMatchSizedBuilders) {
+  std::vector<std::vector<int>> profiles;
+  for (int n = 1; n <= 300; ++n) {
+    for (int m = 1; m <= 8; ++m) {
+      profiles.push_back(serve::Cohort::SizeProfileFor(n, m).value());
+    }
+  }
+  for (int n : {4095, 4096, 4097}) {
+    profiles.push_back(serve::Cohort::SizeProfileFor(n, 4).value());
+  }
+  for (int n = 1; n <= 64; ++n) {
+    for (int k = 1; k <= n; ++k) {
+      std::vector<int> sizes(static_cast<size_t>(k), n / k);
+      for (int g = 0; g < n % k; ++g) ++sizes[static_cast<size_t>(g)];
+      profiles.push_back(std::move(sizes));
+    }
+  }
+  std::vector<std::unique_ptr<LearningGainFunction>> gains;
+  for (const std::vector<int>& sizes : profiles) {
+    const int n = std::accumulate(sizes.begin(), sizes.end(), 0);
+    const int num_groups = static_cast<int>(sizes.size());
+    SCOPED_TRACE("n=" + std::to_string(n) +
+                 " k=" + std::to_string(num_groups));
+    random::Rng rng(static_cast<uint64_t>(n) * 4099 +
+                    static_cast<uint64_t>(num_groups));
+    const SkillVector skills =
+        GenSkills(rng, n, kAllDists[(n + num_groups) % std::size(kAllDists)]);
+    const LearningGainFunction& gain = PickGain(rng, gains);
+    for (auto layout : {soa::DyGroupsLayout::kStarBlocks,
+                        soa::DyGroupsLayout::kRoundRobin}) {
+      auto formed = layout == soa::DyGroupsLayout::kStarBlocks
+                        ? DyGroupsStarLocalSized(skills, sizes)
+                        : DyGroupsCliqueLocalSized(skills, sizes);
+      ASSERT_TRUE(formed.ok());
+      const Grouping& grouping = formed.value();
+      const std::vector<int> group_of = grouping.Assignment(n);
+      std::vector<double> group_gains;
+      for (auto mode : {InteractionMode::kStar, InteractionMode::kClique}) {
+        group_gains.clear();
+        for (const auto& members : grouping.groups) {
+          auto g = reference::EvaluateGroupGain(mode, members, gain, skills);
+          ASSERT_TRUE(g.ok());
+          group_gains.push_back(g.value());
+        }
+        SkillVector ref = skills;
+        auto ref_gain = reference::ApplyRound(mode, grouping, gain, ref);
+        ASSERT_TRUE(ref_gain.ok());
+
+        SkillVector fused = skills;
+        Grouping fused_grouping;
+        soa::RoundIntrospection introspect;
+        introspect.grouping = &fused_grouping;
+        auto fused_gain =
+            soa::DyGroupsRound(layout, mode, gain, fused, num_groups,
+                               soa::ThreadLocalArena(), &introspect);
+        ASSERT_TRUE(fused_gain.ok()) << fused_gain.status();
+        ASSERT_BITEQ(fused_gain.value(), ref_gain.value());
+        ExpectBitwiseEqual(fused, ref, "skills after balanced fused round");
+        ASSERT_EQ(introspect.group_of, group_of);
+        ExpectBitwiseEqual(introspect.group_gains, group_gains,
+                           "group gains");
+        ASSERT_EQ(fused_grouping.groups, grouping.groups);
+      }
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include "core/learning_gain.h"
 #include "core/reference/reference_kernels.h"
 #include "core/soa.h"
+#include "core/variable_groups.h"
 #include "random/distributions.h"
 
 namespace tdg {
@@ -277,10 +278,6 @@ TEST(DyGroupsRoundEdgeTest, RejectsInvalidShapes) {
                                   arena)
                    .ok());
   EXPECT_FALSE(soa::DyGroupsRound(soa::DyGroupsLayout::kStarBlocks,
-                                  InteractionMode::kStar, gain, skills, 2,
-                                  arena)
-                   .ok());
-  EXPECT_FALSE(soa::DyGroupsRound(soa::DyGroupsLayout::kStarBlocks,
                                   InteractionMode::kStar, gain, skills, 4,
                                   arena)
                    .ok());
@@ -289,6 +286,39 @@ TEST(DyGroupsRoundEdgeTest, RejectsInvalidShapes) {
                                   InteractionMode::kStar, gain, bad, 1,
                                   arena)
                    .ok());
+}
+
+// k that does not divide n is the balanced profile (n = 3, k = 2 is sizes
+// {2, 1}), the layout the sized builders form.
+TEST(DyGroupsRoundEdgeTest, NonDividingShapeMatchesSizedBuilders) {
+  const SkillVector skills = {1.0, 2.0, 3.0};
+  const std::vector<int> sizes = {2, 1};
+  LinearGain gain(0.5);
+  for (auto mode : {InteractionMode::kStar, InteractionMode::kClique}) {
+    for (auto layout : {soa::DyGroupsLayout::kStarBlocks,
+                        soa::DyGroupsLayout::kRoundRobin}) {
+      auto grouping = layout == soa::DyGroupsLayout::kStarBlocks
+                          ? DyGroupsStarLocalSized(skills, sizes)
+                          : DyGroupsCliqueLocalSized(skills, sizes);
+      ASSERT_TRUE(grouping.ok());
+      SkillVector ref = skills;
+      auto ref_gain = reference::ApplyRound(mode, *grouping, gain, ref);
+      ASSERT_TRUE(ref_gain.ok());
+      SkillVector fused = skills;
+      Grouping formed;
+      soa::RoundIntrospection introspect;
+      introspect.grouping = &formed;
+      auto fused_gain = soa::DyGroupsRound(layout, mode, gain, fused, 2,
+                                           soa::ThreadLocalArena(),
+                                           &introspect);
+      ASSERT_TRUE(fused_gain.ok()) << fused_gain.status();
+      EXPECT_EQ(Bits(fused_gain.value()), Bits(ref_gain.value()));
+      EXPECT_EQ(formed.groups, grouping->groups);
+      for (size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(Bits(fused[i]), Bits(ref[i]));
+      }
+    }
+  }
 }
 
 // GroupRoundMembers over a group that IS the whole population, via an
@@ -305,8 +335,8 @@ TEST(GroupRoundMembersEdgeTest, UnsortedMembersMatchReference) {
   LinearGain gain(0.4);
   for (auto mode : {InteractionMode::kStar, InteractionMode::kClique}) {
     SkillVector updated = skills;
-    double g = soa::GroupRoundMembers(mode, gain, /*allow_fast_path=*/true,
-                                      members, skills, updated.data(),
+    double g = soa::GroupRoundMembers(mode, gain, members, skills,
+                                      updated.data(),
                                       soa::ThreadLocalArena());
     SkillVector ref = skills;
     Grouping grouping({members});
