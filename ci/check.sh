@@ -640,7 +640,9 @@ run_serve() {
 
   # Churn-free and evenly divisible: the served rounds must be
   # byte-identical to the batch core::RunProcess driver on the same
-  # population (the serving plane's offline-auditability contract).
+  # population (the serving plane's offline-auditability contract). The
+  # key written "p\\5" in JSON is p, backslash, 5, so the cmp also checks
+  # the streaming writer's escaping over a real socket.
   cat > "${work}/steady.json" <<'EOF'
 {
   "id": "steady",
@@ -649,7 +651,7 @@ run_serve() {
   "participants": [
     {"key": "p0", "skill": 1.0}, {"key": "p1", "skill": 1.4},
     {"key": "p2", "skill": 1.8}, {"key": "p3", "skill": 2.2},
-    {"key": "p4", "skill": 2.6}, {"key": "p5", "skill": 3.0},
+    {"key": "p4", "skill": 2.6}, {"key": "p\\5", "skill": 3.0},
     {"key": "p6", "skill": 3.4}, {"key": "p7", "skill": 3.8},
     {"key": "p8", "skill": 4.2}, {"key": "p9", "skill": 4.6},
     {"key": "p10", "skill": 5.0}, {"key": "p11", "skill": 5.4}

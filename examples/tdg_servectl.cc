@@ -6,8 +6,9 @@
 //       requests. Lets the CI e2e split one schedule around a `kill -9`.
 //
 //   tdg_servectl dump --port=P --id=ID
-//       Fetches every advanced round of a cohort and prints each as one
-//       compact JSON line — the canonical CohortRoundToJson form.
+//       Fetches every advanced round of a cohort and prints each response
+//       body verbatim: one compact JSON line, the canonical
+//       AppendCohortRoundJson form.
 //
 //   tdg_servectl stats --port=P
 //       Fetches /statusz from a running server and prints the rolling
@@ -34,6 +35,7 @@
 // Exit codes: 0 = ok, 1 = server/application error, 2 = usage error.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,10 +51,10 @@
 
 namespace {
 
+using tdg::serve::AppendCohortRoundJson;
 using tdg::serve::Cohort;
 using tdg::serve::CohortConfig;
 using tdg::serve::CohortParticipant;
-using tdg::serve::CohortRoundToJson;
 using tdg::util::JsonValue;
 using tdg::util::Status;
 using tdg::util::StatusOr;
@@ -161,7 +163,8 @@ Status Post(int port, const std::string& path, const JsonValue& body) {
   return Status::OK();
 }
 
-StatusOr<JsonValue> GetJson(int port, const std::string& path) {
+/// GETs and returns the body; fails on anything but a 2xx.
+StatusOr<std::string> GetBody(int port, const std::string& path) {
   TDG_ASSIGN_OR_RETURN(std::string response,
                        tdg::util::net::HttpGet(port, path));
   TDG_ASSIGN_OR_RETURN(int code, tdg::util::net::HttpStatusCode(response));
@@ -170,7 +173,19 @@ StatusOr<JsonValue> GetJson(int port, const std::string& path) {
     return Status::Internal(tdg::util::StrFormat(
         "GET %s -> %d: %s", path.c_str(), code, body.c_str()));
   }
+  return body;
+}
+
+StatusOr<JsonValue> GetJson(int port, const std::string& path) {
+  TDG_ASSIGN_OR_RETURN(std::string body, GetBody(port, path));
   return JsonValue::Parse(body);
+}
+
+/// Prints one round as the server serves it: its wire form and a newline.
+void PrintRound(const tdg::serve::CohortRound& round, int t) {
+  std::string line;
+  AppendCohortRoundJson(round, t, line);
+  std::printf("%s\n", line.c_str());
 }
 
 int Run(const tdg::util::FlagParser& flags) {
@@ -238,10 +253,12 @@ int Dump(const tdg::util::FlagParser& flags) {
   }
   const int total = static_cast<int>(rounds->AsNumber());
   for (int t = 0; t < total; ++t) {
-    auto round = GetJson(
+    // The served bytes as they came off the socket, so `cmp` against an
+    // offline replay checks the server's own serialization.
+    auto round = GetBody(
         port, tdg::util::StrFormat("/cohorts/%s/rounds/%d", id.c_str(), t));
     if (!round.ok()) return Fail(round.status());
-    std::printf("%s\n", round->Serialize().c_str());
+    std::fwrite(round->data(), 1, round->size(), stdout);
   }
   return 0;
 }
@@ -314,10 +331,7 @@ int OfflineViaCohort(const Schedule& schedule, long long to) {
     if (!applied.ok()) return Fail(applied);
   }
   for (int t = 0; t < cohort->rounds_advanced(); ++t) {
-    std::printf("%s\n",
-                CohortRoundToJson(cohort->rounds()[static_cast<size_t>(t)], t)
-                    .Serialize()
-                    .c_str());
+    PrintRound(cohort->rounds()[static_cast<size_t>(t)], t);
   }
   return 0;
 }
@@ -347,12 +361,14 @@ int OfflineViaProcess(const Schedule& schedule, long long to) {
     ++num_rounds;
   }
 
+  // No churn: every round shares one key epoch, as a served cohort's do.
   tdg::SkillVector skills;
-  std::vector<std::string> keys;
+  auto keys = std::make_shared<std::vector<std::string>>();
   for (const CohortParticipant& participant : schedule.participants) {
     skills.push_back(participant.skill);
-    keys.push_back(participant.key);
+    keys->push_back(participant.key);
   }
+  const tdg::serve::KeyEpoch epoch = std::move(keys);
   auto gain = tdg::LinearGain::Create(schedule.config.learning_rate);
   if (!gain.ok()) return Fail(gain.status());
   tdg::ProcessConfig config;
@@ -371,11 +387,12 @@ int OfflineViaProcess(const Schedule& schedule, long long to) {
     const tdg::RoundRecord& record =
         result->history[static_cast<size_t>(t)];
     tdg::serve::CohortRound round;
-    round.keys = keys;
-    round.assignment = record.grouping.Assignment(n);
+    round.keys = epoch;
+    round.assignment = std::make_shared<const std::vector<int>>(
+        record.grouping.Assignment(n));
     round.num_groups = record.grouping.num_groups();
     round.gain = record.gain;
-    std::printf("%s\n", CohortRoundToJson(round, t).Serialize().c_str());
+    PrintRound(round, t);
   }
   return 0;
 }

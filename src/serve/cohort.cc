@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <unordered_set>
@@ -11,6 +12,7 @@
 #include "core/soa.h"
 #include "core/variable_groups.h"
 #include "obs/obs.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace tdg::serve {
@@ -119,19 +121,51 @@ util::StatusOr<CohortConfig> CohortConfig::FromJson(
   return config;
 }
 
+namespace {
+
+template <typename T>
+bool SameContents(const std::shared_ptr<const T>& a,
+                  const std::shared_ptr<const T>& b) {
+  return a == b || (a != nullptr && b != nullptr && *a == *b);
+}
+
+}  // namespace
+
+bool CohortRound::operator==(const CohortRound& other) const {
+  return SameContents(keys, other.keys) &&
+         SameContents(assignment, other.assignment) &&
+         num_groups == other.num_groups && gain == other.gain;
+}
+
+void AppendCohortRoundJson(const CohortRound& round, int round_index,
+                           std::string& out) {
+  // Members in sorted key order, as a JsonValue object would write them.
+  util::JsonWriter writer(out);
+  writer.BeginObject();
+  writer.Key("assignment");
+  writer.BeginArray();
+  for (int g : *round.assignment) writer.Number(g);
+  writer.EndArray();
+  writer.Key("gain");
+  writer.Number(round.gain);
+  writer.Key("keys");
+  writer.BeginArray();
+  for (const std::string& key : *round.keys) writer.String(key);
+  writer.EndArray();
+  writer.Key("num_groups");
+  writer.Number(round.num_groups);
+  writer.Key("round");
+  writer.Number(round_index);
+  writer.EndObject();
+}
+
 util::JsonValue CohortRoundToJson(const CohortRound& round,
                                   int round_index) {
-  util::JsonValue assignment = util::JsonValue::MakeArray();
-  for (int g : round.assignment) assignment.Append(g);
-  util::JsonValue keys = util::JsonValue::MakeArray();
-  for (const std::string& key : round.keys) keys.Append(key);
-  util::JsonValue json = util::JsonValue::MakeObject();
-  json.Set("assignment", std::move(assignment));
-  json.Set("gain", round.gain);
-  json.Set("keys", std::move(keys));
-  json.Set("num_groups", round.num_groups);
-  json.Set("round", round_index);
-  return json;
+  std::string bytes;
+  AppendCohortRoundJson(round, round_index, bytes);
+  util::StatusOr<util::JsonValue> json = util::JsonValue::Parse(bytes);
+  TDG_CHECK(json.ok()) << json.status();
+  return *std::move(json);
 }
 
 util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
@@ -268,6 +302,7 @@ util::Status Cohort::CanAdvance() const {
 util::Status Cohort::Join(const std::string& key, double skill) {
   TDG_RETURN_IF_ERROR(CanJoin(key, skill));
   participants_.push_back({key, skill});
+  keys_.reset();
   return util::Status::OK();
 }
 
@@ -276,13 +311,14 @@ util::Status Cohort::Leave(const std::string& key) {
   for (size_t i = 0; i < participants_.size(); ++i) {
     if (participants_[i].key == key) {
       // Preserve insertion order: later residents shift down one id. The
-      // next round's keys snapshot re-labels everyone, so round payloads
-      // stay (key,id)-consistent.
+      // next round's key epoch re-labels everyone, so round payloads stay
+      // (key,id)-consistent.
       participants_.erase(participants_.begin() +
                           static_cast<std::ptrdiff_t>(i));
       break;
     }
   }
+  keys_.reset();
   return util::Status::OK();
 }
 
@@ -353,12 +389,18 @@ util::StatusOr<double> Cohort::Advance() {
   }
 
   const int round_index = rounds_advanced();
-  CohortRound round;
-  round.keys.reserve(static_cast<size_t>(n));
-  for (const CohortParticipant& participant : participants_) {
-    round.keys.push_back(participant.key);
+  if (keys_ == nullptr) {
+    auto keys = std::make_shared<std::vector<std::string>>();
+    keys->reserve(static_cast<size_t>(n));
+    for (const CohortParticipant& participant : participants_) {
+      keys->push_back(participant.key);
+    }
+    keys_ = std::move(keys);
   }
-  round.assignment = std::move(introspection.group_of);
+  CohortRound round;
+  round.keys = keys_;
+  round.assignment = std::make_shared<const std::vector<int>>(
+      std::move(introspection.group_of));
   round.num_groups = static_cast<int>(sizes.size());
   round.gain = round_gain;
   rounds_.push_back(std::move(round));

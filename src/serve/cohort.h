@@ -2,6 +2,7 @@
 #define TDG_SERVE_COHORT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,21 +72,36 @@ struct CohortParticipant {
   bool operator==(const CohortParticipant& other) const = default;
 };
 
-/// One advanced round, flat (key,id) backed: `keys` are the residents at
-/// round time in id order, `assignment[id]` their group.
+/// One epoch of the resident key list, in id order. Immutable once built:
+/// consecutive rounds with no Join or Leave between them share one epoch.
+using KeyEpoch = std::shared_ptr<const std::vector<std::string>>;
+
+/// One advanced round, flat (key,id) backed: `*keys` are the residents at
+/// round time in id order, `(*assignment)[id]` their group; both are set
+/// on every recorded round. A round is an immutable value — copying one
+/// bumps two reference counts, so a reader can take it out from under the
+/// cohort lock in O(1) and serialize it after the lock is released.
 struct CohortRound {
-  std::vector<std::string> keys;
-  std::vector<int> assignment;
+  KeyEpoch keys;
+  std::shared_ptr<const std::vector<int>> assignment;
   int num_groups = 0;
   double gain = 0;
 
-  bool operator==(const CohortRound& other) const = default;
+  /// Deep: compares key and assignment contents, never epoch identity, so
+  /// a restored round equals its reference bitwise.
+  bool operator==(const CohortRound& other) const;
 };
 
-/// The canonical wire form of one round:
-/// {"assignment":[...], "gain":g, "keys":[...], "num_groups":k, "round":t}.
-/// Shared by the HTTP server and the offline replay tools, so served and
-/// offline rounds can be byte-compared after Serialize().
+/// Streams the canonical wire form of one round into `out`:
+/// {"assignment":[...],"gain":g,"keys":[...],"num_groups":k,"round":t}.
+/// This is the one definition of the round's bytes; the HTTP server writes
+/// it straight into the response body.
+void AppendCohortRoundJson(const CohortRound& round, int round_index,
+                           std::string& out);
+
+/// The same round as a JSON document: AppendCohortRoundJson's bytes,
+/// parsed, so Serialize() reproduces them exactly. For offline tools that
+/// embed a round in a larger document.
 util::JsonValue CohortRoundToJson(const CohortRound& round, int round_index);
 
 /// Parses the enroll payload's [{"key": string, "skill": number}, ...].
@@ -153,6 +169,9 @@ class Cohort {
   LinearGain gain_;
   uint32_t id_hash_ = 0;
   std::vector<CohortParticipant> participants_;
+  // The residents' key epoch; null after a Join or Leave until the next
+  // Advance builds a fresh one.
+  KeyEpoch keys_;
   std::vector<CohortRound> rounds_;
   random::Rng rng_;
 };

@@ -254,8 +254,14 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
       }
       auto round = manager_->GetRound(id, static_cast<int>(*round_index));
       if (!round.ok()) return AppErrorResponse(round.status());
-      return OkJson(
-          CohortRoundToJson(*round, static_cast<int>(*round_index)));
+      // The cohort lock is released; the round's bytes stream straight
+      // into the body.
+      obs::ScopedRequestPhase serialize_phase(obs::RequestPhase::kSerialize);
+      std::string body;
+      AppendCohortRoundJson(*round, static_cast<int>(*round_index), body);
+      body.push_back('\n');
+      return util::net::BuildHttpResponse(200, "OK", "application/json",
+                                          body);
     }
     if (segments.size() == 2 &&
         (segments[1] == "join" || segments[1] == "leave")) {

@@ -33,7 +33,7 @@ namespace tdg::serve {
 ///   GET  /cohorts/<id>               one summary
 ///   POST /cohorts/<id>/advance       {} → {"gain","round"}
 ///   GET  /cohorts/<id>/rounds/<t>    the canonical round JSON
-///                                    (CohortRoundToJson)
+///                                    (AppendCohortRoundJson)
 ///   POST /cohorts/<id>/join          {"key","skill"}
 ///   POST /cohorts/<id>/leave         {"key"}
 ///   GET  /tracez                     {"traces":[...]} — recently completed

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -84,125 +85,169 @@ bool JsonValue::operator==(const JsonValue& other) const {
   return false;
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out = "\"";
-  for (char c : text) {
+void JsonWriter::NewLine() {
+  if (indent_ == 0) return;
+  out_.push_back('\n');
+  out_.append(static_cast<size_t>(indent_) * counts_.size(), ' ');
+}
+
+void JsonWriter::BeforeValue() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (counts_.empty()) return;
+  if (counts_.back()++ > 0) out_.push_back(',');
+  NewLine();
+}
+
+void JsonWriter::Close(char bracket) {
+  TDG_CHECK(!counts_.empty() && !after_key_);
+  const bool empty = counts_.back() == 0;
+  counts_.pop_back();
+  if (!empty) NewLine();
+  out_.push_back(bracket);
+}
+
+void JsonWriter::Null() {
+  BeforeValue();
+  out_ += "null";
+}
+
+void JsonWriter::Bool(bool value) {
+  BeforeValue();
+  out_ += value ? "true" : "false";
+}
+
+void JsonWriter::Number(double value) {
+  TDG_CHECK(std::isfinite(value)) << "JSON cannot represent " << value;
+  BeforeValue();
+  // Integers print without a decimal point; everything else round-trips via
+  // %.17g. std::to_chars with a precision is specified as printf's %.*g.
+  char buffer[32];
+  const std::to_chars_result result =
+      value == std::floor(value) && std::abs(value) < 1e15
+          ? std::to_chars(buffer, buffer + sizeof(buffer),
+                          static_cast<long long>(value))
+          : std::to_chars(buffer, buffer + sizeof(buffer), value,
+                          std::chars_format::general, 17);
+  out_.append(buffer, result.ptr);
+}
+
+void JsonWriter::String(std::string_view value) {
+  BeforeValue();
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_.push_back('"');
+  // Copy runs of plain bytes whole; only '"', '\\' and control bytes are
+  // rewritten.
+  size_t run = 0;
+  for (size_t i = 0; i < value.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(value[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(value.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        out_ += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        out_ += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        out_ += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        out_ += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        out_ += "\\t";
         break;
       case '\b':
-        out += "\\b";
+        out_ += "\\b";
         break;
       case '\f':
-        out += "\\f";
+        out_ += "\\f";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
+        out_ += "\\u00";
+        out_.push_back(kHex[c >> 4]);
+        out_.push_back(kHex[c & 0xf]);
     }
   }
-  out.push_back('"');
+  out_.append(value.data() + run, value.size() - run);
+  out_.push_back('"');
+}
+
+void JsonWriter::Key(std::string_view key) {
+  TDG_CHECK(!after_key_);
+  String(key);
+  out_ += indent_ > 0 ? ": " : ":";
+  after_key_ = true;
+}
+
+void JsonWriter::BeginArray() {
+  BeforeValue();
+  out_.push_back('[');
+  counts_.push_back(0);
+}
+
+void JsonWriter::EndArray() { Close(']'); }
+
+void JsonWriter::BeginObject() {
+  BeforeValue();
+  out_.push_back('{');
+  counts_.push_back(0);
+}
+
+void JsonWriter::EndObject() { Close('}'); }
+
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  JsonWriter(out).String(text);
   return out;
 }
 
-namespace {
-
-std::string FormatJsonNumber(double value) {
-  TDG_CHECK(std::isfinite(value)) << "JSON cannot represent " << value;
-  // Integers print without a decimal point; everything else round-trips via
-  // %.17g.
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    return StrFormat("%lld", static_cast<long long>(value));
-  }
-  return StrFormat("%.17g", value);
-}
-
-}  // namespace
-
-void JsonValue::SerializeTo(std::string& out, int indent, int depth) const {
-  std::string pad = indent > 0 ? std::string(indent * (depth + 1), ' ')
-                               : std::string();
-  std::string close_pad =
-      indent > 0 ? std::string(indent * depth, ' ') : std::string();
-  const char* newline = indent > 0 ? "\n" : "";
+void JsonValue::WriteTo(JsonWriter& writer) const {
   switch (type_) {
     case Type::kNull:
-      out += "null";
+      writer.Null();
       break;
     case Type::kBool:
-      out += bool_ ? "true" : "false";
+      writer.Bool(bool_);
       break;
     case Type::kNumber:
-      out += FormatJsonNumber(number_);
+      writer.Number(number_);
       break;
     case Type::kString:
-      out += JsonEscape(string_);
+      writer.String(string_);
       break;
-    case Type::kArray: {
-      if (array_.empty()) {
-        out += "[]";
-        break;
-      }
-      out += "[";
-      out += newline;
-      for (size_t i = 0; i < array_.size(); ++i) {
-        out += pad;
-        array_[i].SerializeTo(out, indent, depth + 1);
-        if (i + 1 < array_.size()) out += ",";
-        out += newline;
-      }
-      out += close_pad;
-      out += "]";
+    case Type::kArray:
+      writer.BeginArray();
+      for (const JsonValue& element : array_) element.WriteTo(writer);
+      writer.EndArray();
       break;
-    }
-    case Type::kObject: {
-      if (object_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += "{";
-      out += newline;
-      size_t i = 0;
+    case Type::kObject:
+      writer.BeginObject();
       for (const auto& [key, value] : object_) {
-        out += pad;
-        out += JsonEscape(key);
-        out += indent > 0 ? ": " : ":";
-        value.SerializeTo(out, indent, depth + 1);
-        if (++i < object_.size()) out += ",";
-        out += newline;
+        writer.Key(key);
+        value.WriteTo(writer);
       }
-      out += close_pad;
-      out += "}";
+      writer.EndObject();
       break;
-    }
   }
 }
 
 std::string JsonValue::Serialize() const {
   std::string out;
-  SerializeTo(out, /*indent=*/0, /*depth=*/0);
+  JsonWriter writer(out);
+  WriteTo(writer);
   return out;
 }
 
 std::string JsonValue::SerializePretty() const {
   std::string out;
-  SerializeTo(out, /*indent=*/2, /*depth=*/0);
+  JsonWriter writer(out, /*indent=*/2);
+  WriteTo(writer);
   return out;
 }
 

@@ -11,6 +11,45 @@
 
 namespace tdg::util {
 
+/// Streams JSON text into a caller-owned string: the one formatter behind
+/// JsonValue::Serialize / SerializePretty and every hot wire form that is
+/// written without building a DOM (DESIGN.md §6, §13). Callers emit values
+/// in document order; the writer places the commas, the key separators and
+/// (with `indent` > 0) the newlines and padding. Object keys are written in
+/// the order given — the caller owns key order.
+///
+/// Numbers print as JsonValue always has: an integral value below 1e15 in
+/// magnitude as an integer ("%lld"), anything else as "%.17g" (which
+/// round-trips every double), both via std::to_chars. Non-finite numbers
+/// are a TDG_CHECK failure: JSON has no NaN or Inf.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out, int indent = 0)
+      : out_(out), indent_(indent) {}
+
+  void Null();
+  void Bool(bool value);
+  void Number(double value);
+  void String(std::string_view value);
+  /// The next member's key; its value follows as the next call.
+  void Key(std::string_view key);
+  void BeginArray();
+  void EndArray();
+  void BeginObject();
+  void EndObject();
+
+ private:
+  /// Separator and (pretty) line break before a value or a key.
+  void BeforeValue();
+  void Close(char bracket);
+  void NewLine();
+
+  std::string& out_;
+  int indent_;
+  std::vector<int> counts_;  // per open container: members written so far
+  bool after_key_ = false;
+};
+
 /// A minimal JSON document model (null / bool / number / string / array /
 /// object) with a strict RFC 8259 parser and a serializer. Used for
 /// experiment-result export and config files; deliberately small — no
@@ -80,7 +119,7 @@ class JsonValue {
   bool operator==(const JsonValue& other) const;
 
  private:
-  void SerializeTo(std::string& out, int indent, int depth) const;
+  void WriteTo(JsonWriter& writer) const;
 
   Type type_ = Type::kNull;
   bool bool_ = false;

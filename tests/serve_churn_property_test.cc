@@ -117,11 +117,13 @@ void CheckRound(const CohortRound& round,
                 const std::string& context) {
   SCOPED_TRACE(context);
   const int n = static_cast<int>(population.size());
-  ASSERT_EQ(round.keys, population) << "a resident was not grouped";
-  ASSERT_EQ(round.assignment.size(), population.size());
+  ASSERT_NE(round.keys, nullptr);
+  ASSERT_NE(round.assignment, nullptr);
+  ASSERT_EQ(*round.keys, population) << "a resident was not grouped";
+  ASSERT_EQ(round.assignment->size(), population.size());
   ASSERT_GE(round.num_groups, 1);
   std::vector<int> sizes(static_cast<size_t>(round.num_groups), 0);
-  for (int group : round.assignment) {
+  for (int group : *round.assignment) {
     ASSERT_GE(group, 0);
     ASSERT_LT(group, round.num_groups);
     ++sizes[static_cast<size_t>(group)];
@@ -237,7 +239,8 @@ TEST(ServeChurnPropertyTest, JournaledSchedulesReplayBitwise) {
     auto reference_cohort = (*reference)->SnapshotCohort(id);
     ASSERT_TRUE(restored_cohort.ok()) << restored_cohort.status();
     ASSERT_TRUE(reference_cohort.ok());
-    // Defaulted == on CohortRound/CohortParticipant: exact doubles.
+    // Deep == on CohortRound (key and assignment contents, not epoch
+    // identity), defaulted == on CohortParticipant: exact doubles.
     ASSERT_EQ(restored_cohort->rounds(), reference_cohort->rounds());
     ASSERT_EQ(restored_cohort->participants(),
               reference_cohort->participants());

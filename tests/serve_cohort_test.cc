@@ -15,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dygroups.h"
@@ -222,7 +226,7 @@ TEST(ServeCohortTest, ChurnFreeCohortMatchesRunProcessBitwise) {
           expected[static_cast<size_t>(id)] = static_cast<int>(g);
         }
       }
-      EXPECT_EQ(round.assignment, expected) << "round " << t;
+      EXPECT_EQ(*round.assignment, expected) << "round " << t;
     }
     // Final skills bitwise.
     for (int i = 0; i < n; ++i) {
@@ -231,6 +235,133 @@ TEST(ServeCohortTest, ChurnFreeCohortMatchesRunProcessBitwise) {
           << "participant " << i;
     }
   }
+}
+
+TEST(ServeCohortTest, KeyEpochsAreSharedUntilChurn) {
+  auto cohort = Cohort::Create("epochs", StarConfig(3), MakeParticipants(7));
+  ASSERT_TRUE(cohort.ok()) << cohort.status();
+  const std::vector<std::string> enrolled = {"p0", "p1", "p2", "p3",
+                                             "p4", "p5", "p6"};
+  ASSERT_TRUE(cohort->Advance().ok());
+  ASSERT_TRUE(cohort->Advance().ok());
+  ASSERT_TRUE(cohort->Join("late", 2.0).ok());
+  ASSERT_TRUE(cohort->Advance().ok());
+  // Held by value across the Leave: a round never changes after the fact.
+  const CohortRound with_late = cohort->rounds()[2];
+  ASSERT_TRUE(cohort->Leave("p2").ok());
+  ASSERT_TRUE(cohort->Advance().ok());
+  ASSERT_TRUE(cohort->Advance().ok());
+
+  const std::vector<CohortRound>& rounds = cohort->rounds();
+  ASSERT_EQ(rounds.size(), 5u);
+  // No churn between rounds 0 and 1, nor between 3 and 4: one epoch each.
+  EXPECT_EQ(rounds[0].keys, rounds[1].keys);
+  EXPECT_EQ(rounds[3].keys, rounds[4].keys);
+  // A Join, and then a Leave, each start a new epoch.
+  EXPECT_NE(rounds[1].keys, rounds[2].keys);
+  EXPECT_NE(rounds[2].keys, rounds[3].keys);
+  // Every round owns its assignment.
+  EXPECT_NE(rounds[0].assignment, rounds[1].assignment);
+
+  // Older epochs keep their keys after the later Leave.
+  EXPECT_EQ(*rounds[0].keys, enrolled);
+  std::vector<std::string> joined = enrolled;
+  joined.push_back("late");
+  EXPECT_EQ(*with_late.keys, joined);
+  EXPECT_EQ(with_late.keys, rounds[2].keys);
+  EXPECT_EQ(with_late, rounds[2]);
+  std::vector<std::string> left = joined;
+  left.erase(left.begin() + 2);
+  EXPECT_EQ(*rounds[3].keys, left);
+
+  // == compares contents, not epoch identity.
+  CohortRound copy = rounds[0];
+  copy.keys = std::make_shared<const std::vector<std::string>>(*copy.keys);
+  copy.assignment = std::make_shared<const std::vector<int>>(*copy.assignment);
+  EXPECT_EQ(copy, rounds[0]);
+  copy.keys = rounds[3].keys;
+  EXPECT_NE(copy, rounds[0]);
+}
+
+TEST(ServeConcurrentReadTest, RoundsReadUnderChurnAreWholeAndStable) {
+  auto manager = CohortManager::Open({});
+  ASSERT_TRUE(manager.ok()) << manager.status();
+  CohortManager& m = **manager;
+  ASSERT_TRUE(m.Enroll("live", StarConfig(4), MakeParticipants(96)).ok());
+  ASSERT_TRUE(m.Advance("live").ok());
+
+  constexpr int kAdvances = 300;
+  constexpr int kChurns = 200;
+  constexpr int kReaders = 3;
+  constexpr size_t kMinReads = 100;
+  // The writers start once every reader is reading.
+  std::atomic<int> readers_started{0};
+  std::atomic<int> writers_running{2};
+  auto await_readers = [&] {
+    while (readers_started.load() < kReaders) std::this_thread::yield();
+  };
+  std::thread advancer([&] {
+    await_readers();
+    for (int i = 0; i < kAdvances; ++i) (void)m.Advance("live");
+    --writers_running;
+  });
+  std::thread churner([&] {
+    await_readers();
+    for (int i = 0; i < kChurns; ++i) {
+      std::string key = "j";
+      key += std::to_string(i);
+      (void)m.Join("live", key, 1.5 + 0.01 * i);
+      if (i % 3 != 0) (void)m.Leave("live", key);
+    }
+    --writers_running;
+  });
+
+  // Each reader keeps (round, bytes) for every read: a torn round shows as
+  // a size mismatch, a round mutated after the read as different bytes on
+  // the re-read below.
+  struct Read {
+    int round;
+    std::string bytes;
+  };
+  std::vector<std::vector<Read>> reads(kReaders);
+  std::atomic<int> torn{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937 rng(static_cast<unsigned>(r));
+      std::vector<Read>& mine = reads[static_cast<size_t>(r)];
+      ++readers_started;
+      while (writers_running.load() > 0 || mine.size() < kMinReads) {
+        auto summary = m.GetSummary("live");
+        if (!summary.ok()) continue;
+        const int t = static_cast<int>(
+            rng() % static_cast<unsigned>(summary->rounds));
+        auto round = m.GetRound("live", t);
+        if (!round.ok()) continue;
+        if (round->keys->size() != round->assignment->size()) ++torn;
+        std::string bytes;
+        AppendCohortRoundJson(*round, t, bytes);
+        mine.push_back({t, std::move(bytes)});
+      }
+    });
+  }
+  advancer.join();
+  churner.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  size_t total = 0;
+  for (const std::vector<Read>& mine : reads) {
+    for (const Read& read : mine) {
+      auto round = m.GetRound("live", read.round);
+      ASSERT_TRUE(round.ok()) << round.status();
+      std::string bytes;
+      AppendCohortRoundJson(*round, read.round, bytes);
+      ASSERT_EQ(bytes, read.bytes) << "round " << read.round;
+      ++total;
+    }
+  }
+  EXPECT_GE(total, kReaders * kMinReads);
 }
 
 // --- journal layer --------------------------------------------------------
@@ -292,8 +423,8 @@ TEST_F(ServeJournalTest, ReplayRestoresBitwiseStateAndRngStream) {
   ASSERT_TRUE(restored_cohort.ok()) << restored_cohort.status();
   ASSERT_TRUE(reference_cohort.ok());
   // Bitwise state: every round (keys, assignment, gain) and every resident
-  // skill. CohortRound/CohortParticipant equality is defaulted ==, i.e.
-  // exact doubles.
+  // skill. CohortRound equality is deep (contents, not epoch identity) and
+  // CohortParticipant's is defaulted ==, i.e. exact doubles.
   EXPECT_EQ(restored_cohort->rounds(), reference_cohort->rounds());
   EXPECT_EQ(restored_cohort->participants(),
             reference_cohort->participants());
