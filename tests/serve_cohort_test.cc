@@ -515,6 +515,50 @@ TEST_F(ServeJournalTest, ForeignDigestIsRefused) {
             util::StatusCode::kFailedPrecondition);
 }
 
+TEST_F(ServeJournalTest, JournalBytesArePinned) {
+  // The on-disk grammar of a journal, byte for byte: sorted keys, integral
+  // numbers as integers and the rest as %.17g, JSON string escaping (the
+  // key "b\k" carries a backslash). Only the header's digest is masked:
+  // it hashes the build's provenance.
+  {
+    auto manager = CohortManager::Open(DiskOptions());
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    CohortConfig config = StarConfig(2);
+    config.seed = 3;
+    ASSERT_TRUE((*manager)
+                    ->Enroll("pin", config,
+                             {{"a", 1.5}, {"b\\k", 0.1}, {"c", 2}})
+                    .ok());
+    ASSERT_TRUE((*manager)->Advance("pin").ok());
+    ASSERT_TRUE((*manager)->Join("pin", "d", 0.30000000000000004).ok());
+    ASSERT_TRUE((*manager)->Leave("pin", "b\\k").ok());
+    ASSERT_TRUE((*manager)->Join("pin", "b\\k", 7).ok());
+    ASSERT_TRUE((*manager)->Advance("pin").ok());
+  }
+  auto bytes = util::ReadFileToString(JournalPath("pin"));
+  ASSERT_TRUE(bytes.ok());
+  std::string journal = *bytes;
+  const std::string digest_key = "\"digest\":\"";
+  const size_t digest_at = journal.find(digest_key);
+  ASSERT_NE(digest_at, std::string::npos);
+  const size_t digest_begin = digest_at + digest_key.size();
+  journal.replace(digest_begin, journal.find('"', digest_begin) - digest_begin,
+                  "*");
+  EXPECT_EQ(journal,
+            "{\"config\":{\"group_size\":2,\"learning_rate\":0.25,"
+            "\"mode\":\"star\",\"policy\":\"star\",\"seed\":3},"
+            "\"digest\":\"*\",\"id\":\"pin\",\"participants\":["
+            "{\"key\":\"a\",\"skill\":1.5},"
+            "{\"key\":\"b\\\\k\",\"skill\":0.10000000000000001},"
+            "{\"key\":\"c\",\"skill\":2}],"
+            "\"schema\":\"tdg.cohort_journal.v1\"}\n"
+            "{\"op\":\"advance\"}\n"
+            "{\"key\":\"d\",\"op\":\"join\",\"skill\":0.30000000000000004}\n"
+            "{\"key\":\"b\\\\k\",\"op\":\"leave\"}\n"
+            "{\"key\":\"b\\\\k\",\"op\":\"join\",\"skill\":7}\n"
+            "{\"op\":\"advance\"}\n");
+}
+
 TEST_F(ServeJournalTest, DuplicateEnrollAndUnknownCohortAreErrors) {
   auto manager = CohortManager::Open(DiskOptions());
   ASSERT_TRUE(manager.ok()) << manager.status();
