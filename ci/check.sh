@@ -65,7 +65,10 @@
 #            restart it, require zero lost rounds, finish the schedule, and
 #            require every served round to be byte-identical to an offline
 #            replay — the batch RunProcess driver for the churn-free
-#            schedule, a local serve::Cohort for the churny one
+#            schedule, a local serve::Cohort for the churny one; then, on
+#            copies of the state dir, a corrupt durable journal line must
+#            make tdg_serve exit 2 with the file untouched, and a torn
+#            enroll header must be removed with the other cohorts restored
 #   tracing  request-tracing e2e (DESIGN.md §14): run the windowed-
 #            histogram / request-context / tail-sampler / serve-telemetry
 #            suites under asan (with the latency-injection hook compiled
@@ -781,6 +784,57 @@ EOF
   kill "${serve_pid}"
   wait "${serve_pid}" || {
     echo "tdg_serve did not shut down cleanly" >&2; exit 1; }
+
+  # The torn-tail rule (util/file_util.h) on the served state, each leg on
+  # its own copy of the state dir.
+  echo "==> [serve] a corrupt durable journal line: exit 2, file untouched"
+  rm -rf "${work}/corrupt"
+  cp -r "${work}/state" "${work}/corrupt"
+  local corrupt_journal="${work}/corrupt/churn.cohort"
+  # The final '}' becomes 'x' and the newline stays: an acknowledged op
+  # gone bad, which no torn append can produce.
+  sed -i '$ s/}$/x/' "${corrupt_journal}"
+  if cmp -s "${corrupt_journal}" "${work}/state/churn.cohort"; then
+    echo "failed to corrupt the churn journal" >&2; exit 1
+  fi
+  cp "${corrupt_journal}" "${work}/corrupt_churn.expected"
+  local status=0
+  timeout 30 "${serve}" --state_dir="${work}/corrupt" \
+    --port_file="${work}/port3" > "${work}/serve3.log" 2>&1 || status=$?
+  [[ "${status}" -eq 2 ]] || {
+    echo "tdg_serve exited ${status} on a corrupt journal, want 2" >&2
+    exit 1; }
+  grep -q 'malformed record' "${work}/serve3.log"
+  cmp "${corrupt_journal}" "${work}/corrupt_churn.expected"
+
+  echo "==> [serve] a torn enroll header: removed, the others restored"
+  rm -rf "${work}/torn"
+  cp -r "${work}/state" "${work}/torn"
+  # A crash during an enroll: part of a header line, no newline.
+  head -c 40 "${work}/state/steady.cohort" > "${work}/torn/crashed.cohort"
+  "${serve}" --state_dir="${work}/torn" --port_file="${work}/port4" \
+    > "${work}/serve4.log" 2>&1 &
+  serve_pid=$!
+  port=""
+  for _ in $(seq 1 100); do
+    [[ -s "${work}/port4" ]] && { port="$(cat "${work}/port4")"; break; }
+    sleep 0.1
+  done
+  if [[ -z "${port}" ]]; then
+    echo "tdg_serve did not start on a torn enroll header" >&2
+    kill "${serve_pid}" 2>/dev/null || true
+    cat "${work}/serve4.log" >&2
+    exit 1
+  fi
+  "${ctl}" dump --port="${port}" --id=churn > "${work}/torn_churn.jsonl"
+  cmp "${work}/served_churn.jsonl" "${work}/torn_churn.jsonl"
+  kill "${serve_pid}"
+  wait "${serve_pid}" || {
+    echo "tdg_serve did not shut down cleanly" >&2; exit 1; }
+  grep -q '3 cohorts restored' "${work}/serve4.log"
+  grep -q 'holds no durable header' "${work}/serve4.log"
+  [[ ! -e "${work}/torn/crashed.cohort" ]] || {
+    echo "the torn enroll's journal was not removed" >&2; exit 1; }
   echo "==> [serve] OK"
 }
 

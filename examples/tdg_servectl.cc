@@ -26,11 +26,12 @@
 //       kill -9 → restart must be byte-identical to an uninterrupted
 //       offline run.
 //
-// Schedule file:
+// Schedule file: an enroll payload plus the ops to replay, each one
+// serve::CohortOp in the grammar stated at CohortOp (serve/cohort.h):
 //   {"id": "...", "config": {...CohortConfig...},
 //    "participants": [{"key": "...", "skill": s}, ...],
-//    "ops": [{"op": "advance"} | {"op": "join", "key": "...", "skill": s}
-//            | {"op": "leave", "key": "..."}, ...]}
+//    "ops": [{"op": "advance"}, {"op": "join", "key": "...", "skill": s},
+//            {"op": "leave", "key": "..."}, ...]}
 //
 // Exit codes: 0 = ok, 1 = server/application error, 2 = usage error.
 
@@ -53,7 +54,8 @@ namespace {
 
 using tdg::serve::AppendCohortRoundJson;
 using tdg::serve::Cohort;
-using tdg::serve::CohortConfig;
+using tdg::serve::CohortEnroll;
+using tdg::serve::CohortOp;
 using tdg::serve::CohortParticipant;
 using tdg::util::JsonValue;
 using tdg::util::Status;
@@ -77,82 +79,30 @@ int Fail(const Status& status) {
 }
 
 struct Schedule {
-  std::string id;
-  CohortConfig config;
-  std::vector<CohortParticipant> participants;
-  std::vector<JsonValue> ops;
+  CohortEnroll enroll;
+  std::vector<CohortOp> ops;
 };
 
 StatusOr<Schedule> LoadSchedule(const std::string& path) {
   TDG_ASSIGN_OR_RETURN(std::string text, tdg::util::ReadFileToString(path));
   TDG_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(text));
   Schedule schedule;
-  TDG_ASSIGN_OR_RETURN(JsonValue id, json.GetField("id"));
-  if (!id.is_string()) {
-    return Status::InvalidArgument("schedule 'id' must be a string");
-  }
-  schedule.id = id.AsString();
-  TDG_ASSIGN_OR_RETURN(JsonValue config, json.GetField("config"));
-  TDG_ASSIGN_OR_RETURN(schedule.config, CohortConfig::FromJson(config));
-  TDG_ASSIGN_OR_RETURN(JsonValue participants,
-                       json.GetField("participants"));
-  if (!participants.is_array()) {
-    return Status::InvalidArgument("schedule 'participants' must be an array");
-  }
-  for (const JsonValue& entry : participants.AsArray()) {
-    TDG_ASSIGN_OR_RETURN(JsonValue key, entry.GetField("key"));
-    TDG_ASSIGN_OR_RETURN(JsonValue skill, entry.GetField("skill"));
-    if (!key.is_string() || !skill.is_number()) {
-      return Status::InvalidArgument(
-          "participants need a string 'key' and a number 'skill'");
-    }
-    schedule.participants.push_back({key.AsString(), skill.AsNumber()});
-  }
+  TDG_ASSIGN_OR_RETURN(schedule.enroll, CohortEnroll::FromJson(json));
   TDG_ASSIGN_OR_RETURN(JsonValue ops, json.GetField("ops"));
   if (!ops.is_array()) {
     return Status::InvalidArgument("schedule 'ops' must be an array");
   }
-  schedule.ops = ops.AsArray();
+  for (const JsonValue& entry : ops.AsArray()) {
+    TDG_ASSIGN_OR_RETURN(CohortOp op, tdg::serve::ParseCohortOp(entry));
+    schedule.ops.push_back(std::move(op));
+  }
   return schedule;
 }
 
-/// Op fields, validated once so `run` and `offline` agree on the grammar.
-struct Op {
-  std::string op;  // "advance" | "join" | "leave"
-  std::string key;
-  double skill = 0;
-};
-
-StatusOr<Op> ParseOp(const JsonValue& json) {
-  Op op;
-  TDG_ASSIGN_OR_RETURN(JsonValue name, json.GetField("op"));
-  if (!name.is_string()) {
-    return Status::InvalidArgument("op entries need a string 'op'");
-  }
-  op.op = name.AsString();
-  if (op.op == "advance") return op;
-  TDG_ASSIGN_OR_RETURN(JsonValue key, json.GetField("key"));
-  if (!key.is_string()) {
-    return Status::InvalidArgument("join/leave ops need a string 'key'");
-  }
-  op.key = key.AsString();
-  if (op.op == "leave") return op;
-  if (op.op != "join") {
-    return Status::InvalidArgument("unknown op '" + op.op + "'");
-  }
-  TDG_ASSIGN_OR_RETURN(JsonValue skill, json.GetField("skill"));
-  if (!skill.is_number()) {
-    return Status::InvalidArgument("join ops need a number 'skill'");
-  }
-  op.skill = skill.AsNumber();
-  return op;
-}
-
 /// POSTs and fails on anything but a 2xx.
-Status Post(int port, const std::string& path, const JsonValue& body) {
-  TDG_ASSIGN_OR_RETURN(
-      std::string response,
-      tdg::util::net::HttpDo(port, "POST", path, body.Serialize() + "\n"));
+Status Post(int port, const std::string& path, const std::string& body) {
+  TDG_ASSIGN_OR_RETURN(std::string response,
+                       tdg::util::net::HttpDo(port, "POST", path, body));
   TDG_ASSIGN_OR_RETURN(int code, tdg::util::net::HttpStatusCode(response));
   if (code / 100 != 2) {
     auto body_text = tdg::util::net::HttpBody(response);
@@ -203,41 +153,25 @@ int Run(const tdg::util::FlagParser& flags) {
   }
 
   if (from == 0) {
-    JsonValue enroll = JsonValue::MakeObject();
-    enroll.Set("id", schedule->id);
-    enroll.Set("config", schedule->config.ToJson());
-    JsonValue participants = JsonValue::MakeArray();
-    for (const CohortParticipant& participant : schedule->participants) {
-      JsonValue entry = JsonValue::MakeObject();
-      entry.Set("key", participant.key);
-      entry.Set("skill", participant.skill);
-      participants.Append(std::move(entry));
-    }
-    enroll.Set("participants", std::move(participants));
-    Status enrolled = Post(port, "/cohorts", enroll);
+    Status enrolled =
+        Post(port, "/cohorts", schedule->enroll.ToJson().Serialize() + "\n");
     if (!enrolled.ok()) return Fail(enrolled);
   }
 
-  const std::string base = "/cohorts/" + schedule->id;
+  // Each op is POSTed to its verb's route with the op itself as the body.
+  const std::string base = "/cohorts/" + schedule->enroll.id + "/";
   for (long long i = from; i < to; ++i) {
-    auto op = ParseOp(schedule->ops[static_cast<size_t>(i)]);
-    if (!op.ok()) return Fail(op.status());
-    JsonValue body = JsonValue::MakeObject();
-    Status applied = Status::OK();
-    if (op->op == "advance") {
-      applied = Post(port, base + "/advance", body);
-    } else if (op->op == "join") {
-      body.Set("key", op->key);
-      body.Set("skill", op->skill);
-      applied = Post(port, base + "/join", body);
-    } else {
-      body.Set("key", op->key);
-      applied = Post(port, base + "/leave", body);
-    }
+    const CohortOp& op = schedule->ops[static_cast<size_t>(i)];
+    std::string body;
+    tdg::serve::AppendCohortOpJson(op, body);
+    body.push_back('\n');
+    Status applied =
+        Post(port, base + std::string(tdg::serve::CohortOpVerb(op.kind)),
+             body);
     if (!applied.ok()) return Fail(applied);
   }
   std::fprintf(stderr, "tdg_servectl: applied ops [%lld, %lld) of %s\n",
-               from, to, schedule->id.c_str());
+               from, to, schedule->enroll.id.c_str());
   return 0;
 }
 
@@ -314,20 +248,11 @@ int Stats(const tdg::util::FlagParser& flags) {
 }
 
 int OfflineViaCohort(const Schedule& schedule, long long to) {
-  auto cohort =
-      Cohort::Create(schedule.id, schedule.config, schedule.participants);
+  const CohortEnroll& enroll = schedule.enroll;
+  auto cohort = Cohort::Create(enroll.id, enroll.config, enroll.participants);
   if (!cohort.ok()) return Fail(cohort.status());
   for (long long i = 0; i < to; ++i) {
-    auto op = ParseOp(schedule.ops[static_cast<size_t>(i)]);
-    if (!op.ok()) return Fail(op.status());
-    Status applied = Status::OK();
-    if (op->op == "advance") {
-      applied = cohort->Advance().status();
-    } else if (op->op == "join") {
-      applied = cohort->Join(op->key, op->skill);
-    } else {
-      applied = cohort->Leave(op->key);
-    }
+    Status applied = cohort->Apply(schedule.ops[static_cast<size_t>(i)]);
     if (!applied.ok()) return Fail(applied);
   }
   for (int t = 0; t < cohort->rounds_advanced(); ++t) {
@@ -337,47 +262,45 @@ int OfflineViaCohort(const Schedule& schedule, long long to) {
 }
 
 int OfflineViaProcess(const Schedule& schedule, long long to) {
+  const CohortEnroll& enroll = schedule.enroll;
   // The batch driver runs a fixed population for a fixed α, so it only
   // matches schedules with no churn, an evenly dividing size, and a
   // deterministic DyGroups policy.
-  const int n = static_cast<int>(schedule.participants.size());
-  if (schedule.config.policy == tdg::serve::CohortPolicy::kRandom) {
+  const int n = static_cast<int>(enroll.participants.size());
+  if (enroll.config.policy == tdg::serve::CohortPolicy::kRandom) {
     return Fail(Status::InvalidArgument(
         "--via=process cannot replay the random policy"));
   }
-  if (n < schedule.config.group_size ||
-      n % schedule.config.group_size != 0) {
+  if (n < enroll.config.group_size ||
+      n % enroll.config.group_size != 0) {
     return Fail(Status::InvalidArgument(
         "--via=process needs n divisible by group_size"));
   }
-  int num_rounds = 0;
   for (long long i = 0; i < to; ++i) {
-    auto op = ParseOp(schedule.ops[static_cast<size_t>(i)]);
-    if (!op.ok()) return Fail(op.status());
-    if (op->op != "advance") {
+    if (schedule.ops[static_cast<size_t>(i)].kind != CohortOp::kAdvance) {
       return Fail(Status::InvalidArgument(
           "--via=process cannot replay join/leave churn"));
     }
-    ++num_rounds;
   }
+  const int num_rounds = static_cast<int>(to);
 
   // No churn: every round shares one key epoch, as a served cohort's do.
   tdg::SkillVector skills;
   auto keys = std::make_shared<std::vector<std::string>>();
-  for (const CohortParticipant& participant : schedule.participants) {
+  for (const CohortParticipant& participant : enroll.participants) {
     skills.push_back(participant.skill);
     keys->push_back(participant.key);
   }
   const tdg::serve::KeyEpoch epoch = std::move(keys);
-  auto gain = tdg::LinearGain::Create(schedule.config.learning_rate);
+  auto gain = tdg::LinearGain::Create(enroll.config.learning_rate);
   if (!gain.ok()) return Fail(gain.status());
   tdg::ProcessConfig config;
-  config.num_groups = n / schedule.config.group_size;
+  config.num_groups = n / enroll.config.group_size;
   config.num_rounds = num_rounds;
-  config.mode = schedule.config.mode;
+  config.mode = enroll.config.mode;
   config.record_history = true;
   auto policy = tdg::MakeDyGroupsPolicy(
-      schedule.config.policy == tdg::serve::CohortPolicy::kStar
+      enroll.config.policy == tdg::serve::CohortPolicy::kStar
           ? tdg::InteractionMode::kStar
           : tdg::InteractionMode::kClique);
   auto result = tdg::RunProcess(skills, config, *gain, *policy);

@@ -240,64 +240,38 @@ std::vector<std::string> SweepPolicies(const SweepConfig& config) {
 
 util::StatusOr<SweepCheckpoint> ReadSweepCheckpoint(
     const std::string& path) {
-  TDG_ASSIGN_OR_RETURN(std::string content,
-                       util::ReadFileToString(path));
   SweepCheckpoint checkpoint;
   std::set<long long> seen_cells;
-  size_t offset = 0;
-  size_t line_number = 0;
   bool have_header = false;
-  while (offset < content.size()) {
-    ++line_number;
-    const size_t newline = content.find('\n', offset);
-    if (newline == std::string::npos) {
-      // Torn final line: a crash interrupted the single write() of the
-      // record. The well-formed prefix ends where this line starts.
-      checkpoint.torn_tail_dropped = true;
-      checkpoint.valid_bytes = offset;
-      return checkpoint;
-    }
-    const std::string_view line(content.data() + offset, newline - offset);
-    offset = newline + 1;
-    if (line.empty()) {
-      checkpoint.valid_bytes = offset;
-      continue;
-    }
-    auto json = util::JsonValue::Parse(line);
-    if (!json.ok()) {
-      // Newline-terminated garbage is corruption (a torn write cannot
-      // produce it — records are written newline-last in one write).
-      return util::Status::InvalidArgument(util::StrFormat(
-          "%s line %zu: malformed checkpoint record: %s", path.c_str(),
-          line_number, json.status().message().c_str()));
-    }
-    TDG_ASSIGN_OR_RETURN(std::string record_type,
-                         RequireString(json.value(), "record"));
-    if (!have_header) {
-      if (record_type != "header") {
-        return util::Status::InvalidArgument(util::StrFormat(
-            "%s line %zu: first record must be the header", path.c_str(),
-            line_number));
-      }
-      TDG_ASSIGN_OR_RETURN(checkpoint.header, ParseHeader(json.value()));
-      have_header = true;
-    } else if (record_type == "cell") {
-      TDG_ASSIGN_OR_RETURN(
-          SweepCheckpointCell record,
-          ParseCell(json.value(), checkpoint.header.digest));
-      if (!seen_cells.insert(record.cell_index).second) {
-        return util::Status::InvalidArgument(util::StrFormat(
-            "%s line %zu: duplicate record for cell %lld", path.c_str(),
-            line_number, record.cell_index));
-      }
-      checkpoint.cells.push_back(std::move(record));
-    } else {
-      return util::Status::InvalidArgument(util::StrFormat(
-          "%s line %zu: unknown record type '%s'", path.c_str(),
-          line_number, record_type.c_str()));
-    }
-    checkpoint.valid_bytes = offset;
-  }
+  TDG_ASSIGN_OR_RETURN(
+      util::DurablePrefix prefix,
+      util::ReadDurableJsonl(path, [&](const util::JsonValue& json) {
+        util::StatusOr<std::string> record_type =
+            RequireString(json, "record");
+        if (!record_type.ok()) return record_type.status();
+        if (!have_header) {
+          if (*record_type != "header") {
+            return util::Status::InvalidArgument(
+                "first record must be the header");
+          }
+          TDG_ASSIGN_OR_RETURN(checkpoint.header, ParseHeader(json));
+          have_header = true;
+        } else if (*record_type == "cell") {
+          TDG_ASSIGN_OR_RETURN(SweepCheckpointCell record,
+                               ParseCell(json, checkpoint.header.digest));
+          if (!seen_cells.insert(record.cell_index).second) {
+            return util::Status::InvalidArgument(util::StrFormat(
+                "duplicate record for cell %lld", record.cell_index));
+          }
+          checkpoint.cells.push_back(std::move(record));
+        } else {
+          return util::Status::InvalidArgument(util::StrFormat(
+              "unknown record type '%s'", record_type->c_str()));
+        }
+        return util::Status::OK();
+      }));
+  checkpoint.torn_tail_dropped = prefix.torn_tail;
+  checkpoint.valid_bytes = prefix.bytes;
   return checkpoint;
 }
 
@@ -393,8 +367,8 @@ util::StatusOr<SweepShardResult> RunSweepShard(
         completed.emplace(record.cell_index, std::move(record));
       }
     }
-    // A header torn away entirely (valid_bytes == 0) degenerates to a
-    // fresh start below.
+    // A header torn away entirely (no durable record) is a fresh start
+    // (util::ReadDurableJsonl): the header is written below.
   }
 
   TDG_ASSIGN_OR_RETURN(util::DurableAppendFile checkpoint_file,

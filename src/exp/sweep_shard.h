@@ -66,12 +66,9 @@ struct SweepCheckpointCell {
   std::vector<double> run_gains;  // per-run total gains behind cell.mean_gain
 };
 
-/// A checkpoint file read back into memory. `valid_bytes` is the length of
-/// the well-formed record prefix; when the final line was torn by a crash
-/// (no trailing newline, or unparseable without one) it is dropped,
-/// `torn_tail_dropped` is set, and `valid_bytes` excludes it. Any malformed
-/// *newline-terminated* line is corruption, not a torn write, and is a hard
-/// error.
+/// A checkpoint file read back into memory under the torn-tail rule of
+/// util::ReadDurableJsonl: `valid_bytes` is the durable prefix, and
+/// `torn_tail_dropped` says an unterminated final line was dropped.
 struct SweepCheckpoint {
   SweepCheckpointHeader header;
   std::vector<SweepCheckpointCell> cells;  // file order (completion order)
@@ -79,9 +76,9 @@ struct SweepCheckpoint {
   uint64_t valid_bytes = 0;
 };
 
-/// Parses a checkpoint file. Duplicate cell indices, mid-file corruption,
-/// unknown schema, or a missing header are errors; a torn final line is
-/// tolerated per the struct contract. Read-only: never repairs the file.
+/// Parses a checkpoint file. Duplicate cell indices, a malformed durable
+/// line, unknown schema, or a missing header are errors; a torn final line
+/// is dropped. Read-only: never repairs the file.
 util::StatusOr<SweepCheckpoint> ReadSweepCheckpoint(const std::string& path);
 
 struct SweepShardOptions {

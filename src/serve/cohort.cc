@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -168,24 +169,112 @@ util::JsonValue CohortRoundToJson(const CohortRound& round,
   return *std::move(json);
 }
 
-util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
-    const util::JsonValue& json) {
-  if (!json.is_array()) {
-    return util::Status::InvalidArgument(
-        "'participants' must be an array of {key, skill} objects");
+util::JsonValue CohortEnroll::ToJson() const {
+  util::JsonValue json = util::JsonValue::MakeObject();
+  json.Set("id", id);
+  json.Set("config", config.ToJson());
+  util::JsonValue array = util::JsonValue::MakeArray();
+  for (const CohortParticipant& participant : participants) {
+    util::JsonValue entry = util::JsonValue::MakeObject();
+    entry.Set("key", participant.key);
+    entry.Set("skill", participant.skill);
+    array.Append(std::move(entry));
   }
-  std::vector<CohortParticipant> participants;
-  participants.reserve(json.AsArray().size());
-  for (const util::JsonValue& entry : json.AsArray()) {
-    TDG_ASSIGN_OR_RETURN(util::JsonValue key, entry.GetField("key"));
-    TDG_ASSIGN_OR_RETURN(util::JsonValue skill, entry.GetField("skill"));
-    if (!key.is_string() || !skill.is_number()) {
+  json.Set("participants", std::move(array));
+  return json;
+}
+
+util::StatusOr<CohortEnroll> CohortEnroll::FromJson(
+    const util::JsonValue& json) {
+  auto id = json.GetField("id");
+  auto config = json.GetField("config");
+  auto participants = json.GetField("participants");
+  if (!id.ok() || !id->is_string() || !config.ok() || !participants.ok() ||
+      !participants->is_array()) {
+    return util::Status::InvalidArgument(
+        "an enroll needs a string 'id', a 'config' and a 'participants' "
+        "array");
+  }
+  CohortEnroll enroll;
+  enroll.id = id->AsString();
+  TDG_ASSIGN_OR_RETURN(enroll.config, CohortConfig::FromJson(*config));
+  enroll.participants.reserve(participants->AsArray().size());
+  for (const util::JsonValue& entry : participants->AsArray()) {
+    auto key = entry.GetField("key");
+    auto skill = entry.GetField("skill");
+    if (!key.ok() || !key->is_string() || !skill.ok() ||
+        !skill->is_number()) {
       return util::Status::InvalidArgument(
           "participant entries need a string 'key' and a number 'skill'");
     }
-    participants.push_back({key.AsString(), skill.AsNumber()});
+    enroll.participants.push_back({key->AsString(), skill->AsNumber()});
   }
-  return participants;
+  return enroll;
+}
+
+namespace {
+
+// Indexed by CohortOp::Kind.
+constexpr std::string_view kCohortOpVerbs[] = {"join", "leave", "advance"};
+
+}  // namespace
+
+std::string_view CohortOpVerb(CohortOp::Kind kind) {
+  return kCohortOpVerbs[kind];
+}
+
+util::StatusOr<CohortOp> ParseCohortOp(std::string_view verb,
+                                       const util::JsonValue& fields) {
+  const auto* known = std::find(std::begin(kCohortOpVerbs),
+                                std::end(kCohortOpVerbs), verb);
+  if (known == std::end(kCohortOpVerbs)) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "unknown op '%.*s' (want join, leave, or advance)",
+        static_cast<int>(verb.size()), verb.data()));
+  }
+  CohortOp op;
+  op.kind = static_cast<CohortOp::Kind>(known - std::begin(kCohortOpVerbs));
+  if (op.kind == CohortOp::kAdvance) return op;
+  auto key = fields.GetField("key");
+  if (!key.ok() || !key->is_string()) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%.*s needs a string 'key'", static_cast<int>(verb.size()),
+        verb.data()));
+  }
+  op.key = key->AsString();
+  if (op.kind == CohortOp::kJoin) {
+    auto skill = fields.GetField("skill");
+    if (!skill.ok() || !skill->is_number()) {
+      return util::Status::InvalidArgument("join needs a number 'skill'");
+    }
+    op.skill = skill->AsNumber();
+  }
+  return op;
+}
+
+util::StatusOr<CohortOp> ParseCohortOp(const util::JsonValue& object) {
+  auto verb = object.GetField("op");
+  if (!verb.ok() || !verb->is_string()) {
+    return util::Status::InvalidArgument("an op needs a string 'op'");
+  }
+  return ParseCohortOp(verb->AsString(), object);
+}
+
+void AppendCohortOpJson(const CohortOp& op, std::string& out) {
+  // Members in sorted key order, as a JsonValue object would write them.
+  util::JsonWriter writer(out);
+  writer.BeginObject();
+  if (op.kind != CohortOp::kAdvance) {
+    writer.Key("key");
+    writer.String(op.key);
+  }
+  writer.Key("op");
+  writer.String(CohortOpVerb(op.kind));
+  if (op.kind == CohortOp::kJoin) {
+    writer.Key("skill");
+    writer.Number(op.skill);
+  }
+  writer.EndObject();
 }
 
 util::Status ValidateCohortId(std::string_view id) {
@@ -221,7 +310,7 @@ util::Status ValidateParticipantKey(std::string_view key) {
 
 namespace {
 
-// What CanJoin checks of the newcomer alone, before residency.
+// What Check asks of a joining participant alone, before residency.
 util::Status ValidateJoinee(const std::string& key, double skill) {
   TDG_RETURN_IF_ERROR(ValidateParticipantKey(key));
   if (!(skill > 0.0) || !std::isfinite(skill)) {
@@ -257,8 +346,10 @@ util::StatusOr<Cohort> Cohort::Create(
   for (const CohortParticipant& participant : participants) {
     TDG_RETURN_IF_ERROR(ValidateJoinee(participant.key, participant.skill));
     if (!keys.insert(participant.key).second) {
-      // A repeat: CanJoin reports the earlier entry as already resident.
-      return cohort.CanJoin(participant.key, participant.skill);
+      // A repeat: Check reports the earlier entry as already resident.
+      return cohort.Check({.kind = CohortOp::kJoin,
+                           .key = participant.key,
+                           .skill = participant.skill});
     }
     cohort.participants_.push_back(participant);
   }
@@ -272,54 +363,65 @@ bool Cohort::HasParticipant(const std::string& key) const {
   return false;
 }
 
-util::Status Cohort::CanJoin(const std::string& key, double skill) const {
-  TDG_RETURN_IF_ERROR(ValidateJoinee(key, skill));
-  if (HasParticipant(key)) {
-    return util::Status::FailedPrecondition(util::StrFormat(
-        "participant '%s' is already resident in cohort '%s'", key.c_str(),
-        id_.c_str()));
+util::Status Cohort::Check(const CohortOp& op) const {
+  switch (op.kind) {
+    case CohortOp::kJoin:
+      TDG_RETURN_IF_ERROR(ValidateJoinee(op.key, op.skill));
+      if (HasParticipant(op.key)) {
+        return util::Status::FailedPrecondition(util::StrFormat(
+            "participant '%s' is already resident in cohort '%s'",
+            op.key.c_str(), id_.c_str()));
+      }
+      return util::Status::OK();
+    case CohortOp::kLeave:
+      if (!HasParticipant(op.key)) {
+        return util::Status::NotFound(util::StrFormat(
+            "participant '%s' is not resident in cohort '%s'",
+            op.key.c_str(), id_.c_str()));
+      }
+      return util::Status::OK();
+    case CohortOp::kAdvance:
+      if (participants_.empty()) {
+        return util::Status::FailedPrecondition(util::StrFormat(
+            "cohort '%s' has no residents to group", id_.c_str()));
+      }
+      return util::Status::OK();
   }
-  return util::Status::OK();
+  return util::Status::InvalidArgument("unknown cohort op");
 }
 
-util::Status Cohort::CanLeave(const std::string& key) const {
-  if (!HasParticipant(key)) {
-    return util::Status::NotFound(util::StrFormat(
-        "participant '%s' is not resident in cohort '%s'", key.c_str(),
-        id_.c_str()));
+util::Status Cohort::Apply(const CohortOp& op) {
+  TDG_RETURN_IF_ERROR(Check(op));
+  switch (op.kind) {
+    case CohortOp::kJoin:
+      participants_.push_back({op.key, op.skill});
+      break;
+    case CohortOp::kLeave:
+      // Preserve insertion order: later residents shift down one id. The
+      // next round's key epoch re-labels everyone, so round payloads stay
+      // (key,id)-consistent.
+      participants_.erase(std::find_if(
+          participants_.begin(), participants_.end(),
+          [&op](const CohortParticipant& p) { return p.key == op.key; }));
+      break;
+    case CohortOp::kAdvance:
+      return RunRound();
   }
-  return util::Status::OK();
-}
-
-util::Status Cohort::CanAdvance() const {
-  if (participants_.empty()) {
-    return util::Status::FailedPrecondition(util::StrFormat(
-        "cohort '%s' has no residents to group", id_.c_str()));
-  }
+  keys_.reset();
   return util::Status::OK();
 }
 
 util::Status Cohort::Join(const std::string& key, double skill) {
-  TDG_RETURN_IF_ERROR(CanJoin(key, skill));
-  participants_.push_back({key, skill});
-  keys_.reset();
-  return util::Status::OK();
+  return Apply({.kind = CohortOp::kJoin, .key = key, .skill = skill});
 }
 
 util::Status Cohort::Leave(const std::string& key) {
-  TDG_RETURN_IF_ERROR(CanLeave(key));
-  for (size_t i = 0; i < participants_.size(); ++i) {
-    if (participants_[i].key == key) {
-      // Preserve insertion order: later residents shift down one id. The
-      // next round's key epoch re-labels everyone, so round payloads stay
-      // (key,id)-consistent.
-      participants_.erase(participants_.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-  }
-  keys_.reset();
-  return util::Status::OK();
+  return Apply({.kind = CohortOp::kLeave, .key = key});
+}
+
+util::StatusOr<double> Cohort::Advance() {
+  TDG_RETURN_IF_ERROR(Apply({}));
+  return rounds_.back().gain;
 }
 
 util::StatusOr<std::vector<int>> Cohort::SizeProfileFor(int n,
@@ -345,8 +447,7 @@ util::StatusOr<std::vector<int>> Cohort::SizeProfileFor(int n,
   return sizes;
 }
 
-util::StatusOr<double> Cohort::Advance() {
-  TDG_RETURN_IF_ERROR(CanAdvance());
+util::Status Cohort::RunRound() {
   const int n = num_participants();
   TDG_ASSIGN_OR_RETURN(std::vector<int> sizes,
                        SizeProfileFor(n, config_.group_size));
@@ -412,7 +513,7 @@ util::StatusOr<double> Cohort::Advance() {
                static_cast<double>(id_hash_),
                static_cast<double>(round_index), static_cast<double>(n),
                round_gain);
-  return round_gain;
+  return util::Status::OK();
 }
 
 }  // namespace tdg::serve

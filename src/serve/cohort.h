@@ -104,9 +104,55 @@ void AppendCohortRoundJson(const CohortRound& round, int round_index,
 /// embed a round in a larger document.
 util::JsonValue CohortRoundToJson(const CohortRound& round, int round_index);
 
-/// Parses the enroll payload's [{"key": string, "skill": number}, ...].
-util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
-    const util::JsonValue& json);
+/// An enroll payload — {"config": {...}, "id": "...", "participants":
+/// [{"key": string, "skill": number}, ...]} — the POST /cohorts body and
+/// the core of a journal's header line and of a tdg_servectl schedule.
+struct CohortEnroll {
+  std::string id;
+  CohortConfig config;
+  std::vector<CohortParticipant> participants;
+
+  util::JsonValue ToJson() const;
+  /// InvalidArgument when a field is missing or has the wrong type; the
+  /// values are Cohort::Create's to check. Other fields are ignored.
+  static util::StatusOr<CohortEnroll> FromJson(const util::JsonValue& json);
+};
+
+/// One operation on a resident cohort: the unit that the journal records,
+/// the HTTP routes apply, and tdg_servectl schedules replay. This is the
+/// one statement of its grammar. As one JSON object (a journal line or a
+/// schedule entry), keys in sorted order:
+///
+///   {"key": K, "op": "join", "skill": S}   K a string, S a number
+///   {"key": K, "op": "leave"}              K a string
+///   {"op": "advance"}
+///
+/// Other fields are ignored. The HTTP routes carry the verb in the path
+/// (POST /cohorts/<id>/<verb>) and the other fields in the body. The parser
+/// checks types only; the values (key syntax, a finite positive skill,
+/// residency) are Cohort::Check's.
+struct CohortOp {
+  enum Kind { kJoin, kLeave, kAdvance };
+  Kind kind = kAdvance;
+  std::string key;   // join and leave
+  double skill = 0;  // join
+
+  bool operator==(const CohortOp& other) const = default;
+};
+
+/// "join", "leave" or "advance".
+std::string_view CohortOpVerb(CohortOp::Kind kind);
+
+/// Parses one op from its verb and its fields (an object; for an advance
+/// it is not read). InvalidArgument on an unknown verb, a missing key or a
+/// skill that is not a number.
+util::StatusOr<CohortOp> ParseCohortOp(std::string_view verb,
+                                       const util::JsonValue& fields);
+/// The same parse of one JSON object whose "op" member is the verb.
+util::StatusOr<CohortOp> ParseCohortOp(const util::JsonValue& object);
+
+/// Streams the op as one JSON object in the grammar above.
+void AppendCohortOpJson(const CohortOp& op, std::string& out);
 
 /// Syntax rules for identifiers that travel through URLs, JSON, and journal
 /// file names. Cohort ids: [A-Za-z0-9_-]{1,64}. Participant keys:
@@ -122,21 +168,22 @@ class Cohort {
       const std::string& id, const CohortConfig& config,
       const std::vector<CohortParticipant>& participants);
 
-  /// Write-ahead prechecks: exactly the validation their mutating
-  /// counterparts run, with no state change. The journal layer calls these
-  /// *before* appending an op so that every appended op is guaranteed to
-  /// apply — a journal never contains a rejected operation.
-  util::Status CanJoin(const std::string& key, double skill) const;
-  util::Status CanLeave(const std::string& key) const;
-  util::Status CanAdvance() const;
+  /// Write-ahead precheck: exactly the validation Apply runs, with no
+  /// state change. The journal layer calls it *before* appending an op so
+  /// that every appended op is guaranteed to apply — a journal never
+  /// contains a rejected operation.
+  util::Status Check(const CohortOp& op) const;
 
-  /// Enrolls / removes one participant effective from the next round.
+  /// The one mutation: Check, then apply. A join or a leave takes effect
+  /// from the next round. An advance runs one round over the current
+  /// residents under the configured policy on the balanced size profile,
+  /// applies the interaction update and records the round.
+  util::Status Apply(const CohortOp& op);
+
+  /// Apply of one join, leave or advance; Advance returns the round's
+  /// learning gain LG(G_t).
   util::Status Join(const std::string& key, double skill);
   util::Status Leave(const std::string& key);
-
-  /// Runs one round over the current residents under the configured
-  /// policy on the balanced size profile, applies the interaction update
-  /// and records the round. Returns the round's learning gain LG(G_t).
   util::StatusOr<double> Advance();
 
   const std::string& id() const { return id_; }
@@ -163,6 +210,9 @@ class Cohort {
 
  private:
   Cohort(std::string id, const CohortConfig& config, LinearGain gain);
+
+  // Advance's mutation, after Check.
+  util::Status RunRound();
 
   std::string id_;
   CohortConfig config_;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #if defined(TDG_TEST_HOOKS)
@@ -20,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/run_manifest.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace tdg::serve {
@@ -38,48 +40,12 @@ std::string JournalDigest(const std::string& id, const CohortConfig& config) {
                       config.ToJson().Serialize().c_str()));
 }
 
-util::JsonValue ParticipantsToJson(
-    const std::vector<CohortParticipant>& participants) {
-  util::JsonValue array = util::JsonValue::MakeArray();
-  for (const CohortParticipant& participant : participants) {
-    util::JsonValue entry = util::JsonValue::MakeObject();
-    entry.Set("key", participant.key);
-    entry.Set("skill", participant.skill);
-    array.Append(std::move(entry));
-  }
-  return array;
-}
-
-std::string HeaderLine(const std::string& id, const CohortConfig& config,
-                       const std::vector<CohortParticipant>& participants) {
-  util::JsonValue header = util::JsonValue::MakeObject();
+/// The journal's first line: the enroll payload plus schema and digest.
+std::string HeaderLine(const CohortEnroll& enroll) {
+  util::JsonValue header = enroll.ToJson();
   header.Set("schema", std::string(kJournalSchema));
-  header.Set("id", id);
-  header.Set("config", config.ToJson());
-  header.Set("participants", ParticipantsToJson(participants));
-  header.Set("digest", JournalDigest(id, config));
+  header.Set("digest", JournalDigest(enroll.id, enroll.config));
   return header.Serialize();
-}
-
-std::string JoinOpLine(const std::string& key, double skill) {
-  util::JsonValue op = util::JsonValue::MakeObject();
-  op.Set("op", "join");
-  op.Set("key", key);
-  op.Set("skill", skill);
-  return op.Serialize();
-}
-
-std::string LeaveOpLine(const std::string& key) {
-  util::JsonValue op = util::JsonValue::MakeObject();
-  op.Set("op", "leave");
-  op.Set("key", key);
-  return op.Serialize();
-}
-
-std::string AdvanceOpLine() {
-  util::JsonValue op = util::JsonValue::MakeObject();
-  op.Set("op", "advance");
-  return op.Serialize();
 }
 
 #if defined(TDG_TEST_HOOKS)
@@ -97,6 +63,27 @@ void MaybeInjectSlowAdvance() {
   }
 }
 #endif
+
+/// The cohort a journal's header line enrolls, after its schema and
+/// digest gates.
+util::StatusOr<Cohort> CohortFromHeader(const util::JsonValue& header) {
+  TDG_ASSIGN_OR_RETURN(util::JsonValue schema, header.GetField("schema"));
+  if (!schema.is_string() || schema.AsString() != kJournalSchema) {
+    return util::Status::FailedPrecondition(util::StrFormat(
+        "journal schema is '%s', want '%.*s'",
+        schema.is_string() ? schema.AsString().c_str() : "?",
+        static_cast<int>(kJournalSchema.size()), kJournalSchema.data()));
+  }
+  TDG_ASSIGN_OR_RETURN(CohortEnroll enroll, CohortEnroll::FromJson(header));
+  auto digest = header.GetField("digest");
+  if (!digest.ok() || !digest->is_string() ||
+      digest->AsString() != JournalDigest(enroll.id, enroll.config)) {
+    return util::Status::FailedPrecondition(
+        "journal was written by a different build or its header was edited "
+        "(digest mismatch); refusing to replay");
+  }
+  return Cohort::Create(enroll.id, enroll.config, enroll.participants);
+}
 
 void RecordChurn(const Cohort& cohort, int joined, int left) {
   TDG_BLACKBOX(obs::BlackboxEventType::kCohortChurn,
@@ -149,149 +136,61 @@ std::string CohortManager::JournalPath(const std::string& id) const {
 }
 
 util::Status CohortManager::ReplayJournal(const std::string& path) {
-  TDG_ASSIGN_OR_RETURN(std::string text, util::ReadFileToString(path));
-
-  // Split into lines, remembering each line's byte offset so a torn final
-  // line (crash mid-append) can be truncated away in place.
-  struct Line {
-    std::string_view text;
-    uint64_t offset = 0;
-    bool complete = false;  // terminated by '\n'
-  };
-  std::vector<Line> lines;
-  size_t start = 0;
-  while (start < text.size()) {
-    const size_t newline = text.find('\n', start);
-    Line line;
-    line.offset = start;
-    if (newline == std::string::npos) {
-      line.text = std::string_view(text).substr(start);
-      line.complete = false;
-      start = text.size();
-    } else {
-      line.text = std::string_view(text).substr(start, newline - start);
-      line.complete = true;
-      start = newline + 1;
-    }
-    if (!line.text.empty()) lines.push_back(line);
-  }
-
-  // Parse every line up front; a bad *final* line is a torn append and is
-  // healed by truncation, a bad line anywhere else is corruption.
-  std::vector<util::JsonValue> records;
-  records.reserve(lines.size());
-  for (size_t i = 0; i < lines.size(); ++i) {
-    auto parsed = util::JsonValue::Parse(lines[i].text);
-    if (!parsed.ok() || !lines[i].complete) {
-      if (i + 1 == lines.size()) {
-        TDG_RETURN_IF_ERROR(util::TruncateFile(path, lines[i].offset));
-        break;
-      }
+  // Line 1 is the enroll header; every later line is one op. Every
+  // journaled op passed Cohort::Check when it was appended, so an op that
+  // does not replay means the journal, not the request stream, is damaged.
+  std::optional<Cohort> cohort;
+  TDG_ASSIGN_OR_RETURN(
+      util::DurablePrefix prefix,
+      util::ReadDurableJsonl(
+          path, [&](const util::JsonValue& record) -> util::Status {
+            if (!cohort.has_value()) {
+              TDG_ASSIGN_OR_RETURN(Cohort enrolled, CohortFromHeader(record));
+              cohort.emplace(std::move(enrolled));
+              return util::Status::OK();
+            }
+            util::StatusOr<CohortOp> op = ParseCohortOp(record);
+            util::Status applied = op.ok() ? cohort->Apply(*op) : op.status();
+            if (!applied.ok()) {
+              return util::Status::IOError("op does not replay: " +
+                                           applied.message());
+            }
+            return util::Status::OK();
+          }));
+  if (prefix.records == 0) {
+    // A fresh start: the crash came before the enroll's header line was
+    // durable, so the enroll was never acknowledged. Drop the file, which
+    // frees the id for a new enroll.
+    TDG_LOG(Warning) << "journal '" << path
+                     << "' holds no durable header; its enroll was never "
+                        "acknowledged, removing it";
+    if (::unlink(path.c_str()) != 0) {
       return util::Status::IOError(util::StrFormat(
-          "journal '%s' is corrupt at line %zu (not a torn tail): %s",
-          path.c_str(), i + 1, parsed.ok()
-                                   ? "unterminated line before the tail"
-                                   : parsed.status().message().c_str()));
+          "cannot remove '%s': %s", path.c_str(), std::strerror(errno)));
     }
-    records.push_back(std::move(parsed).value());
+    return util::Status::OK();
   }
-  if (records.empty()) {
-    return util::Status::IOError(util::StrFormat(
-        "journal '%s' has no usable header line", path.c_str()));
-  }
-
-  // Header: schema + digest gate, then the enroll payload.
-  const util::JsonValue& header = records[0];
-  TDG_ASSIGN_OR_RETURN(util::JsonValue schema, header.GetField("schema"));
-  if (!schema.is_string() || schema.AsString() != kJournalSchema) {
-    return util::Status::FailedPrecondition(util::StrFormat(
-        "journal '%s' has schema '%s', want '%.*s'", path.c_str(),
-        schema.is_string() ? schema.AsString().c_str() : "?",
-        static_cast<int>(kJournalSchema.size()), kJournalSchema.data()));
-  }
-  TDG_ASSIGN_OR_RETURN(util::JsonValue id_json, header.GetField("id"));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue config_json,
-                       header.GetField("config"));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue participants_json,
-                       header.GetField("participants"));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue digest_json,
-                       header.GetField("digest"));
-  if (!id_json.is_string() || !digest_json.is_string()) {
-    return util::Status::IOError(util::StrFormat(
-        "journal '%s' header is malformed", path.c_str()));
-  }
-  const std::string& id = id_json.AsString();
-  TDG_RETURN_IF_ERROR(ValidateCohortId(id));
-  if (JournalPath(id) != path) {
+  if (JournalPath(cohort->id()) != path) {
     return util::Status::FailedPrecondition(util::StrFormat(
         "journal '%s' declares cohort id '%s', which does not match its "
         "file name",
-        path.c_str(), id.c_str()));
+        path.c_str(), cohort->id().c_str()));
   }
-  TDG_ASSIGN_OR_RETURN(CohortConfig config,
-                       CohortConfig::FromJson(config_json));
-  if (digest_json.AsString() != JournalDigest(id, config)) {
-    return util::Status::FailedPrecondition(util::StrFormat(
-        "journal '%s' was written by a different build or its header was "
-        "edited (digest mismatch); refusing to replay",
-        path.c_str()));
-  }
-  TDG_ASSIGN_OR_RETURN(std::vector<CohortParticipant> participants,
-                       ParticipantsFromJson(participants_json));
-  TDG_ASSIGN_OR_RETURN(Cohort cohort,
-                       Cohort::Create(id, config, participants));
-
-  // Ops. Every journaled op passed its precheck when appended, so replay
-  // failures mean the journal (not the request stream) is damaged.
-  for (size_t i = 1; i < records.size(); ++i) {
-    TDG_ASSIGN_OR_RETURN(util::JsonValue op_json,
-                         records[i].GetField("op"));
-    if (!op_json.is_string()) {
-      return util::Status::IOError(util::StrFormat(
-          "journal '%s' op line %zu is malformed", path.c_str(), i + 1));
-    }
-    const std::string& op = op_json.AsString();
-    util::Status applied = util::Status::OK();
-    if (op == "join") {
-      TDG_ASSIGN_OR_RETURN(util::JsonValue key, records[i].GetField("key"));
-      TDG_ASSIGN_OR_RETURN(util::JsonValue skill,
-                           records[i].GetField("skill"));
-      if (!key.is_string() || !skill.is_number()) {
-        return util::Status::IOError(util::StrFormat(
-            "journal '%s' join op %zu is malformed", path.c_str(), i + 1));
-      }
-      applied = cohort.Join(key.AsString(), skill.AsNumber());
-    } else if (op == "leave") {
-      TDG_ASSIGN_OR_RETURN(util::JsonValue key, records[i].GetField("key"));
-      if (!key.is_string()) {
-        return util::Status::IOError(util::StrFormat(
-            "journal '%s' leave op %zu is malformed", path.c_str(), i + 1));
-      }
-      applied = cohort.Leave(key.AsString());
-    } else if (op == "advance") {
-      applied = cohort.Advance().status();
-    } else {
-      return util::Status::IOError(util::StrFormat(
-          "journal '%s' op line %zu has unknown op '%s'", path.c_str(),
-          i + 1, op.c_str()));
-    }
-    if (!applied.ok()) {
-      return util::Status::IOError(util::StrFormat(
-          "journal '%s' op line %zu does not replay: %s", path.c_str(),
-          i + 1, applied.message().c_str()));
-    }
+  if (prefix.torn_tail) {
+    // Cut the torn bytes before the next append lands after them.
+    TDG_RETURN_IF_ERROR(util::TruncateFile(path, prefix.bytes));
   }
 
   TDG_BLACKBOX(obs::BlackboxEventType::kCohortRestore,
-               static_cast<double>(cohort.id_hash()),
-               static_cast<double>(cohort.rounds_advanced()),
-               static_cast<double>(cohort.num_participants()));
+               static_cast<double>(cohort->id_hash()),
+               static_cast<double>(cohort->rounds_advanced()),
+               static_cast<double>(cohort->num_participants()));
   TDG_OBS_COUNTER_ADD("serve/cohort_restores", 1);
 
-  auto entry = std::make_unique<Entry>(std::move(cohort));
+  auto entry = std::make_unique<Entry>(*std::move(cohort));
   TDG_ASSIGN_OR_RETURN(entry->journal, util::DurableAppendFile::Open(path));
   std::lock_guard<std::mutex> lock(map_mutex_);
-  cohorts_.emplace(id, std::move(entry));
+  cohorts_.emplace(entry->cohort.id(), std::move(entry));
   ++restored_cohorts_;
   return util::Status::OK();
 }
@@ -317,8 +216,8 @@ util::Status CohortManager::Enroll(
           path.c_str()));
     }
     TDG_ASSIGN_OR_RETURN(entry->journal, util::DurableAppendFile::Open(path));
-    util::Status appended =
-        entry->journal.AppendLine(HeaderLine(id, config, participants));
+    util::Status appended = entry->journal.AppendLine(
+        HeaderLine({.id = id, .config = config, .participants = participants}));
     if (!appended.ok()) {
       entry->journal.Close();
       ::unlink(path.c_str());
@@ -353,8 +252,8 @@ util::StatusOr<CohortManager::Entry*> CohortManager::Find(
   return it->second.get();
 }
 
-util::Status CohortManager::Join(const std::string& id,
-                                 const std::string& key, double skill) {
+util::StatusOr<CohortManager::Applied> CohortManager::Apply(
+    const std::string& id, const CohortOp& op) {
   TDG_ASSIGN_OR_RETURN(Entry * entry, Find(id));
   // Per-entry lock acquisition is a traced phase: under contention this is
   // where a request's tail latency hides (DESIGN.md §14).
@@ -363,55 +262,55 @@ util::Status CohortManager::Join(const std::string& id,
     obs::ScopedRequestPhase lock_phase(obs::RequestPhase::kLockWait);
     lock.lock();
   }
-  TDG_RETURN_IF_ERROR(entry->cohort.CanJoin(key, skill));
+  Cohort& cohort = entry->cohort;
+  TDG_RETURN_IF_ERROR(cohort.Check(op));
   if (entry->journal.is_open()) {
     obs::ScopedRequestPhase journal_phase(obs::RequestPhase::kJournal);
-    TDG_RETURN_IF_ERROR(entry->journal.AppendLine(JoinOpLine(key, skill)));
+    std::string line;
+    AppendCohortOpJson(op, line);
+    TDG_RETURN_IF_ERROR(entry->journal.AppendLine(line));
   }
-  TDG_RETURN_IF_ERROR(entry->cohort.Join(key, skill));
-  RecordChurn(entry->cohort, /*joined=*/1, /*left=*/0);
-  TDG_OBS_COUNTER_ADD("serve/cohort_joins", 1);
-  return util::Status::OK();
+  Applied applied;
+  switch (op.kind) {
+    case CohortOp::kJoin:
+      TDG_RETURN_IF_ERROR(cohort.Apply(op));
+      RecordChurn(cohort, /*joined=*/1, /*left=*/0);
+      TDG_OBS_COUNTER_ADD("serve/cohort_joins", 1);
+      break;
+    case CohortOp::kLeave:
+      TDG_RETURN_IF_ERROR(cohort.Apply(op));
+      RecordChurn(cohort, /*joined=*/0, /*left=*/1);
+      TDG_OBS_COUNTER_ADD("serve/cohort_leaves", 1);
+      break;
+    case CohortOp::kAdvance: {
+      obs::ScopedRequestPhase compute_phase(obs::RequestPhase::kCompute);
+#if defined(TDG_TEST_HOOKS)
+      MaybeInjectSlowAdvance();
+#endif
+      TDG_RETURN_IF_ERROR(cohort.Apply(op));
+      applied.round = cohort.rounds_advanced() - 1;
+      applied.gain = cohort.rounds().back().gain;
+      break;
+    }
+  }
+  applied.participants = cohort.num_participants();
+  return applied;
+}
+
+util::Status CohortManager::Join(const std::string& id,
+                                 const std::string& key, double skill) {
+  return Apply(id, {.kind = CohortOp::kJoin, .key = key, .skill = skill})
+      .status();
 }
 
 util::Status CohortManager::Leave(const std::string& id,
                                   const std::string& key) {
-  TDG_ASSIGN_OR_RETURN(Entry * entry, Find(id));
-  std::unique_lock<std::mutex> lock(entry->mutex, std::defer_lock);
-  {
-    obs::ScopedRequestPhase lock_phase(obs::RequestPhase::kLockWait);
-    lock.lock();
-  }
-  TDG_RETURN_IF_ERROR(entry->cohort.CanLeave(key));
-  if (entry->journal.is_open()) {
-    obs::ScopedRequestPhase journal_phase(obs::RequestPhase::kJournal);
-    TDG_RETURN_IF_ERROR(entry->journal.AppendLine(LeaveOpLine(key)));
-  }
-  TDG_RETURN_IF_ERROR(entry->cohort.Leave(key));
-  RecordChurn(entry->cohort, /*joined=*/0, /*left=*/1);
-  TDG_OBS_COUNTER_ADD("serve/cohort_leaves", 1);
-  return util::Status::OK();
+  return Apply(id, {.kind = CohortOp::kLeave, .key = key}).status();
 }
 
-util::StatusOr<CohortManager::Advanced> CohortManager::Advance(
+util::StatusOr<CohortManager::Applied> CohortManager::Advance(
     const std::string& id) {
-  TDG_ASSIGN_OR_RETURN(Entry * entry, Find(id));
-  std::unique_lock<std::mutex> lock(entry->mutex, std::defer_lock);
-  {
-    obs::ScopedRequestPhase lock_phase(obs::RequestPhase::kLockWait);
-    lock.lock();
-  }
-  TDG_RETURN_IF_ERROR(entry->cohort.CanAdvance());
-  if (entry->journal.is_open()) {
-    obs::ScopedRequestPhase journal_phase(obs::RequestPhase::kJournal);
-    TDG_RETURN_IF_ERROR(entry->journal.AppendLine(AdvanceOpLine()));
-  }
-  obs::ScopedRequestPhase compute_phase(obs::RequestPhase::kCompute);
-#if defined(TDG_TEST_HOOKS)
-  MaybeInjectSlowAdvance();
-#endif
-  TDG_ASSIGN_OR_RETURN(double gain, entry->cohort.Advance());
-  return Advanced{gain, entry->cohort.rounds_advanced() - 1};
+  return Apply(id, {});
 }
 
 std::vector<std::string> CohortManager::CohortIds() const {

@@ -24,24 +24,25 @@ namespace tdg::serve {
 ///
 ///   line 1   {"schema":"tdg.cohort_journal.v1", "id":..., "config":{...},
 ///             "participants":[{"key":..,"skill":..},...], "digest":"..."}
-///   line 2+  {"op":"join","key":..,"skill":..} | {"op":"leave","key":..}
-///            | {"op":"advance"}
+///   line 2+  one serve::CohortOp each, in the grammar stated at CohortOp
 ///
 /// The digest is RunManifest::BuildDigest over the enroll payload — the
 /// same convention as the sweep checkpoints — so a journal written by a
 /// different build (or an edited header) is refused instead of silently
 /// replayed into different bits.
 ///
-/// Ordering per operation: precheck (Cohort::Can*) → fsync'd append →
-/// apply in memory → acknowledge. An op is therefore journaled iff it was
-/// (or will deterministically be) applied: a `kill -9` between append and
-/// apply only means the restart replays one op further than the dying
-/// process got — never that an acknowledged round is lost. Because a
+/// Ordering per operation (Apply): precheck (Cohort::Check) → fsync'd
+/// append → apply in memory → acknowledge. An op is therefore journaled
+/// iff it was (or will deterministically be) applied: a `kill -9` between
+/// append and apply only means the restart replays one op further than the
+/// dying process got — never that an acknowledged round is lost. Because a
 /// Cohort is deterministic, Open() replaying a journal reconstructs the
-/// exact pre-crash state bitwise, RNG stream included. A torn final line
-/// (the crash landed mid-append) is truncated away, like the sweep
-/// checkpoint reader; torn *middle* lines mean real corruption and are
-/// errors.
+/// exact pre-crash state bitwise, RNG stream included. Open reads each
+/// journal under the torn-tail rule of util::ReadDurableJsonl, the same
+/// reader as the sweep checkpoints: a torn final line is truncated away, a
+/// malformed newline-terminated line refuses to open, and a journal with
+/// no durable header (a crash during the enroll) is removed with a
+/// warning.
 ///
 /// Thread-safety: the cohort map is guarded by one mutex, each cohort (and
 /// its journal) by its own, so operations on different cohorts proceed in
@@ -62,18 +63,22 @@ class CohortManager {
   util::Status Enroll(const std::string& id, const CohortConfig& config,
                       const std::vector<CohortParticipant>& participants);
 
+  /// What one applied op left behind, read under the same cohort lock as
+  /// the op itself, so concurrent ops never mix them up.
+  struct Applied {
+    int participants = 0;  // residents after the op
+    int round = -1;        // an advance: the index of the round it ran
+    double gain = 0.0;     // an advance: that round's learning gain
+    bool operator==(const Applied&) const = default;
+  };
+  /// The one write path: lock the cohort, Cohort::Check, journal, apply.
+  util::StatusOr<Applied> Apply(const std::string& id, const CohortOp& op);
+
+  /// Apply of one join, leave or advance.
   util::Status Join(const std::string& id, const std::string& key,
                     double skill);
   util::Status Leave(const std::string& id, const std::string& key);
-  /// One advanced round: its learning gain and its index, read together
-  /// under the cohort lock, so concurrent advances never mix them up.
-  struct Advanced {
-    double gain = 0.0;
-    int round = 0;
-    bool operator==(const Advanced&) const = default;
-  };
-  /// Advances one round.
-  util::StatusOr<Advanced> Advance(const std::string& id);
+  util::StatusOr<Applied> Advance(const std::string& id);
 
   struct Summary {
     std::string id;

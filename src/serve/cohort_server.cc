@@ -200,25 +200,15 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
     // POST /cohorts — enroll.
     auto body = util::JsonValue::Parse(request.body);
     if (!body.ok()) return AppErrorResponse(body.status());
-    auto id = body->GetField("id");
-    auto config_json = body->GetField("config");
-    auto participants_json = body->GetField("participants");
-    if (!id.ok() || !id->is_string() || !config_json.ok() ||
-        !participants_json.ok()) {
-      return AppErrorResponse(util::Status::InvalidArgument(
-          "enroll body needs 'id', 'config', and 'participants'"));
-    }
-    auto config = CohortConfig::FromJson(*config_json);
-    if (!config.ok()) return AppErrorResponse(config.status());
-    auto participants = ParticipantsFromJson(*participants_json);
-    if (!participants.ok()) return AppErrorResponse(participants.status());
+    auto enroll = CohortEnroll::FromJson(*body);
+    if (!enroll.ok()) return AppErrorResponse(enroll.status());
     util::Status enrolled =
-        manager_->Enroll(id->AsString(), *config, *participants);
+        manager_->Enroll(enroll->id, enroll->config, enroll->participants);
     if (!enrolled.ok()) return AppErrorResponse(enrolled);
     util::JsonValue json = util::JsonValue::MakeObject();
-    json.Set("id", id->AsString());
+    json.Set("id", enroll->id);
     json.Set("participants",
-             static_cast<long long>(participants->size()));
+             static_cast<long long>(enroll->participants.size()));
     return util::net::BuildHttpResponse(201, "Created", "application/json",
                                         json.Serialize() + "\n");
   }
@@ -232,16 +222,6 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
       auto summary = manager_->GetSummary(id);
       if (!summary.ok()) return AppErrorResponse(summary.status());
       return OkJson(SummaryJson(*summary));
-    }
-    if (segments.size() == 2 && segments[1] == "advance") {
-      *endpoint_label = "advance";
-      if (!post) return MethodNotAllowed();
-      auto advanced = manager_->Advance(id);
-      if (!advanced.ok()) return AppErrorResponse(advanced.status());
-      util::JsonValue json = util::JsonValue::MakeObject();
-      json.Set("gain", advanced->gain);
-      json.Set("round", advanced->round);
-      return OkJson(json);
     }
     if (segments.size() == 3 && segments[1] == "rounds") {
       *endpoint_label = "round";
@@ -264,33 +244,30 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
                                           body);
     }
     if (segments.size() == 2 &&
-        (segments[1] == "join" || segments[1] == "leave")) {
-      *endpoint_label = segments[1];
+        (segments[1] == "advance" || segments[1] == "join" ||
+         segments[1] == "leave")) {
+      const std::string& verb = segments[1];
+      *endpoint_label = verb;
       if (!post) return MethodNotAllowed();
-      auto body = util::JsonValue::Parse(request.body);
-      if (!body.ok()) return AppErrorResponse(body.status());
-      auto key = body->GetField("key");
-      if (!key.ok() || !key->is_string()) {
-        return AppErrorResponse(util::Status::InvalidArgument(
-            "body needs a string 'key'"));
+      // An advance takes no fields, so its body is never read.
+      util::JsonValue fields;
+      if (verb != "advance") {
+        auto body = util::JsonValue::Parse(request.body);
+        if (!body.ok()) return AppErrorResponse(body.status());
+        fields = *std::move(body);
       }
-      util::Status applied = util::Status::OK();
-      if (segments[1] == "join") {
-        auto skill = body->GetField("skill");
-        if (!skill.ok() || !skill->is_number()) {
-          return AppErrorResponse(util::Status::InvalidArgument(
-              "join body needs a number 'skill'"));
-        }
-        applied = manager_->Join(id, key->AsString(), skill->AsNumber());
-      } else {
-        applied = manager_->Leave(id, key->AsString());
-      }
-      if (!applied.ok()) return AppErrorResponse(applied);
-      auto summary = manager_->GetSummary(id);
+      auto op = ParseCohortOp(verb, fields);
+      if (!op.ok()) return AppErrorResponse(op.status());
+      auto applied = manager_->Apply(id, *op);
+      if (!applied.ok()) return AppErrorResponse(applied.status());
       util::JsonValue json = util::JsonValue::MakeObject();
-      json.Set("id", id);
-      json.Set("participants",
-               summary.ok() ? summary->participants : -1);
+      if (op->kind == CohortOp::kAdvance) {
+        json.Set("gain", applied->gain);
+        json.Set("round", applied->round);
+      } else {
+        json.Set("id", id);
+        json.Set("participants", applied->participants);
+      }
       return OkJson(json);
     }
   }

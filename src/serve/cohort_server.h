@@ -34,8 +34,8 @@ namespace tdg::serve {
 ///   POST /cohorts/<id>/advance       {} → {"gain","round"}
 ///   GET  /cohorts/<id>/rounds/<t>    the canonical round JSON
 ///                                    (AppendCohortRoundJson)
-///   POST /cohorts/<id>/join          {"key","skill"}
-///   POST /cohorts/<id>/leave         {"key"}
+///   POST /cohorts/<id>/join          {"key","skill"} → {"id","participants"}
+///   POST /cohorts/<id>/leave         {"key"} → {"id","participants"}
 ///   GET  /tracez                     {"traces":[...]} — recently completed
 ///                                    requests with their trace ids
 ///   GET  /slowz                      JSONL, one slow/sampled request per

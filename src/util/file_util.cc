@@ -156,4 +156,36 @@ void DurableAppendFile::Close() {
   }
 }
 
+StatusOr<DurablePrefix> ReadDurableJsonl(
+    const std::string& path,
+    const std::function<Status(const JsonValue& record)>& on_record) {
+  TDG_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
+  DurablePrefix prefix;
+  size_t line_number = 0;
+  while (prefix.bytes < content.size()) {
+    ++line_number;
+    const size_t newline = content.find('\n', prefix.bytes);
+    if (newline == std::string::npos) {
+      prefix.torn_tail = true;
+      break;
+    }
+    const std::string_view line(content.data() + prefix.bytes,
+                                newline - prefix.bytes);
+    if (!line.empty()) {
+      StatusOr<JsonValue> record = JsonValue::Parse(line);
+      Status status = record.ok() ? on_record(*record) : record.status();
+      if (!status.ok()) {
+        return Status(status.code(),
+                      StrFormat("%s line %zu: %s%s", path.c_str(),
+                                line_number,
+                                record.ok() ? "" : "malformed record: ",
+                                status.message().c_str()));
+      }
+      ++prefix.records;
+    }
+    prefix.bytes = newline + 1;
+  }
+  return prefix;
+}
+
 }  // namespace tdg::util

@@ -2,16 +2,19 @@
 #define TDG_UTIL_FILE_UTIL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
+#include "util/json.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
 namespace tdg::util {
 
-/// Crash-safety primitives for the sweep checkpoint layer (DESIGN.md §8).
-/// Everything here is POSIX; the library targets linux.
+/// Crash-safety primitives under the sweep checkpoints and the cohort
+/// journals (DESIGN.md §8, §13). Everything here is POSIX; the library
+/// targets linux.
 
 /// Returns true if `path` names an existing file system entry.
 bool FileExists(const std::string& path);
@@ -66,6 +69,32 @@ class DurableAppendFile {
 
   int fd_ = -1;
 };
+
+/// How far a DurableAppendFile's JSONL survived: see ReadDurableJsonl.
+struct DurablePrefix {
+  uint64_t bytes = 0;      // length of the durable prefix
+  bool torn_tail = false;  // an unterminated final line was dropped
+  long long records = 0;   // durable records; 0 means a fresh start
+};
+
+/// Reads back a JSONL file written by DurableAppendFile, under the one
+/// torn-tail rule that the sweep checkpoints and the cohort journals share.
+/// AppendLine writes each line with a single write() that ends in '\n', so
+/// a crash can cut only the final line, and a cut line has no newline:
+///   - an unterminated final line is torn: it is dropped, and the durable
+///     prefix ends where it starts (a writer truncates the file to
+///     `bytes` before it appends again);
+///   - a newline-terminated line is durable, so one that does not parse is
+///     corruption and an error, never a torn write;
+///   - an empty durable prefix (`records` == 0) is a fresh start: the crash
+///     came before the first record (the header) was acknowledged, so there
+///     is nothing to recover.
+/// Blank lines are skipped. Calls `on_record` on each durable record in
+/// file order; its error stops the read. Every error names the path and
+/// the line. Read-only: the file is never repaired here.
+StatusOr<DurablePrefix> ReadDurableJsonl(
+    const std::string& path,
+    const std::function<Status(const JsonValue& record)>& on_record);
 
 }  // namespace tdg::util
 

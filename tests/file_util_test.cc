@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "sweep_shard_test_util.h"
 
@@ -124,6 +126,59 @@ TEST_F(FileUtilTest, MoveTransfersOwnership) {
   auto read = ReadFileToString(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), "after-move\n");
+}
+
+TEST_F(FileUtilTest, ReadDurableJsonlAppliesTheTornTailRule) {
+  const std::string path = Path("records.jsonl");
+  auto read = [&path](std::string_view content,
+                      std::vector<std::string>* records) {
+    EXPECT_TRUE(WriteFileAtomic(path, content).ok());
+    records->clear();
+    return ReadDurableJsonl(path, [records](const JsonValue& record) {
+      records->push_back(record.Serialize());
+      return Status::OK();
+    });
+  };
+  std::vector<std::string> records;
+
+  // Blank lines are skipped; an unterminated final line is torn.
+  auto torn = read("{\"a\":1}\n\n{\"b\":2}\n{\"c\":", &records);
+  ASSERT_TRUE(torn.ok()) << torn.status();
+  EXPECT_EQ(records, std::vector<std::string>({"{\"a\":1}", "{\"b\":2}"}));
+  EXPECT_EQ(torn->bytes, 17u);
+  EXPECT_TRUE(torn->torn_tail);
+  EXPECT_EQ(torn->records, 2);
+
+  // Unterminated but parseable is still torn: the newline is the commit.
+  auto unterminated = read("{\"a\":1}\n{\"b\":2}", &records);
+  ASSERT_TRUE(unterminated.ok()) << unterminated.status();
+  EXPECT_EQ(unterminated->bytes, 8u);
+  EXPECT_TRUE(unterminated->torn_tail);
+  EXPECT_EQ(unterminated->records, 1);
+
+  // No durable record: a fresh start.
+  for (std::string_view fresh : {"", "{\"a\"", "\n"}) {
+    auto prefix = read(fresh, &records);
+    ASSERT_TRUE(prefix.ok()) << prefix.status();
+    EXPECT_EQ(prefix->records, 0) << fresh;
+  }
+
+  // A malformed newline-terminated line is corruption, even the last one.
+  auto corrupt = read("{\"a\":1}\n{\"b\":2x\n", &records);
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_NE(corrupt.status().message().find(path + " line 2: malformed"),
+            std::string::npos)
+      << corrupt.status();
+
+  // The caller's error stops the read, keeps its code, and names the line.
+  ASSERT_TRUE(WriteFileAtomic(path, "{}\n{}\n{}\n").ok());
+  int seen = 0;
+  auto refused = ReadDurableJsonl(path, [&seen](const JsonValue&) {
+    return ++seen == 2 ? Status::NotFound("no") : Status::OK();
+  });
+  EXPECT_EQ(refused.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(refused.status().message(), path + " line 2: no");
+  EXPECT_EQ(seen, 2);
 }
 
 }  // namespace

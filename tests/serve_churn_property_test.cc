@@ -8,9 +8,10 @@
 //     when n < m),
 //   * the round gain is finite and non-negative,
 //
-// and, for a sample of schedules, that journaling the schedule to disk and
-// replaying it through CohortManager::Open reconstructs the cohort
-// bitwise — rounds, skills, and the RNG stream position (checked by
+// that every generated op survives AppendCohortOpJson → ParseCohortOp
+// unchanged, and, for a sample of schedules, that journaling the schedule
+// to disk and replaying it through CohortManager::Open reconstructs the
+// cohort bitwise — rounds, skills, and the RNG stream position (checked by
 // advancing once more on both sides).
 //
 // Seeds are fixed: the schedule corpus is identical on every run.
@@ -27,20 +28,15 @@
 #include "serve/cohort.h"
 #include "serve/cohort_manager.h"
 #include "sweep_shard_test_util.h"
+#include "util/json.h"
 
 namespace tdg::serve {
 namespace {
 
-struct Op {
-  enum Kind { kJoin, kLeave, kAdvance } kind;
-  std::string key;   // join/leave
-  double skill = 0;  // join
-};
-
 struct Schedule {
   CohortConfig config;
   std::vector<CohortParticipant> initial;
-  std::vector<Op> ops;
+  std::vector<CohortOp> ops;
 };
 
 Schedule RandomSchedule(random::Rng& rng, int index) {
@@ -84,29 +80,32 @@ Schedule RandomSchedule(random::Rng& rng, int index) {
   for (uint64_t i = 0; i < op_count; ++i) {
     switch (rng.NextBounded(4)) {
       case 0: {
-        Op op{Op::kJoin, fresh_key(), fresh_skill()};
+        CohortOp op{.kind = CohortOp::kJoin,
+                    .key = fresh_key(),
+                    .skill = fresh_skill()};
         resident.push_back(op.key);
         schedule.ops.push_back(std::move(op));
         break;
       }
       case 1: {
         if (resident.size() <= 1) {
-          schedule.ops.push_back({Op::kAdvance, "", 0});
+          schedule.ops.push_back({});
           break;
         }
         size_t victim = rng.NextBounded(resident.size());
-        schedule.ops.push_back({Op::kLeave, resident[victim], 0});
+        schedule.ops.push_back(
+            {.kind = CohortOp::kLeave, .key = resident[victim]});
         resident.erase(resident.begin() +
                        static_cast<std::ptrdiff_t>(victim));
         break;
       }
       default:
-        schedule.ops.push_back({Op::kAdvance, "", 0});
+        schedule.ops.push_back({});
         break;
     }
   }
   // Every schedule ends with at least one round.
-  schedule.ops.push_back({Op::kAdvance, "", 0});
+  schedule.ops.push_back({});
   return schedule;
 }
 
@@ -160,22 +159,29 @@ TEST(ServeChurnPropertyTest, RandomSchedulesKeepEveryRoundWithinPolicy) {
     }
     int rounds = 0;
     for (size_t i = 0; i < schedule.ops.size(); ++i) {
-      const Op& op = schedule.ops[i];
+      const CohortOp& op = schedule.ops[i];
+      // The journal's grammar carries every generated op exactly.
+      std::string line;
+      AppendCohortOpJson(op, line);
+      auto json = util::JsonValue::Parse(line);
+      ASSERT_TRUE(json.ok()) << json.status();
+      auto parsed = ParseCohortOp(*json);
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      ASSERT_EQ(*parsed, op) << line;
+
+      util::Status applied = cohort->Apply(op);
+      ASSERT_TRUE(applied.ok()) << applied;
       switch (op.kind) {
-        case Op::kJoin:
-          ASSERT_TRUE(cohort->Join(op.key, op.skill).ok());
+        case CohortOp::kJoin:
           population.push_back(op.key);
           break;
-        case Op::kLeave: {
-          ASSERT_TRUE(cohort->Leave(op.key).ok());
+        case CohortOp::kLeave: {
           auto at = std::find(population.begin(), population.end(), op.key);
           ASSERT_NE(at, population.end());
           population.erase(at);
           break;
         }
-        case Op::kAdvance: {
-          auto gain = cohort->Advance();
-          ASSERT_TRUE(gain.ok()) << gain.status();
+        case CohortOp::kAdvance: {
           ASSERT_EQ(cohort->rounds_advanced(), rounds + 1);
           CheckRound(cohort->rounds().back(), population,
                      schedule.config.group_size,
@@ -207,18 +213,8 @@ TEST(ServeChurnPropertyTest, JournaledSchedulesReplayBitwise) {
     auto apply = [&schedule, &id](CohortManager& manager) {
       ASSERT_TRUE(
           manager.Enroll(id, schedule.config, schedule.initial).ok());
-      for (const Op& op : schedule.ops) {
-        switch (op.kind) {
-          case Op::kJoin:
-            ASSERT_TRUE(manager.Join(id, op.key, op.skill).ok());
-            break;
-          case Op::kLeave:
-            ASSERT_TRUE(manager.Leave(id, op.key).ok());
-            break;
-          case Op::kAdvance:
-            ASSERT_TRUE(manager.Advance(id).ok());
-            break;
-        }
+      for (const CohortOp& op : schedule.ops) {
+        ASSERT_TRUE(manager.Apply(id, op).ok());
       }
     };
 

@@ -7,9 +7,11 @@
 //   * the m/m+1 size profile and the join/leave/advance validation grammar,
 //     and the strict integer fields of the enroll config;
 //   * durability — journals replay to bitwise-identical state (RNG stream
-//     included), a torn final line is healed, a corrupt middle line or a
-//     foreign digest is refused, and a restored cohort's *future* rounds
-//     match an uninterrupted one's.
+//     included), a torn final line is healed, a torn header is a fresh
+//     start, a corrupt durable line or a foreign digest is refused, the
+//     journal bytes are pinned, and a restored cohort's *future* rounds
+//     match an uninterrupted one's;
+//   * the op grammar — ParseCohortOp's rejections.
 
 #include "serve/cohort.h"
 
@@ -127,6 +129,47 @@ TEST(ServeCohortTest, ValidationGrammar) {
   }
   EXPECT_EQ(cohort->Advance().status().code(),
             util::StatusCode::kFailedPrecondition);
+}
+
+TEST(ServeCohortTest, OpGrammar) {
+  auto parse = [](const std::string& text) {
+    auto json = util::JsonValue::Parse(text);
+    EXPECT_TRUE(json.ok()) << text;
+    return ParseCohortOp(*json);
+  };
+  auto join = parse(R"({"op": "join", "key": "a\\b", "skill": 2.5})");
+  ASSERT_TRUE(join.ok()) << join.status();
+  EXPECT_EQ(*join,
+            (CohortOp{.kind = CohortOp::kJoin, .key = "a\\b", .skill = 2.5}));
+  auto leave = parse(R"({"op": "leave", "key": "a"})");
+  ASSERT_TRUE(leave.ok()) << leave.status();
+  EXPECT_EQ(*leave, (CohortOp{.kind = CohortOp::kLeave, .key = "a"}));
+  auto advance = parse(R"({"op": "advance", "key": 5})");
+  ASSERT_TRUE(advance.ok()) << advance.status();
+  EXPECT_EQ(*advance, CohortOp{});
+
+  // A route carries the verb in its path and the fields in its body.
+  auto routed =
+      ParseCohortOp("leave", *util::JsonValue::Parse(R"({"key":"a"})"));
+  ASSERT_TRUE(routed.ok()) << routed.status();
+  EXPECT_EQ(*routed, *leave);
+
+  for (const char* bad :
+       {R"({"op": "join", "skill": 1})", R"({"op": "leave"})",
+        R"({"op": "leave", "key": 3})", R"({"op": "join", "key": "a"})",
+        R"({"op": "join", "key": "a", "skill": "1.5"})",
+        R"({"op": "join", "key": "a", "skill": null})",
+        R"({"op": "rewind"})", R"({"op": 1})", R"({"key": "a"})",
+        R"([])"}) {
+    EXPECT_EQ(parse(bad).status().code(), util::StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(ParseCohortOp("join", util::JsonValue::MakeArray()).status().code(),
+            util::StatusCode::kInvalidArgument);
+
+  std::string line;
+  AppendCohortOpJson(*join, line);
+  EXPECT_EQ(line, R"({"key":"a\\b","op":"join","skill":2.5})");
 }
 
 TEST(ServeCohortTest, ConfigFromJsonIsStrictOnIntegerFields) {
@@ -486,6 +529,65 @@ TEST_F(ServeJournalTest, CorruptMiddleLineIsRefused) {
 
   auto restored = CohortManager::Open(DiskOptions());
   EXPECT_FALSE(restored.ok());
+}
+
+TEST_F(ServeJournalTest, CorruptFinalLineIsRefused) {
+  {
+    auto manager = CohortManager::Open(DiskOptions());
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    ASSERT_TRUE(
+        (*manager)->Enroll("star", StarConfig(2), MakeParticipants(4)).ok());
+    for (int t = 0; t < 3; ++t) {
+      ASSERT_TRUE((*manager)->Advance("star").ok());
+    }
+  }
+  const std::string path = JournalPath("star");
+  auto intact = util::ReadFileToString(path);
+  ASSERT_TRUE(intact.ok());
+  // The last op line keeps its newline, so a torn append cannot explain
+  // it: it is an acknowledged op gone bad, and dropping it would silently
+  // lose a round.
+  std::string corrupt = *intact;
+  ASSERT_EQ(corrupt.substr(corrupt.size() - 2), "}\n");
+  corrupt[corrupt.size() - 2] = 'x';
+  ASSERT_TRUE(util::WriteFileAtomic(path, corrupt).ok());
+
+  auto restored = CohortManager::Open(DiskOptions());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.status().message().find("malformed"), std::string::npos)
+      << restored.status();
+  auto after = util::ReadFileToString(path);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, corrupt) << "Open changed a journal it refused";
+}
+
+TEST_F(ServeJournalTest, TornHeaderIsAFreshStart) {
+  // A crash during an enroll, before its header line was durable: the
+  // enroll was never acknowledged. Open removes the journal and serves the
+  // other cohorts, and the id can be enrolled again.
+  {
+    auto manager = CohortManager::Open(DiskOptions());
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    ASSERT_TRUE(
+        (*manager)->Enroll("star", StarConfig(2), MakeParticipants(4)).ok());
+    ASSERT_TRUE(
+        (*manager)->Enroll("torn", StarConfig(2), MakeParticipants(4)).ok());
+  }
+  const std::string path = JournalPath("torn");
+  auto intact = util::ReadFileToString(path);
+  ASSERT_TRUE(intact.ok());
+  ASSERT_TRUE(util::TruncateFile(path, intact->size() / 2).ok());
+
+  auto restored = CohortManager::Open(DiskOptions());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ((*restored)->restored_cohorts(), 1);
+  EXPECT_EQ((*restored)->CohortIds(), std::vector<std::string>({"star"}));
+  EXPECT_FALSE(util::FileExists(path));
+  ASSERT_TRUE(
+      (*restored)->Enroll("torn", StarConfig(2), MakeParticipants(4)).ok());
+  auto reenrolled = util::ReadFileToString(path);
+  ASSERT_TRUE(reenrolled.ok());
+  EXPECT_EQ(*reenrolled, *intact);
 }
 
 TEST_F(ServeJournalTest, ForeignDigestIsRefused) {
