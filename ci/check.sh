@@ -37,8 +37,10 @@
 #            profiled bench with --profile, gate the artifact with
 #            tdg_profile --check, repeat under the forced rusage fallback
 #            (TDG_PERF_BACKEND=rusage must degrade cleanly, never fail),
-#            and require sweep outputs to be byte-identical with
-#            profiling on vs off
+#            require sweep outputs to be byte-identical with
+#            profiling on vs off, and require an unprofiled sweep to
+#            export no perf/ counter while a profiled one charges
+#            core/skills/sort
 #   soa      structure-of-arrays fast-path gate (DESIGN.md §11): runs the
 #            differential-oracle, edge, summation-order, and golden suites
 #            under ASan and UBSan (each also with the TDG_SIMD=off runtime
@@ -65,7 +67,8 @@
 #            restart it, require zero lost rounds, finish the schedule, and
 #            require every served round to be byte-identical to an offline
 #            replay — the batch RunProcess driver for the churn-free
-#            schedule, a local serve::Cohort for the churny one; then, on
+#            schedule, a local serve::Cohort for the churny one — and the
+#            unprofiled server's /metrics to carry no tdg_perf_ line; then, on
 #            copies of the state dir, a corrupt durable journal line must
 #            make tdg_serve exit 2 with the file untouched, and a torn
 #            enroll header must be removed with the other cohorts restored
@@ -106,6 +109,8 @@ configure_flags() {
   esac
 }
 
+# Every ctest call below passes --no-tests=error, so a -R filter that
+# matches nothing (say, after a suite rename) fails its leg.
 ctest_args() {
   case "$1" in
     # TSan is ~10x slower; run the suites that actually exercise
@@ -121,7 +126,7 @@ ctest_args() {
     # multi-worker HTTP server, per-cohort locks, and journal appends under
     # concurrent clients — the serving plane's whole thread-safety story.
     tsan)
-      echo "-R ThreadPool|ParallelFor|Obs|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|Heartbeat|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler"
+      echo "-R ThreadPool|ParallelFor|Obs|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|Heartbeat|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler|Zone"
       ;;
     crash-resume)
       echo "-R SweepShard|SweepCrash|SweepTornWrite|FileUtil|CheckDeathTest|LoggingDeathTest"
@@ -177,7 +182,7 @@ run_crash_resume() {
   echo "==> [crash-resume] fault-injection suites"
   # shellcheck disable=SC2046
   (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    $(ctest_args crash-resume))
+    --no-tests=error $(ctest_args crash-resume))
 
   echo "==> [crash-resume] CLI crash / resume / merge e2e"
   local work="${build_dir}/e2e"
@@ -240,7 +245,7 @@ run_monitor() {
     >/dev/null
   echo "==> [monitor] monitoring suites (asan)"
   (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    -R "Net|StatsServer|Prometheus|Progress|Heartbeat")
+    --no-tests=error -R "Net|StatsServer|Prometheus|Progress|Heartbeat")
   echo "==> [monitor] monitoring suites (tsan)"
   local tsan_dir="build-ci/monitor-tsan"
   cmake -B "${tsan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -248,7 +253,7 @@ run_monitor() {
   cmake --build "${tsan_dir}" -j "${JOBS}" \
     --target tdg_tests tdg_sweep_shard_child >/dev/null
   (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    -R "Net|StatsServer|Prometheus|Progress|Heartbeat")
+    --no-tests=error -R "Net|StatsServer|Prometheus|Progress|Heartbeat")
 
   echo "==> [monitor] live-scrape e2e"
   command -v curl >/dev/null || { echo "curl not found" >&2; exit 1; }
@@ -352,7 +357,7 @@ run_profile() {
     example_tdg_cli >/dev/null
   echo "==> [profile] profiling suites"
   (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    -R "PerfCounters|PerfProfile|BenchReport|ScopedBenchRep|PerfDiff|Prometheus")
+    --no-tests=error -R "PerfCounters|PerfProfile|Zone|BenchReport|ScopedBenchRep|PerfDiff|Prometheus")
 
   echo "==> [profile] profiled bench + attribution gate"
   local work="${build_dir}/e2e"
@@ -404,6 +409,19 @@ EOF
     --csv="${work}/prof.csv" --json="${work}/prof.json" >/dev/null
   cmp "${work}/plain.csv" "${work}/prof.csv"
   cmp "${work}/plain.json" "${work}/prof.json"
+
+  echo "==> [profile] only profiled processes export perf counters"
+  # A zone registers its domain's counters on its first profiled entry
+  # (obs/zone.h), so a fresh unprofiled sweep exports no perf/ key at all.
+  "${cli}" sweep --config="${work}/sweep.cfg" \
+    --metrics_out="${work}/plain_metrics.json" >/dev/null
+  if grep -q '"perf/' "${work}/plain_metrics.json"; then
+    echo "an unprofiled sweep exported perf/ counters" >&2; exit 1
+  fi
+  "${cli}" sweep --config="${work}/sweep.cfg" --profile \
+    --metrics_out="${work}/prof_metrics.json" >/dev/null
+  grep -Eq '"perf/core/skills/sort/calls": *[1-9]' \
+    "${work}/prof_metrics.json"
   echo "==> [profile] OK"
 }
 
@@ -423,10 +441,10 @@ run_soa() {
     cmake --build "${build_dir}" -j "${JOBS}" --target tdg_tests >/dev/null
     echo "==> [soa/${san}] SoA suites"
     (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" \
-      -R "${filter}")
+      --no-tests=error -R "${filter}")
     echo "==> [soa/${san}] SoA suites with the TDG_SIMD=off runtime gate"
     (cd "${build_dir}" && TDG_SIMD=off ctest --output-on-failure \
-      -j "${JOBS}" -R "${filter}")
+      --no-tests=error -j "${JOBS}" -R "${filter}")
   done
 
   local scalar_dir="build-ci/soa-scalar"
@@ -437,7 +455,7 @@ run_soa() {
   cmake --build "${scalar_dir}" -j "${JOBS}" --target tdg_tests >/dev/null
   echo "==> [soa/scalar] forced-scalar build must still match the goldens"
   (cd "${scalar_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    -R "${filter}")
+    --no-tests=error -R "${filter}")
 
   echo "==> [soa/bench] build bench_soa_kernels + tdg_perfdiff"
   local bench_dir="build-ci/soa-bench"
@@ -481,7 +499,7 @@ run_blackbox() {
     --target tdg_tests tdg_sweep_shard_child >/dev/null
   echo "==> [blackbox] ring-buffer / recorder / server suites (tsan)"
   (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    -R "FlightRecorder|Blackbox|RecordRing|MmapFile|StatsServer|ObsThreading|ObsDeterminism")
+    --no-tests=error -R "FlightRecorder|Blackbox|RecordRing|MmapFile|StatsServer|ObsThreading|ObsDeterminism")
 
   echo "==> [blackbox] crash-dump e2e"
   local build_dir="build-ci/blackbox"
@@ -626,13 +644,15 @@ run_serve() {
   cmake --build "${asan_dir}" -j "${JOBS}" \
     --target tdg_tests tdg_serve tdg_servectl >/dev/null
   echo "==> [serve] serving suites (asan)"
-  (cd "${asan_dir}" && ctest --output-on-failure -j "${JOBS}" -R "${filter}")
+  (cd "${asan_dir}" && ctest --output-on-failure -j "${JOBS}" \
+    --no-tests=error -R "${filter}")
   echo "==> [serve] serving suites (tsan)"
   local tsan_dir="build-ci/serve-tsan"
   cmake -B "${tsan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTDG_SANITIZE=thread >/dev/null
   cmake --build "${tsan_dir}" -j "${JOBS}" --target tdg_tests >/dev/null
-  (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" -R "${filter}")
+  (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" \
+    --no-tests=error -R "${filter}")
 
   echo "==> [serve] cohort-serving e2e (enroll / churn / kill -9 / restart)"
   local work="${asan_dir}/e2e"
@@ -780,6 +800,13 @@ EOF
   "${ctl}" dump --port="${port}" --id=steady \
     > "${work}/served_steady_restarted.jsonl"
   cmp "${work}/served_steady.jsonl" "${work}/served_steady_restarted.jsonl"
+  # Every advance above crossed the round zones, but nothing profiled: the
+  # live scrape must carry no perf counter.
+  curl -sf "http://127.0.0.1:${port}/metrics" > "${work}/metrics.prom"
+  grep -q '^# TYPE tdg_' "${work}/metrics.prom"
+  if grep -q 'tdg_perf_' "${work}/metrics.prom"; then
+    echo "an unprofiled tdg_serve exported tdg_perf_ lines" >&2; exit 1
+  fi
 
   kill "${serve_pid}"
   wait "${serve_pid}" || {
@@ -853,13 +880,15 @@ run_tracing() {
   cmake --build "${asan_dir}" -j "${JOBS}" \
     --target tdg_tests tdg_serve tdg_servectl tdg_blackbox >/dev/null
   echo "==> [tracing] tracing suites (asan)"
-  (cd "${asan_dir}" && ctest --output-on-failure -j "${JOBS}" -R "${filter}")
+  (cd "${asan_dir}" && ctest --output-on-failure -j "${JOBS}" \
+    --no-tests=error -R "${filter}")
   echo "==> [tracing] tracing suites (tsan)"
   local tsan_dir="build-ci/tracing-tsan"
   cmake -B "${tsan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTDG_SANITIZE=thread -DTDG_TEST_HOOKS=ON >/dev/null
   cmake --build "${tsan_dir}" -j "${JOBS}" --target tdg_tests >/dev/null
-  (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" -R "${filter}")
+  (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" \
+    --no-tests=error -R "${filter}")
 
   echo "==> [tracing] e2e: slow request through /slowz, /tracez, blackbox"
   local work="${asan_dir}/e2e"
@@ -1019,7 +1048,7 @@ run_config() {
   echo "==> [${config}] test"
   # shellcheck disable=SC2046
   (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    $(ctest_args "${config}"))
+    --no-tests=error $(ctest_args "${config}"))
   echo "==> [${config}] OK"
 }
 

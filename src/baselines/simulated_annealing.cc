@@ -42,8 +42,8 @@ util::StatusOr<Grouping> SimulatedAnnealingPolicy::FormGroups(
     const SkillVector& skills, int num_groups) {
   TDG_RETURN_IF_ERROR(ValidatePolicyArguments(skills, num_groups));
   // Self time here is the proposal loop and bookkeeping; the swap-delta and
-  // round evaluations below carry their own nested domains.
-  TDG_PERF_SCOPE("baselines/sa/anneal");
+  // round evaluations below carry their own nested zones.
+  TDG_ZONE(obs::Zone::kAnneal);
   int n = static_cast<int>(skills.size());
   int group_size = n / num_groups;
   last_evaluations_ = 0;

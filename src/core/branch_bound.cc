@@ -181,11 +181,10 @@ util::StatusOr<BranchBoundResult> SolveTdgBranchBound(
   if (num_rounds < 0) {
     return util::Status::InvalidArgument("num_rounds must be >= 0");
   }
-  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kSolverBranchBound);
   // Coordination self time (enumeration, warm start, frontier seeding,
   // result selection); the per-subtree searches attribute separately from
   // their worker threads.
-  TDG_PERF_SCOPE("core/branch_bound/search");
+  TDG_ZONE(obs::Zone::kBranchBoundSearch);
   TDG_ASSIGN_OR_RETURN(
       std::vector<Grouping> groupings,
       EnumerateEquiSizedGroupings(static_cast<int>(skills.size()),
@@ -281,7 +280,7 @@ util::StatusOr<BranchBoundResult> SolveTdgBranchBound(
                                      num_threads);
   auto run_worker = [&](int worker) {
     for (int t; (t = queue.Next(worker)) != -1;) {
-      TDG_PERF_SCOPE("core/branch_bound/subtree");
+      TDG_ZONE(obs::Zone::kBranchBoundSubtree);
       SubtreeSearcher searcher;
       searcher.shared = &shared;
       searcher.local_best = greedy_gain;

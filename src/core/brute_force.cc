@@ -133,10 +133,9 @@ util::StatusOr<BruteForceResult> SolveTdgBruteForce(
   if (num_rounds < 0) {
     return util::Status::InvalidArgument("num_rounds must be >= 0");
   }
-  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kSolverBruteForce);
   // Coordination self time (enumeration, sharding, result selection); the
   // per-shard searches attribute separately from their worker threads.
-  TDG_PERF_SCOPE("core/brute_force/search");
+  TDG_ZONE(obs::Zone::kBruteForceSearch);
   int n = static_cast<int>(skills.size());
   TDG_ASSIGN_OR_RETURN(double count, CountEquiSizedGroupings(n, num_groups));
   double sequences = std::pow(count, static_cast<double>(num_rounds));
@@ -186,7 +185,7 @@ util::StatusOr<BruteForceResult> SolveTdgBruteForce(
                                      num_threads);
   auto run_worker = [&](int worker) {
     for (int t; (t = queue.Next(worker)) != -1;) {
-      TDG_PERF_SCOPE("core/brute_force/shard");
+      TDG_ZONE(obs::Zone::kBruteForceShard);
       ShardSearcher searcher;
       searcher.groupings = &groupings;
       searcher.mode = mode;

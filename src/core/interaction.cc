@@ -22,17 +22,6 @@ util::StatusOr<InteractionMode> ParseInteractionMode(std::string_view name) {
                                        std::string(name) + "'");
 }
 
-obs::PerfDomain& RoundKernelDomain(InteractionMode mode, bool clique_prefix) {
-  static obs::PerfDomain& star_domain =
-      obs::PerfDomain::Get("core/learning_gain/star");
-  static obs::PerfDomain& prefix_domain =
-      obs::PerfDomain::Get("core/theory/clique_prefix");
-  static obs::PerfDomain& naive_domain =
-      obs::PerfDomain::Get("core/learning_gain/clique_naive");
-  if (mode == InteractionMode::kStar) return star_domain;
-  return clique_prefix ? prefix_domain : naive_domain;
-}
-
 // The per-group work (gather, rank sort, gain kernel, scatter-add) lives on
 // the SoA plane: soa::GroupRoundMembers with a nullable update target, the
 // same pattern the old AoS kernels used. Update and evaluate paths run the
@@ -46,13 +35,7 @@ util::StatusOr<double> ApplyRound(InteractionMode mode,
                                   std::vector<double>* group_gains_out) {
   TDG_RETURN_IF_ERROR(
       grouping.ValidatePartition(static_cast<int>(skills.size())));
-  TDG_BLACKBOX_SPAN(mode == InteractionMode::kStar
-                        ? obs::BlackboxSpan::kInteractionStarRound
-                        : obs::BlackboxSpan::kInteractionCliqueRound);
-#if !defined(TDG_OBS_DISABLED)
-  obs::ScopedPerfDomain perf_scope(
-      RoundKernelDomain(mode, /*clique_prefix=*/gain.is_linear()));
-#endif
+  TDG_ZONE(RoundZone(mode, gain.is_linear()));
   soa::Arena& arena = soa::ThreadLocalArena();
   if (group_gains_out != nullptr) {
     group_gains_out->clear();

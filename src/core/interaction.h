@@ -6,13 +6,10 @@
 #include "core/grouping.h"
 #include "core/learning_gain.h"
 #include "core/skills.h"
+#include "obs/zone.h"
 #include "util/statusor.h"
 
 namespace tdg {
-
-namespace obs {
-class PerfDomain;
-}  // namespace obs
 
 /// Within-group interaction structure (paper §II):
 ///  - Star: every member learns only from the group's highest-skilled member.
@@ -68,11 +65,15 @@ util::StatusOr<double> EvaluateGroupGain(InteractionMode mode,
                                          const LearningGainFunction& gain,
                                          const SkillVector& skills);
 
-/// The perf-attribution domain (obs/perf_profile.h) of a round's update
-/// kernel: the star update, the Theorem-3 linear-clique prefix sums
-/// (`clique_prefix`), or the naive O(t²) clique path. The one selector
-/// behind ApplyRound, soa::DyGroupsRound and the reference kernels.
-obs::PerfDomain& RoundKernelDomain(InteractionMode mode, bool clique_prefix);
+/// The zone (obs/zone.h) of a round: the star update, the Theorem-3
+/// prefix-sum clique (`linear` gain), or the naive O(t²) clique. The one
+/// selector behind ApplyRound, soa::DyGroupsRound and the reference
+/// kernels.
+constexpr obs::Zone RoundZone(InteractionMode mode, bool linear) {
+  if (mode == InteractionMode::kStar) return obs::Zone::kStarRound;
+  return linear ? obs::Zone::kLinearCliqueRound
+                : obs::Zone::kNaiveCliqueRound;
+}
 
 }  // namespace tdg
 

@@ -5,7 +5,7 @@
 
 #include "core/skills.h"
 #include "core/soa.h"
-#include "obs/perf_profile.h"
+#include "obs/zone.h"
 #include "util/string_util.h"
 
 namespace tdg {
@@ -44,7 +44,7 @@ util::StatusOr<SwapGainDelta> EvaluateRoundGainDelta(
     }
   }
 
-  TDG_PERF_SCOPE("core/objective/swap_delta");
+  TDG_ZONE(obs::Zone::kSwapDelta);
   // All four group evaluations run on arena scratch — the O(n/k) inner loop
   // of local search does no heap allocation.
   soa::Arena& arena = soa::ThreadLocalArena();

@@ -20,7 +20,7 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
         "num_rounds must be >= 0, got %d", config.num_rounds));
   }
 
-  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kProcessRun);
+  TDG_ZONE(obs::Zone::kProcessRun);
   TDG_OBS_COUNTER_ADD("process/runs", 1);
 
   // Policies with a closed-form layout run the fused SoA round: one sort,
@@ -59,7 +59,7 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
   }
 
   for (int t = 0; t < config.num_rounds; ++t) {
-    TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kProcessRound);
+    TDG_ZONE(obs::Zone::kProcessRound);
     double round_gain;
     RoundRecord record;
     if (fused) {

@@ -7,11 +7,10 @@
 
 #include "core/policy.h"
 #include "obs/obs.h"
-#include "obs/perf_profile.h"
 #include "util/logging.h"
 
-// The kernels here keep the timing instrumentation (perf scopes, trace
-// spans, perf domains) of the production originals so that profiled
+// The kernels here keep the timing zones (obs/zone.h: spans and perf
+// domains) of the production originals so that profiled
 // reference-vs-SoA benchmark runs carry identical per-call overhead on
 // both sides. Observability *counters* stay production-only: the oracle
 // runs alongside the production path in differential tests and must not
@@ -20,7 +19,7 @@
 namespace tdg::reference {
 
 std::vector<int> SortedByskillDescending(std::span<const double> skills) {
-  TDG_PERF_SCOPE("core/skills/sort");
+  TDG_ZONE(obs::Zone::kSkillsSort);
   std::vector<int> ids(skills.size());
   std::iota(ids.begin(), ids.end(), 0);
   std::stable_sort(ids.begin(), ids.end(), [&skills](int a, int b) {
@@ -30,7 +29,7 @@ std::vector<int> SortedByskillDescending(std::span<const double> skills) {
 }
 
 std::vector<double> SkillDeficits(std::span<const double> skills) {
-  TDG_PERF_SCOPE("core/skills/deficits");
+  TDG_ZONE(obs::Zone::kSkillsDeficits);
   std::vector<double> deficits(skills.size(), 0.0);
   if (skills.empty()) return deficits;
   double top = *std::max_element(skills.begin(), skills.end());
@@ -177,13 +176,7 @@ util::StatusOr<double> ApplyRoundImpl(InteractionMode mode,
                                       bool allow_fast_path) {
   TDG_RETURN_IF_ERROR(
       grouping.ValidatePartition(static_cast<int>(skills.size())));
-  TDG_BLACKBOX_SPAN(mode == InteractionMode::kStar
-                        ? obs::BlackboxSpan::kInteractionStarRound
-                        : obs::BlackboxSpan::kInteractionCliqueRound);
-#if !defined(TDG_OBS_DISABLED)
-  obs::ScopedPerfDomain perf_scope(RoundKernelDomain(
-      mode, /*clique_prefix=*/allow_fast_path && gain.is_linear()));
-#endif
+  TDG_ZONE(RoundZone(mode, allow_fast_path && gain.is_linear()));
   double round_gain = 0.0;
   for (const auto& members : grouping.groups) {
     if (members.size() == 1) continue;  // nothing to learn from

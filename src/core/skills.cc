@@ -1,7 +1,7 @@
 #include "core/skills.h"
 
 #include "core/soa.h"
-#include "obs/perf_profile.h"
+#include "obs/zone.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -44,7 +44,7 @@ double AggregateGain(std::span<const double> before,
 }
 
 std::vector<double> SkillDeficits(std::span<const double> skills) {
-  TDG_PERF_SCOPE("core/skills/deficits");
+  TDG_ZONE(obs::Zone::kSkillsDeficits);
   std::vector<double> deficits(skills.size(), 0.0);
   if (skills.empty()) return deficits;
   double top = soa::MaxValue(skills);

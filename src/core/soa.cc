@@ -9,7 +9,7 @@
 
 #include "core/skills.h"
 #include "obs/obs.h"
-#include "obs/perf_profile.h"
+#include "obs/zone.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -509,7 +509,7 @@ KeyId* WideSortKeyIds(std::span<KeyId> a, std::span<KeyId> b,
 // skill value recoverable from the key (see SkillFromKey). Allocates from
 // `arena`; the caller owns the enclosing ArenaScope.
 std::span<KeyId> SortKeyIds(std::span<const double> skills, Arena& arena) {
-  TDG_PERF_SCOPE("core/skills/sort");
+  TDG_ZONE(obs::Zone::kSkillsSort);
   const size_t n = skills.size();
   std::span<KeyId> a = arena.Alloc<KeyId>(n);
   if (n < kRadixMinN) {
@@ -554,7 +554,7 @@ void SortIdsByskillDescending(std::span<const double> skills,
   if (n < kRadixMinN) {
     // No caller needs sort keys here, so skip materializing them and run
     // the reference kernel verbatim.
-    TDG_PERF_SCOPE("core/skills/sort");
+    TDG_ZONE(obs::Zone::kSkillsSort);
     for (size_t i = 0; i < n; ++i) ids_out[i] = static_cast<int>(i);
     std::stable_sort(ids_out.begin(), ids_out.end(), [&skills](int x, int y) {
       return skills[x] > skills[y];
@@ -723,9 +723,9 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
                : g + k;
   };
 
-  TDG_BLACKBOX_SPAN(mode == InteractionMode::kStar
-                        ? obs::BlackboxSpan::kInteractionStarRound
-                        : obs::BlackboxSpan::kInteractionCliqueRound);
+  // The sort zone nested below charges itself; this round zone charges the
+  // rest (key inversion, introspection, the group updates).
+  TDG_ZONE(RoundZone(mode, gain.is_linear()));
   ArenaScope scope(arena);
   std::span<KeyId> pairs = SortKeyIds(skills, arena);
   // Rank-order skill values come from inverting the sort keys — a
@@ -755,12 +755,6 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
   double round_gain = 0.0;
   int64_t updated_groups = 0;
   if (size_of(0) > 1) {
-#if !defined(TDG_OBS_DISABLED)
-    // Same attribution domains as the AoS ApplyRound (the sort above
-    // charges core/skills/sort for itself).
-    obs::ScopedPerfDomain perf_scope(
-        RoundKernelDomain(mode, /*clique_prefix=*/gain.is_linear()));
-#endif
     std::span<double> group = arena.Alloc<double>(size_of(0));
     std::span<double> gains = arena.Alloc<double>(size_of(0));
     for (size_t g = 0; g < k; ++g) {

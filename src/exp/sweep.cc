@@ -72,7 +72,7 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
                                        int runs, uint64_t point_seed,
                                        uint64_t policy_seed,
                                        std::vector<double>* run_gains) {
-  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kSweepCell);
+  TDG_ZONE(obs::Zone::kSweepCell);
   std::vector<double> gains;
   gains.reserve(runs);
   // Per-run process wall time is recorded into a per-cell registry
@@ -131,7 +131,7 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
 util::StatusOr<SweepResult> RunSweep(const SweepConfig& config) {
   TDG_RETURN_IF_ERROR(config.Validate());
   obs::InstallThreadPoolInstrumentation();
-  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kSweepRun);
+  TDG_ZONE(obs::Zone::kSweepRun);
   std::vector<std::string> policies =
       config.policies.empty() ? baselines::AllPolicyNames() : config.policies;
   std::vector<SweepPoint> points = GridPoints(config);

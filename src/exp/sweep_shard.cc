@@ -297,7 +297,7 @@ util::StatusOr<SweepShardResult> RunSweepShard(
         {{"shard_index", std::to_string(options.shard_index)},
          {"shard_count", std::to_string(options.shard_count)}});
   }
-  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kSweepShard);
+  TDG_ZONE(obs::Zone::kSweepShard);
 
   const std::vector<std::string> policies = SweepPolicies(config);
   const std::vector<SweepPoint> points = GridPoints(config);

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/perf_profile.h"
+#include "obs/zone.h"
 #include "util/string_util.h"
 
 namespace tdg::obs {

@@ -137,8 +137,6 @@ struct ThreadSlot {
   std::uint32_t tid = 0;
 };
 thread_local ThreadSlot tls_slot;
-// Nesting depth of this thread's open recorded spans.
-thread_local int tls_span_depth = 0;
 
 }  // namespace
 
@@ -168,7 +166,7 @@ util::Status FlightRecorder::Start(Options options) {
   // Quiesce writers while the state pointer swaps; stragglers that raced
   // past the flag keep writing through the previous (still mapped,
   // about-to-be-orphaned) file, never the new one.
-  active_.store(false, std::memory_order_release);
+  SetActive(false);
 
   // Unlink instead of truncating: a previous epoch may still have this
   // path mmapped, and truncating a mapped inode would turn its next store
@@ -207,19 +205,26 @@ util::Status FlightRecorder::Start(Options options) {
 
   state_.store(state, std::memory_order_release);
   last_path_ = options.path;
-  active_.store(true, std::memory_order_release);
+  SetActive(true);
   return util::Status::OK();
 }
 
 void FlightRecorder::Stop() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!active_.load(std::memory_order_relaxed)) return;
-  active_.store(false, std::memory_order_release);
+  SetActive(false);
   State* state = state_.load(std::memory_order_acquire);
   if (state != nullptr) {
     state->header()->flags.fetch_or(kFlagCleanShutdown,
                                     std::memory_order_relaxed);
     state->Sync();
+  }
+}
+
+void FlightRecorder::SetActive(bool active) {
+  active_.store(active, std::memory_order_release);
+  if (this == &Global()) {
+    zone_internal::SetPlane(zone_internal::kRecorderPlane, active);
   }
 }
 
@@ -277,16 +282,6 @@ void FlightRecorder::RecordAt(BlackboxEventType type, std::int64_t ts_micros,
   }
   for (; i < 6; ++i) record.values[i] = 0.0;
   slot.writer.Append(&record);
-}
-
-void ScopedBlackboxSpan::Open() {
-  depth_ = tls_span_depth++;
-  start_micros_ = util::MonotonicMicros();
-}
-
-void ScopedBlackboxSpan::Close() {
-  --tls_span_depth;
-  FlightRecorder::Global().RecordSpan(span_, start_micros_, depth_);
 }
 
 std::int64_t FlightRecorder::dropped() const {
@@ -405,46 +400,19 @@ std::vector<std::string_view> BlackboxEventFieldNames(
   return {};
 }
 
-std::string_view BlackboxSpanName(BlackboxSpan span) {
-  switch (span) {
-    case BlackboxSpan::kProcessRun:
-      return "process/run";
-    case BlackboxSpan::kProcessRound:
-      return "process/round";
-    case BlackboxSpan::kInteractionStarRound:
-      return "interaction/star_round";
-    case BlackboxSpan::kInteractionCliqueRound:
-      return "interaction/clique_round";
-    case BlackboxSpan::kSweepRun:
-      return "sweep/run";
-    case BlackboxSpan::kSweepCell:
-      return "sweep/cell";
-    case BlackboxSpan::kSweepShard:
-      return "sweep/shard";
-    case BlackboxSpan::kSolverBranchBound:
-      return "solver/branch_bound";
-    case BlackboxSpan::kSolverBruteForce:
-      return "solver/brute_force";
-    case BlackboxSpan::kAmtExperiment:
-      return "amt/experiment";
-    case BlackboxSpan::kAmtPopulation:
-      return "amt/population";
-    case BlackboxSpan::kAmtRound:
-      return "amt/round";
-  }
-  return {};
-}
-
 std::string BlackboxEventLabel(const BlackboxEvent& event) {
-  std::string_view name = BlackboxEventName(event.type);
   if (event.type == BlackboxEventType::kSpan) {
-    const double span = event.values[0];
-    name = span >= 0 && span < 256
-               ? BlackboxSpanName(
-                     static_cast<BlackboxSpan>(static_cast<int>(span)))
-               : std::string_view();
-    if (name.empty()) return util::StrFormat("span_%g", span);
+    // Only an integral id that some zone records has a name; a dump read
+    // from disk may hold any double in the slot.
+    for (const ZoneSpec& spec : kZoneTable) {
+      if (spec.span != BlackboxSpan::kNone &&
+          static_cast<double>(spec.span) == event.values[0]) {
+        return std::string(spec.span_name);
+      }
+    }
+    return util::StrFormat("span_%g", event.values[0]);
   }
+  const std::string_view name = BlackboxEventName(event.type);
   if (name.empty()) {
     return util::StrFormat("unknown_%d", static_cast<int>(event.type));
   }

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/zone.h"
 #include "util/json.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -34,14 +35,15 @@ namespace tdg::obs {
 /// in-flight records are counted and skipped, never trusted.
 ///
 /// Start/Stop cost a mutex; Record costs two relaxed/acquire loads when
-/// inactive and one 64-byte memcpy when active. The TDG_BLACKBOX and
-/// TDG_BLACKBOX_SPAN macros additionally compile out — arguments
-/// unevaluated — under TDG_OBS_DISABLED, while the explicit API keeps
-/// working, so obs-off builds still honor an explicit --blackbox.
+/// inactive and one 64-byte memcpy when active. The TDG_BLACKBOX macro
+/// additionally compiles out — arguments unevaluated — under
+/// TDG_OBS_DISABLED, while the explicit API keeps working, so obs-off
+/// builds still honor an explicit --blackbox.
 ///
 /// The recorder is the only event store: timed scopes are `span` records
-/// (one per closed span: name, duration, nesting depth), and the Chrome
-/// trace and JSONL views are rendered from a dump by `tdg_blackbox`.
+/// written by closing zones (zone.h: name, duration, nesting depth), and
+/// the Chrome trace and JSONL views are rendered from a dump by
+/// `tdg_blackbox`.
 
 /// Binary schema identifier; bump kBlackboxVersion on incompatible change.
 inline constexpr char kBlackboxMagic[8] = {'T', 'D', 'G', 'B',
@@ -71,30 +73,10 @@ enum class BlackboxEventType : std::uint8_t {
   kSpan = 19,            // span, micros, depth; stamped when the span closes
 };
 
-/// Span vocabulary: the `span` slot of a kSpan record. Values are part of
-/// the on-disk format: append only.
-enum class BlackboxSpan : std::uint8_t {
-  kProcessRun = 1,
-  kProcessRound = 2,
-  kInteractionStarRound = 3,
-  kInteractionCliqueRound = 4,
-  kSweepRun = 5,
-  kSweepCell = 6,
-  kSweepShard = 7,
-  kSolverBranchBound = 8,
-  kSolverBruteForce = 9,
-  kAmtExperiment = 10,
-  kAmtPopulation = 11,
-  kAmtRound = 12,
-};
-
 /// Decoder-facing name ("round_end") and named payload slots for a type;
 /// unknown types decode as "unknown_<value>" with generic slot names.
 std::string_view BlackboxEventName(BlackboxEventType type);
 std::vector<std::string_view> BlackboxEventFieldNames(BlackboxEventType type);
-
-/// "process/run", "interaction/star_round", ...; "" for an unknown value.
-std::string_view BlackboxSpanName(BlackboxSpan span);
 
 /// One decoded event. Payload slots beyond the type's named fields are
 /// preserved (they decode under generic names) so old readers stay usable
@@ -176,6 +158,8 @@ class FlightRecorder {
 
  private:
   void AcquireRing(State* state);
+  // The global recorder mirrors its flag into the zone planes (zone.h).
+  void SetActive(bool active);
   // Record body; `ts_micros` < 0 stamps the current time.
   void RecordAt(BlackboxEventType type, std::int64_t ts_micros,
                 std::initializer_list<double> values);
@@ -219,31 +203,6 @@ void FilterBlackboxTrace(BlackboxDump* dump, std::uint64_t trace_id);
 /// else an instant event. Every event carries its decoded record as args.
 util::JsonValue BlackboxToChromeTrace(const BlackboxDump& dump);
 
-/// RAII span: records one kSpan record when the scope closes, provided the
-/// global recorder was active when it opened (otherwise the whole span
-/// costs one relaxed load). Prefer TDG_BLACKBOX_SPAN, which compiles out
-/// under TDG_OBS_DISABLED; the class itself records in every build.
-class ScopedBlackboxSpan {
- public:
-  explicit ScopedBlackboxSpan(BlackboxSpan span) : span_(span) {
-    if (FlightRecorder::Global().active()) Open();
-  }
-  ~ScopedBlackboxSpan() {
-    if (start_micros_ >= 0) Close();
-  }
-
-  ScopedBlackboxSpan(const ScopedBlackboxSpan&) = delete;
-  ScopedBlackboxSpan& operator=(const ScopedBlackboxSpan&) = delete;
-
- private:
-  void Open();
-  void Close();
-
-  BlackboxSpan span_;
-  int depth_ = 0;
-  std::int64_t start_micros_ = -1;  // -1: the recorder was off at open
-};
-
 }  // namespace tdg::obs
 
 /// Records a typed event into the global flight recorder. `...` are up to
@@ -264,22 +223,6 @@ class ScopedBlackboxSpan {
       tdg_blackbox_recorder.Record((type), {__VA_ARGS__});    \
     }                                                         \
   } while (0)
-#endif
-
-#define TDG_BLACKBOX_CONCAT_INNER(a, b) a##b
-#define TDG_BLACKBOX_CONCAT(a, b) TDG_BLACKBOX_CONCAT_INNER(a, b)
-
-/// Opens a span (an obs::BlackboxSpan value) covering the rest of the
-/// enclosing scope; compiles out under TDG_OBS_DISABLED.
-#if defined(TDG_OBS_DISABLED)
-#define TDG_BLACKBOX_SPAN(span) \
-  do {                          \
-    (void)sizeof(span);         \
-  } while (0)
-#else
-#define TDG_BLACKBOX_SPAN(span)                                \
-  ::tdg::obs::ScopedBlackboxSpan TDG_BLACKBOX_CONCAT(          \
-      tdg_blackbox_span_, __LINE__)(span)
 #endif
 
 #endif  // TDG_OBS_FLIGHT_RECORDER_H_

@@ -7,15 +7,15 @@
 ///   * a thread-safe metrics registry (metrics.h): named counters, gauges,
 ///     and fixed-bucket latency histograms with p50/p95/p99 summaries,
 ///     exportable to JSON / CSV / an ASCII table;
-///   * the flight recorder (flight_recorder.h): the one event store. Scoped
-///     spans (TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kProcessRun)) and typed
+///   * the flight recorder (flight_recorder.h): the one event store. Zone
+///     spans (TDG_ZONE(obs::Zone::kProcessRun), zone.h) and typed
 ///     semantic events (TDG_BLACKBOX) land in per-thread mmap-backed ring
 ///     buffers whose dump survives kill -9; `tdg_blackbox` decodes it into
 ///     a summary, JSONL, or a Chrome trace, and /blackboxz tails it live.
 ///
 /// Controls:
 ///   * compile time — building with -DTDG_OBS_DISABLED compiles every
-///     TDG_BLACKBOX* / TDG_OBS_* macro to nothing. Explicit API calls
+///     TDG_BLACKBOX / TDG_ZONE / TDG_OBS_* macro to nothing. Explicit API calls
 ///     (e.g. the sweep's process-latency histogram that feeds mean_micros,
 ///     FlightRecorder::Record) remain functional: they are product
 ///     features, not optional instrumentation.
@@ -33,11 +33,12 @@
 /// heartbeat files. All of it only *reads* experiment state: outputs are
 /// byte-identical with and without the server.
 ///
-/// A fourth pillar — kernel profiling (perf_counters.h, perf_profile.h) —
-/// reads hardware counters (cycles, instructions, cache/branch misses) via
+/// A fourth pillar — kernel profiling (perf_counters.h, zone.h) — reads
+/// hardware counters (cycles, instructions, cache/branch misses) via
 /// perf_event_open, degrading to getrusage/clock_gettime where perf access
-/// is denied, and attributes them to named kernel domains through RAII
-/// ScopedPerfDomain zones. Attribution lands in registry counters
+/// is denied, and attributes them to the perf domains of the same
+/// TDG_ZONE scopes that record spans: one zone table names each timed
+/// scope's span and domain. Attribution lands in registry counters
 /// "perf/<domain>/<event>", so it reaches /metrics, --metrics_out and bench
 /// reports without extra plumbing. Off by default; enable with `--profile`
 /// (bench/CLI binaries) or TDG_PROFILE=1.
@@ -56,7 +57,6 @@
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/perf_diff.h"
-#include "obs/perf_profile.h"
 #include "obs/progress.h"
 #include "obs/prometheus.h"
 #include "obs/request_context.h"
@@ -64,6 +64,7 @@
 #include "obs/stats_server.h"
 #include "obs/tail_sampler.h"
 #include "obs/windowed_histogram.h"
+#include "obs/zone.h"
 #include "util/status.h"
 
 namespace tdg::obs {

@@ -73,7 +73,7 @@ util::StatusOr<AmtPopulationResult> RunAmtPopulation(
     return util::Status::InvalidArgument("num_rounds must be >= 1");
   }
 
-  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kAmtPopulation);
+  TDG_ZONE(obs::Zone::kAmtPopulation);
 
   AmtPopulationResult result;
   result.policy_name = std::string(policy.name());
@@ -91,7 +91,7 @@ util::StatusOr<AmtPopulationResult> RunAmtPopulation(
   RetentionModel retention(config.retention);
 
   for (int round = 1; round <= config.num_rounds; ++round) {
-    TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kAmtRound);
+    TDG_ZONE(obs::Zone::kAmtRound);
     // Active roster.
     std::vector<SimulatedWorker*> roster;
     for (auto& w : workers) {
@@ -195,7 +195,7 @@ util::StatusOr<ExperimentResult> RunExperiment(
         config.total_workers, num_populations));
   }
 
-  TDG_BLACKBOX_SPAN(obs::BlackboxSpan::kAmtExperiment);
+  TDG_ZONE(obs::Zone::kAmtExperiment);
 
   random::Rng rng(config.seed);
   PopulationParams population_params = config.population;

@@ -301,12 +301,12 @@ TEST(FlightRecorderSpanTest, SpansNestWithDepthAndContainment) {
   FlightRecorder& recorder = FlightRecorder::Global();
   ASSERT_TRUE(recorder.Start(SmallOptions(path)).ok());
   {
-    TDG_BLACKBOX_SPAN(BlackboxSpan::kSweepCell);
+    TDG_ZONE(Zone::kSweepCell);
     {
-      TDG_BLACKBOX_SPAN(BlackboxSpan::kProcessRun);
+      TDG_ZONE(Zone::kProcessRun);
     }
     {
-      TDG_BLACKBOX_SPAN(BlackboxSpan::kProcessRun);
+      TDG_ZONE(Zone::kProcessRun);
     }
   }
   recorder.Stop();
@@ -342,8 +342,8 @@ TEST(FlightRecorderSpanTest, ChromeJsonRoundTripsThroughParser) {
   {
     // The class records in both builds (only the macro compiles out), so
     // this also covers the view in TDG_OBS_DISABLED builds.
-    ScopedBlackboxSpan outer(BlackboxSpan::kAmtExperiment);
-    ScopedBlackboxSpan inner(BlackboxSpan::kAmtRound);
+    ScopedZone outer(Zone::kAmtExperiment);
+    ScopedZone inner(Zone::kAmtRound);
   }
   recorder.Record(BlackboxEventType::kRoundEnd, {0.0, 1.5, 1.5});
   recorder.Stop();
@@ -381,16 +381,16 @@ TEST(FlightRecorderSpanTest, InactiveRecorderRecordsNoSpans) {
   FlightRecorder& recorder = FlightRecorder::Global();
   ASSERT_FALSE(recorder.active());
   {
-    ScopedBlackboxSpan opened_while_off(BlackboxSpan::kProcessRun);
+    ScopedZone opened_while_off(Zone::kProcessRun);
     ASSERT_TRUE(recorder.Start(SmallOptions(path)).ok());
     {
       // Depth counts only spans that recorded: this one is outermost.
-      ScopedBlackboxSpan inner(BlackboxSpan::kProcessRound);
+      ScopedZone inner(Zone::kProcessRound);
     }
   }  // closes while on, but opened while off: no record
   recorder.Stop();
   {
-    ScopedBlackboxSpan after_stop(BlackboxSpan::kProcessRun);
+    ScopedZone after_stop(Zone::kProcessRun);
   }
 
   auto dump = ReadBlackbox(path);
@@ -405,7 +405,7 @@ TEST(FlightRecorderSpanTest, JsonlCarriesStampsAndSpanName) {
   FlightRecorder& recorder = FlightRecorder::Global();
   ASSERT_TRUE(recorder.Start(SmallOptions(path)).ok());
   {
-    ScopedBlackboxSpan span(BlackboxSpan::kSolverBranchBound);
+    ScopedZone span(Zone::kBranchBoundSearch);
   }
   recorder.Record(BlackboxEventType::kSpan, {200.0, 5.0, 0.0});
   recorder.Stop();

@@ -240,7 +240,7 @@ TEST(ObsThreadingTest, ConcurrentRecordingIsLossless) {
   {
     util::ThreadPool pool(4);
     util::ParallelFor(pool, kIterations, [&](int i) {
-      TDG_BLACKBOX_SPAN(BlackboxSpan::kSweepCell);
+      TDG_ZONE(Zone::kSweepCell);
       counter.Add(1);
       histogram.Record(static_cast<double>(i % 100));
     });

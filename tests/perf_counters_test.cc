@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "obs/bench_report.h"
 #include "obs/metrics.h"
-#include "obs/perf_profile.h"
+#include "obs/zone.h"
 
 namespace tdg::obs {
 namespace {
@@ -126,26 +128,33 @@ TEST(PerfCountersTest, ForceRusageBackendDegradesFreshThreads) {
 
 TEST(PerfProfileTest, ScopesAreNoOpsWhileProfilingDisabled) {
   ASSERT_FALSE(ProfilingEnabled());
-  PerfDomain& domain = PerfDomain::Get("test/profile_off");
-  Counter& calls =
-      MetricsRegistry::Global().GetCounter("perf/test/profile_off/calls");
-  const int64_t calls_before = calls.Value();
+  // An unprofiled zone neither charges nor registers its domain's counters
+  // (absent before means absent after).
+  auto sort_calls = [] {
+    const std::map<std::string, int64_t> counters =
+        MetricsRegistry::Global().SnapshotCounters();
+    const auto it = counters.find("perf/core/skills/sort/calls");
+    return it == counters.end() ? std::optional<int64_t>() : it->second;
+  };
+  const std::optional<int64_t> calls_before = sort_calls();
   {
-    ScopedPerfDomain scope(domain);
+    ScopedZone zone(Zone::kSkillsSort);
     SpinTaskClock(200'000);
   }
-  EXPECT_EQ(calls.Value(), calls_before);
+  EXPECT_EQ(sort_calls(), calls_before);
 }
 
 TEST(PerfProfileTest, AttributesSelfTimeToNestedDomains) {
   ScopedProfilingEnabled profiling(true);
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter& outer_clock =
-      registry.GetCounter("perf/test/nest_outer/task_clock_ns");
+      registry.GetCounter("perf/core/branch_bound/search/task_clock_ns");
   Counter& inner_clock =
-      registry.GetCounter("perf/test/nest_inner/task_clock_ns");
-  Counter& outer_calls = registry.GetCounter("perf/test/nest_outer/calls");
-  Counter& inner_calls = registry.GetCounter("perf/test/nest_inner/calls");
+      registry.GetCounter("perf/core/branch_bound/subtree/task_clock_ns");
+  Counter& outer_calls =
+      registry.GetCounter("perf/core/branch_bound/search/calls");
+  Counter& inner_calls =
+      registry.GetCounter("perf/core/branch_bound/subtree/calls");
   const int64_t outer_clock_before = outer_clock.Value();
   const int64_t inner_clock_before = inner_clock.Value();
   const int64_t outer_calls_before = outer_calls.Value();
@@ -154,10 +163,10 @@ TEST(PerfProfileTest, AttributesSelfTimeToNestedDomains) {
   ThreadPerfCounters& counters = ThreadPerfCounters::ForCurrentThread();
   const PerfSample window_start = counters.Read();
   {
-    ScopedPerfDomain outer(PerfDomain::Get("test/nest_outer"));
+    ScopedZone outer(Zone::kBranchBoundSearch);
     SpinTaskClock(1'000'000);
     {
-      ScopedPerfDomain inner(PerfDomain::Get("test/nest_inner"));
+      ScopedZone inner(Zone::kBranchBoundSubtree);
       SpinTaskClock(1'000'000);
     }
     SpinTaskClock(1'000'000);
@@ -169,7 +178,7 @@ TEST(PerfProfileTest, AttributesSelfTimeToNestedDomains) {
   const int64_t inner_ns = inner_clock.Value() - inner_clock_before;
   EXPECT_EQ(outer_calls.Value() - outer_calls_before, 1);
   EXPECT_EQ(inner_calls.Value() - inner_calls_before, 1);
-  // Both domains did ~1ms+ of work...
+  // Both zones did ~1ms+ of work...
   EXPECT_GE(outer_ns, 1'000'000);
   EXPECT_GE(inner_ns, 1'000'000);
   // ...and self-time accounting means their sum can never exceed the

@@ -333,23 +333,23 @@ TEST(StatsServerTest, StopIsIdempotentAndPortCloses) {
 
 // Satellite of the obs-off CI config: with TDG_OBS_DISABLED the macros
 // compile to nothing while the explicit APIs (FlightRecorder::Record,
-// ScopedBlackboxSpan, every HTTP endpoint) keep working — scrapes degrade
+// ScopedZone, every HTTP endpoint) keep working — scrapes degrade
 // to smaller outputs, never crashes. The same test runs in normal builds,
 // where it additionally pins the macro counts, so a skew between the two
 // paths fails exactly one config.
 TEST(StatsServerTest, ObsDisabledBuildDegradesCleanly) {
   const std::string dir = test::MakeScratchDir();
 
-  // Flight recorder: event and span macros + explicit record and span.
+  // Flight recorder: event and zone macros + explicit record and zone.
   const std::string blackbox = dir + "/events.blackbox";
   FlightRecorder& recorder = FlightRecorder::Global();
   FlightRecorder::Options recorder_options;
   recorder_options.path = blackbox;
   ASSERT_TRUE(recorder.Start(recorder_options).ok());
   TDG_BLACKBOX(BlackboxEventType::kNote, 1.0);
-  { TDG_BLACKBOX_SPAN(BlackboxSpan::kProcessRun); }
+  { TDG_ZONE(Zone::kProcessRun); }
   recorder.Record(BlackboxEventType::kNote, {2.0});
-  { ScopedBlackboxSpan span(BlackboxSpan::kProcessRound); }
+  { ScopedZone span(Zone::kProcessRound); }
 
   // Endpoints answer while both planes are live.
   StatsServerOptions options;

@@ -79,6 +79,16 @@ TEST(ZoneTest, SpanIdsDecodeToTheirNames) {
   }
 }
 
+// A dump read from disk can carry any double in the span slot; only an
+// integral id that some zone records gets a name.
+TEST(ZoneTest, NonIntegralSpanIdsDecodeRaw) {
+  EXPECT_EQ(obs::BlackboxEventLabel(SpanEvent(1.5)), "span_1.5");
+  EXPECT_EQ(obs::BlackboxEventLabel(SpanEvent(4.25)), "span_4.25");
+  EXPECT_EQ(obs::BlackboxEventLabel(SpanEvent(-1)), "span_-1");
+  EXPECT_EQ(obs::BlackboxEventLabel(SpanEvent(256)), "span_256");
+  EXPECT_EQ(obs::BlackboxEventLabel(SpanEvent(2.0)), "process/round");
+}
+
 TEST(ZoneTest, EveryPerfDomainIsChargedByItsKernel) {
 #if defined(TDG_OBS_DISABLED)
   GTEST_SKIP() << "perf attribution compiles out under TDG_OBS_DISABLED";
