@@ -70,7 +70,8 @@
 #            schedule, a local serve::Cohort for the churny one — and the
 #            unprofiled server's /metrics to carry no tdg_perf_ line; then, on
 #            copies of the state dir, a corrupt durable journal line must
-#            make tdg_serve exit 2 with the file untouched, and a torn
+#            make tdg_serve exit 2 with the file untouched (and a torn tail
+#            on a journal that sorts after it left untruncated), and a torn
 #            enroll header must be removed with the other cohorts restored
 #   tracing  request-tracing e2e (DESIGN.md §14): run the windowed-
 #            histogram / request-context / tail-sampler / serve-telemetry
@@ -825,6 +826,12 @@ EOF
     echo "failed to corrupt the churn journal" >&2; exit 1
   fi
   cp "${corrupt_journal}" "${work}/corrupt_churn.expected"
+  # A torn tail on a journal that sorts after the corrupt one: Open stops
+  # at the first bad journal in name order, so this one must not be
+  # truncated, although its replay may run in parallel with churn's.
+  local torn_steady="${work}/corrupt/steady.cohort"
+  printf '{"op":"adv' >> "${torn_steady}"
+  cp "${torn_steady}" "${work}/corrupt_steady.expected"
   local status=0
   timeout 30 "${serve}" --state_dir="${work}/corrupt" \
     --port_file="${work}/port3" > "${work}/serve3.log" 2>&1 || status=$?
@@ -833,6 +840,7 @@ EOF
     exit 1; }
   grep -q 'malformed record' "${work}/serve3.log"
   cmp "${corrupt_journal}" "${work}/corrupt_churn.expected"
+  cmp "${torn_steady}" "${work}/corrupt_steady.expected"
 
   echo "==> [serve] a torn enroll header: removed, the others restored"
   rm -rf "${work}/torn"

@@ -22,7 +22,9 @@
 #include "obs/request_context.h"
 #include "obs/run_manifest.h"
 #include "util/logging.h"
+#include "util/stopwatch.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace tdg::serve {
 namespace {
@@ -95,6 +97,14 @@ void RecordChurn(const Cohort& cohort, int joined, int left) {
 
 }  // namespace
 
+/// One journal's replay: the read phase fills everything but `path` from
+/// the file alone; the commit phase acts on it.
+struct CohortManager::Replay {
+  std::string path;
+  util::StatusOr<util::DurablePrefix> prefix = util::DurablePrefix{};
+  std::optional<Cohort> cohort;
+};
+
 util::StatusOr<std::unique_ptr<CohortManager>> CohortManager::Open(
     Options options) {
   std::unique_ptr<CohortManager> manager(
@@ -102,6 +112,7 @@ util::StatusOr<std::unique_ptr<CohortManager>> CohortManager::Open(
   const std::string& dir = manager->options_.state_dir;
   if (dir.empty()) return manager;
 
+  const util::Stopwatch stopwatch;
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return util::Status::IOError(util::StrFormat(
         "cannot create state dir '%s': %s", dir.c_str(),
@@ -113,21 +124,42 @@ util::StatusOr<std::unique_ptr<CohortManager>> CohortManager::Open(
         "cannot open state dir '%s': %s", dir.c_str(),
         std::strerror(errno)));
   }
-  std::vector<std::string> journals;
+  std::vector<Replay> replays;
   while (dirent* entry = ::readdir(handle)) {
     const std::string name = entry->d_name;
     if (name.size() > kJournalSuffix.size() &&
         name.compare(name.size() - kJournalSuffix.size(),
                      kJournalSuffix.size(), kJournalSuffix) == 0) {
-      journals.push_back(name);
+      replays.emplace_back().path = dir + "/" + name;
     }
   }
   ::closedir(handle);
-  // Deterministic replay order (readdir order is filesystem-dependent).
-  std::sort(journals.begin(), journals.end());
-  for (const std::string& name : journals) {
-    TDG_RETURN_IF_ERROR(manager->ReplayJournal(dir + "/" + name));
+  // Deterministic commit order (readdir order is filesystem-dependent).
+  std::sort(replays.begin(), replays.end(),
+            [](const Replay& a, const Replay& b) { return a.path < b.path; });
+
+  // Read: a cohort's rounds depend only on its own journal, so every
+  // journal replays independently. A single journal replays inline: no
+  // thread is started.
+  const int count = static_cast<int>(replays.size());
+  const int threads = std::min(util::AvailableCpus(), count);
+  if (threads > 1) {
+    util::ThreadPool pool(threads);
+    util::ParallelFor(pool, count, [&](int i) {
+      ReadJournal(replays[static_cast<size_t>(i)]);
+    });
+  } else {
+    for (Replay& replay : replays) ReadJournal(replay);
   }
+  // Commit: serial in name order, stopping at the first error, so the
+  // files end as a serial replay leaves them and the journals after a bad
+  // one stay untouched.
+  for (Replay& replay : replays) {
+    TDG_RETURN_IF_ERROR(manager->CommitJournal(replay));
+  }
+  manager->restore_.journals = count;
+  manager->restore_.threads = threads;
+  manager->restore_.seconds = stopwatch.ElapsedSeconds();
   return manager;
 }
 
@@ -135,28 +167,31 @@ std::string CohortManager::JournalPath(const std::string& id) const {
   return options_.state_dir + "/" + id + std::string(kJournalSuffix);
 }
 
-util::Status CohortManager::ReplayJournal(const std::string& path) {
+void CohortManager::ReadJournal(Replay& replay) {
   // Line 1 is the enroll header; every later line is one op. Every
   // journaled op passed Cohort::Check when it was appended, so an op that
   // does not replay means the journal, not the request stream, is damaged.
-  std::optional<Cohort> cohort;
-  TDG_ASSIGN_OR_RETURN(
-      util::DurablePrefix prefix,
-      util::ReadDurableJsonl(
-          path, [&](const util::JsonValue& record) -> util::Status {
-            if (!cohort.has_value()) {
-              TDG_ASSIGN_OR_RETURN(Cohort enrolled, CohortFromHeader(record));
-              cohort.emplace(std::move(enrolled));
-              return util::Status::OK();
-            }
-            util::StatusOr<CohortOp> op = ParseCohortOp(record);
-            util::Status applied = op.ok() ? cohort->Apply(*op) : op.status();
-            if (!applied.ok()) {
-              return util::Status::IOError("op does not replay: " +
-                                           applied.message());
-            }
-            return util::Status::OK();
-          }));
+  std::optional<Cohort>& cohort = replay.cohort;
+  replay.prefix = util::ReadDurableJsonl(
+      replay.path, [&](const util::JsonValue& record) -> util::Status {
+        if (!cohort.has_value()) {
+          TDG_ASSIGN_OR_RETURN(Cohort enrolled, CohortFromHeader(record));
+          cohort.emplace(std::move(enrolled));
+          return util::Status::OK();
+        }
+        util::StatusOr<CohortOp> op = ParseCohortOp(record);
+        util::Status applied = op.ok() ? cohort->Apply(*op) : op.status();
+        if (!applied.ok()) {
+          return util::Status::IOError("op does not replay: " +
+                                       applied.message());
+        }
+        return util::Status::OK();
+      });
+}
+
+util::Status CohortManager::CommitJournal(Replay& replay) {
+  TDG_ASSIGN_OR_RETURN(const util::DurablePrefix prefix, replay.prefix);
+  const std::string& path = replay.path;
   if (prefix.records == 0) {
     // A fresh start: the crash came before the enroll's header line was
     // durable, so the enroll was never acknowledged. Drop the file, which
@@ -170,11 +205,12 @@ util::Status CohortManager::ReplayJournal(const std::string& path) {
     }
     return util::Status::OK();
   }
-  if (JournalPath(cohort->id()) != path) {
+  Cohort& cohort = *replay.cohort;
+  if (JournalPath(cohort.id()) != path) {
     return util::Status::FailedPrecondition(util::StrFormat(
         "journal '%s' declares cohort id '%s', which does not match its "
         "file name",
-        path.c_str(), cohort->id().c_str()));
+        path.c_str(), cohort.id().c_str()));
   }
   if (prefix.torn_tail) {
     // Cut the torn bytes before the next append lands after them.
@@ -182,16 +218,17 @@ util::Status CohortManager::ReplayJournal(const std::string& path) {
   }
 
   TDG_BLACKBOX(obs::BlackboxEventType::kCohortRestore,
-               static_cast<double>(cohort->id_hash()),
-               static_cast<double>(cohort->rounds_advanced()),
-               static_cast<double>(cohort->num_participants()));
+               static_cast<double>(cohort.id_hash()),
+               static_cast<double>(cohort.rounds_advanced()),
+               static_cast<double>(cohort.num_participants()));
   TDG_OBS_COUNTER_ADD("serve/cohort_restores", 1);
 
-  auto entry = std::make_unique<Entry>(*std::move(cohort));
+  auto entry = std::make_unique<Entry>(std::move(cohort));
   TDG_ASSIGN_OR_RETURN(entry->journal, util::DurableAppendFile::Open(path));
   std::lock_guard<std::mutex> lock(map_mutex_);
   cohorts_.emplace(entry->cohort.id(), std::move(entry));
   ++restored_cohorts_;
+  restore_.ops += prefix.records - 1;
   return util::Status::OK();
 }
 
@@ -210,12 +247,16 @@ util::Status CohortManager::Enroll(
             "cohort '%s' already exists", id.c_str()));
       }
     }
-    if (util::FileExists(path)) {
+    // O_EXCL: of two racing enrolls of one id, exactly one creates the
+    // journal, and only that one ever writes or removes it.
+    util::StatusOr<util::DurableAppendFile> journal =
+        util::DurableAppendFile::Create(path);
+    if (journal.status().code() == util::StatusCode::kFailedPrecondition) {
       return util::Status::FailedPrecondition(util::StrFormat(
           "cohort '%s' already has a journal at '%s'", id.c_str(),
           path.c_str()));
     }
-    TDG_ASSIGN_OR_RETURN(entry->journal, util::DurableAppendFile::Open(path));
+    TDG_ASSIGN_OR_RETURN(entry->journal, std::move(journal));
     util::Status appended = entry->journal.AppendLine(
         HeaderLine({.id = id, .config = config, .participants = participants}));
     if (!appended.ok()) {

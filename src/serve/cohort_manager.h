@@ -44,6 +44,15 @@ namespace tdg::serve {
 /// no durable header (a crash during the enroll) is removed with a
 /// warning.
 ///
+/// A cohort's rounds depend only on its own journal, so Open replays the
+/// journals in two phases: a read phase that replays each journal into its
+/// own slot on a thread pool and writes nothing, then a commit phase that
+/// applies those file repairs and inserts the cohorts serially in name
+/// order, stopping at the first error. The files therefore end exactly as
+/// a one-journal-at-a-time replay leaves them, on success and on failure.
+/// Enroll creates its journal with O_EXCL, so of two racing enrolls of one
+/// id only the winner ever writes (or removes) the file.
+///
 /// Thread-safety: the cohort map is guarded by one mutex, each cohort (and
 /// its journal) by its own, so operations on different cohorts proceed in
 /// parallel while per-cohort histories stay linearizable.
@@ -104,6 +113,15 @@ class CohortManager {
   /// Cohorts reconstructed from journals by Open().
   int restored_cohorts() const { return restored_cohorts_; }
 
+  /// What Open() replayed (the /statusz `restore` object).
+  struct RestoreStats {
+    int journals = 0;    // journal files read
+    long long ops = 0;   // ops replayed, headers excluded
+    int threads = 0;     // read-phase threads; 1 = inline on the caller
+    double seconds = 0;  // wall time of both phases
+  };
+  const RestoreStats& restore_stats() const { return restore_; }
+
  private:
   struct Entry {
     mutable std::mutex mutex;
@@ -116,7 +134,12 @@ class CohortManager {
   explicit CohortManager(Options options)
       : options_(std::move(options)) {}
 
-  util::Status ReplayJournal(const std::string& path);
+  // One journal's replay, split across Open's two phases.
+  struct Replay;
+  // The read phase: replays the file into `replay`, writing nothing.
+  static void ReadJournal(Replay& replay);
+  // The commit phase: repairs the file and inserts the cohort.
+  util::Status CommitJournal(Replay& replay);
   std::string JournalPath(const std::string& id) const;
   /// Looks up an entry; the caller locks entry->mutex.
   util::StatusOr<Entry*> Find(const std::string& id) const;
@@ -125,6 +148,7 @@ class CohortManager {
   mutable std::mutex map_mutex_;
   std::map<std::string, std::unique_ptr<Entry>> cohorts_;
   int restored_cohorts_ = 0;
+  RestoreStats restore_;
 };
 
 }  // namespace tdg::serve

@@ -287,6 +287,13 @@ void CohortServer::AddStatusz(util::JsonValue& json) const {
   json.Set("cohorts", manager_->num_cohorts());
   json.Set("resident_participants",
            static_cast<long long>(manager_->total_participants()));
+  const CohortManager::RestoreStats& restore = manager_->restore_stats();
+  util::JsonValue restore_json = util::JsonValue::MakeObject();
+  restore_json.Set("journals", restore.journals);
+  restore_json.Set("ops", restore.ops);
+  restore_json.Set("threads", restore.threads);
+  restore_json.Set("seconds", restore.seconds);
+  json.Set("restore", std::move(restore_json));
   // Rolling latency windows per endpoint: {"advance": {"1m": {qps, p50,
   // p95, p99, error_rate, count}, ...}, ...}. Latencies in seconds.
   util::JsonValue windows_json = util::JsonValue::MakeObject();

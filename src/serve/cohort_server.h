@@ -26,7 +26,9 @@ namespace tdg::serve {
 ///                                    carries the serve gauges (cohorts,
 ///                                    resident participants)
 ///   GET  /statusz                    the shared fields + cohorts,
-///                                    resident_participants, and the
+///                                    resident_participants, the journal
+///                                    replay at Open ("restore": {journals,
+///                                    ops, threads, seconds}), and the
 ///                                    rolling latency windows
 ///   GET  /cohorts                    {"cohorts":[summary...]}
 ///   POST /cohorts                    {"id","config","participants"} → 201

@@ -119,6 +119,16 @@ StatusOr<DurableAppendFile> DurableAppendFile::Open(const std::string& path) {
   return DurableAppendFile(fd);
 }
 
+StatusOr<DurableAppendFile> DurableAppendFile::Create(
+    const std::string& path) {
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_APPEND, 0644);
+  if (fd < 0 && errno == EEXIST) {
+    return Status::FailedPrecondition("'" + path + "' already exists");
+  }
+  if (fd < 0) return Errno("create", path);
+  return DurableAppendFile(fd);
+}
+
 Status DurableAppendFile::AppendLine(std::string_view line) {
   if (fd_ < 0) return Status::FailedPrecondition("append to closed file");
   TDG_CHECK(line.find('\n') == std::string_view::npos)

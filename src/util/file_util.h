@@ -54,6 +54,10 @@ class DurableAppendFile {
 
   /// Opens (creating if absent, never truncating) `path` for appends.
   static StatusOr<DurableAppendFile> Open(const std::string& path);
+  /// Creates `path` for appends; it must not exist yet (O_EXCL), so of two
+  /// racing creators exactly one wins. An existing file is
+  /// FailedPrecondition, any other failure IOError.
+  static StatusOr<DurableAppendFile> Create(const std::string& path);
 
   bool is_open() const { return fd_ >= 0; }
 

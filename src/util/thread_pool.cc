@@ -1,5 +1,9 @@
 #include "util/thread_pool.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -114,6 +118,17 @@ void ThreadPool::WorkerLoop() {
       }
     }
   }
+}
+
+int AvailableCpus() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (::sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return std::max(CPU_COUNT(&mask), 1);
+  }
+#endif
+  return std::max(static_cast<int>(std::thread::hardware_concurrency()), 1);
 }
 
 void ParallelFor(ThreadPool& pool, int count,

@@ -63,6 +63,11 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
+/// CPUs this process may run on: the size of its affinity mask, so a
+/// process pinned with taskset or sched_setaffinity sizes its pools to its
+/// share, not to the machine. At least 1.
+int AvailableCpus();
+
 /// Runs `fn(i)` for i in [0, count) on `pool`, blocking until all complete.
 /// Iterations must be independent.
 void ParallelFor(ThreadPool& pool, int count,

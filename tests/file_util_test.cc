@@ -111,6 +111,20 @@ TEST_F(FileUtilTest, AppendAfterTruncateDropsTornTailCleanly) {
   EXPECT_EQ(read.value(), "complete\nrerun\n");
 }
 
+TEST_F(FileUtilTest, CreateRefusesAnExistingFile) {
+  const std::string path = Path("exclusive.jsonl");
+  {
+    auto file = DurableAppendFile::Create(path);
+    ASSERT_TRUE(file.ok()) << file.status();
+    ASSERT_TRUE(file->AppendLine("first").ok());
+  }
+  auto again = DurableAppendFile::Create(path);
+  EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
+  auto read = ReadFileToString(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value(), "first\n");
+}
+
 TEST_F(FileUtilTest, AppendToClosedFileFails) {
   DurableAppendFile file;
   EXPECT_FALSE(file.is_open());

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace tdg::util {
@@ -68,6 +70,14 @@ TEST(ThreadPoolTest, TasksCanSubmitTasks) {
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 20);
+}
+
+TEST(ThreadPoolTest, AvailableCpusIsWithinTheMachine) {
+  const int cpus = AvailableCpus();
+  EXPECT_GE(cpus, 1);
+  EXPECT_LE(cpus, std::max(
+                      static_cast<int>(std::thread::hardware_concurrency()),
+                      1));
 }
 
 }  // namespace
