@@ -22,10 +22,13 @@
 #            smoke test of the perf telemetry pipeline
 #   crash-resume  AddressSanitizer build with the fault-injection hooks
 #            compiled in; runs the crash/torn-write/shard-planner/death
-#            suites, then a CLI-level e2e: kill a sweep shard mid-run via
-#            TDG_TEST_CRASH_AFTER_CELLS, resume it, run the sibling shard,
-#            tdg_sweepmerge the checkpoints, and require the merged
-#            CSV/JSON to be byte-identical to an uninterrupted run
+#            suites, then a CLI-level e2e: require a checkpointed
+#            single-shard sweep to match an unpersisted one byte for byte
+#            and a sharded sweep without --checkpoint to fail, kill a
+#            sweep shard mid-run via TDG_TEST_CRASH_AFTER_CELLS, resume
+#            it, run the sibling shard, tdg_sweepmerge the checkpoints,
+#            and require the merged CSV/JSON to be byte-identical to an
+#            uninterrupted run
 #   monitor  live-monitoring e2e (DESIGN.md §9): run the monitoring test
 #            suites under asan and tsan, then start a sweep with
 #            --stats_port=0 --progress --heartbeat, curl /healthz /metrics
@@ -209,6 +212,20 @@ EOF
 
   "${cli}" sweep --config="${work}/sweep.cfg" --no_metrics \
     --csv="${work}/mono.csv" --json="${work}/mono.json" >/dev/null
+
+  # A checkpointed single-shard sweep runs the same cell loop as the
+  # unpersisted one above, so its outputs must be the same bytes.
+  "${cli}" sweep --config="${work}/sweep.cfg" --no_metrics \
+    --checkpoint="${work}/mono.ckpt" \
+    --csv="${work}/mono_ckpt.csv" --json="${work}/mono_ckpt.json" >/dev/null
+  cmp "${work}/mono.csv" "${work}/mono_ckpt.csv"
+  cmp "${work}/mono.json" "${work}/mono_ckpt.json"
+  # A shard without a checkpoint could never be merged: refused.
+  if "${cli}" sweep --config="${work}/sweep.cfg" --no_metrics \
+    --shard_count=2 >/dev/null 2>&1; then
+    echo "sweep --shard_count=2 without --checkpoint should fail" >&2
+    exit 1
+  fi
 
   # Shard 0 of 2 is killed by the fault hook after two cells (exit 42 =
   # kCrashHookExitCode), then resumed to completion.

@@ -14,13 +14,16 @@
 //                         [--checkpoint=<file>] [--resume]
 //                         [--shard_index=<i> --shard_count=<s>]
 //       Run a declarative sweep (see config-template) and print the grid.
-//       With --checkpoint, execution is crash-safe: every completed cell
+//       Every sweep runs the one cell loop, exp::RunSweepShard; without
+//       --checkpoint nothing is written but the outputs. With
+//       --checkpoint, execution is crash-safe: every completed cell
 //       is appended (fsync'd) to the tdg.sweep_checkpoint.v1 JSONL file,
 //       and --resume replays it, re-running only the missing tail.
 //       --shard_index/--shard_count run one deterministic slice of the
 //       grid; merge the N shard checkpoints back into the monolithic
 //       CSV/JSON with `tdg_sweepmerge` (byte-identical to an
-//       uninterrupted single-process run).
+//       uninterrupted single-process run). --resume and --shard_count > 1
+//       without --checkpoint are errors.
 //
 //   example_tdg_cli config-template
 //       Print a commented sweep config to adapt.
@@ -206,11 +209,6 @@ int CmdSweep(const tdg::util::FlagParser& flags) {
   shard.shard_count = static_cast<int>(flags.GetInt("shard_count", 1));
   shard.checkpoint_path = flags.GetString("checkpoint", "");
   shard.resume = flags.GetBool("resume", false);
-  if (shard.shard_count > 1 && shard.checkpoint_path.empty()) {
-    return Fail(tdg::util::Status::InvalidArgument(
-        "--shard_count > 1 requires --checkpoint (each shard must persist "
-        "its cells for tdg_sweepmerge)"));
-  }
   if (flags.GetBool("heartbeat", false)) {
     if (shard.checkpoint_path.empty()) {
       return Fail(tdg::util::Status::InvalidArgument(
@@ -222,33 +220,30 @@ int CmdSweep(const tdg::util::FlagParser& flags) {
         static_cast<int>(flags.GetInt("heartbeat_period_ms", 1000));
   }
 
-  if (!shard.checkpoint_path.empty()) {
-    // Crash-safe path: one fsync'd checkpoint record per completed cell.
-    auto result = tdg::exp::RunSweepShard(config.value(), shard);
-    if (!result.ok()) return Fail(result.status());
+  // One cell loop on every path; a sharded or resumed run without a
+  // checkpoint is InvalidArgument from the library.
+  auto result = tdg::exp::RunSweepShard(config.value(), shard);
+  if (!result.ok()) return Fail(result.status());
+  const tdg::exp::SweepResult& sweep = result->result;
+  if (shard.checkpoint_path.empty()) {
+    std::printf("sweep '%s': %zu cells\n", sweep.name.c_str(),
+                sweep.cells.size());
+  } else {
     std::printf(
         "sweep '%s' shard %d/%d: %zu cells (%d restored from checkpoint, "
         "%d run)%s\n",
-        result->result.name.c_str(), shard.shard_index, shard.shard_count,
-        result->result.cells.size(), result->cells_restored,
-        result->cells_run,
+        sweep.name.c_str(), shard.shard_index, shard.shard_count,
+        sweep.cells.size(), result->cells_restored, result->cells_run,
         result->torn_tail_dropped ? " [torn final record re-run]" : "");
-    if (shard.shard_count == 1) {
-      std::printf("\n%s", result->result.ToTable().c_str());
-      return WriteSweepOutputs(result->result, flags);
-    }
+  }
+  if (shard.shard_count > 1) {
     std::printf(
         "merge the shard checkpoints into CSV/JSON with: tdg_sweepmerge "
         "<checkpoints...>\n");
     return 0;
   }
-
-  auto result = tdg::exp::RunSweep(config.value());
-  if (!result.ok()) return Fail(result.status());
-  std::printf("sweep '%s': %zu cells\n\n", result->name.c_str(),
-              result->cells.size());
-  std::printf("%s", result->ToTable().c_str());
-  return WriteSweepOutputs(result.value(), flags);
+  std::printf("\n%s", sweep.ToTable().c_str());
+  return WriteSweepOutputs(sweep, flags);
 }
 
 int CmdConfigTemplate() {
@@ -423,10 +418,8 @@ int main(int argc, char** argv) {
   // byte-identical with and without these flags.
   tdg::obs::InstallBuildInfoMetrics();
   const int stats_port = static_cast<int>(flags.GetInt("stats_port", -1));
-  const bool progress = flags.GetBool("progress", false);
-  if (progress || stats_port >= 0) {
-    tdg::obs::ProgressTracker::Global().SetEnabled(true);
-    tdg::obs::ProgressTracker::Global().SetStderrReport(progress);
+  if (flags.GetBool("progress", false)) {
+    tdg::obs::ProgressTracker::Global().SetStderrReport(true);
   }
   std::unique_ptr<tdg::util::net::HttpServer> stats_server;
   if (stats_port >= 0) {

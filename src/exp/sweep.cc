@@ -1,18 +1,16 @@
 #include "exp/sweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "baselines/registry.h"
 #include "core/process.h"
+#include "exp/sweep_shard.h"
 #include "obs/obs.h"
 #include "stats/descriptive.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 
 namespace tdg::exp {
 
@@ -129,64 +127,10 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
 }
 
 util::StatusOr<SweepResult> RunSweep(const SweepConfig& config) {
-  TDG_RETURN_IF_ERROR(config.Validate());
-  obs::InstallThreadPoolInstrumentation();
   TDG_ZONE(obs::Zone::kSweepRun);
-  std::vector<std::string> policies =
-      config.policies.empty() ? baselines::AllPolicyNames() : config.policies;
-  std::vector<SweepPoint> points = GridPoints(config);
-
-  SweepResult result;
-  result.name = config.name;
-  result.cells.resize(points.size() * policies.size());
-
-  std::atomic<bool> failed{false};
-  util::Status first_error;
-  std::mutex error_mutex;
-
-  // The tracker only observes: every hook below is one relaxed atomic load
-  // when monitoring is off, and cell results never depend on it.
-  obs::ProgressTracker& progress = obs::ProgressTracker::Global();
-  progress.BeginRun(config.name,
-                    static_cast<long long>(result.cells.size()),
-                    /*cells_restored=*/0);
-
-  util::ThreadPool pool(config.threads);
-  util::ParallelFor(
-      pool, static_cast<int>(result.cells.size()), [&](int index) {
-        if (failed.load()) return;
-        size_t point_index = static_cast<size_t>(index) / policies.size();
-        size_t policy_index = static_cast<size_t>(index) % policies.size();
-        const int64_t cell_start =
-            progress.enabled() ? util::MonotonicMicros() : 0;
-        const SweepPoint& point = points[point_index];
-        TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellStart,
-                     static_cast<double>(index), static_cast<double>(point.n),
-                     static_cast<double>(point.k),
-                     static_cast<double>(point.alpha));
-        // Seeds depend only on the grid position — thread-schedule free.
-        CellSeeds seeds = SeedsForCell(config.seed, index, policies.size());
-        auto cell = RunSweepCell(point, policies[policy_index], config.runs,
-                                 seeds.point_seed, seeds.policy_seed);
-        if (!cell.ok()) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!failed.exchange(true)) first_error = cell.status();
-          return;
-        }
-        TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellEnd,
-                     static_cast<double>(index), cell->mean_gain,
-                     static_cast<double>(cell->runs));
-        result.cells[index] = std::move(cell).value();
-        if (progress.enabled()) {
-          progress.RecordCell(
-              PointLabel(points[point_index]) + "/" +
-                  policies[policy_index],
-              static_cast<double>(util::MonotonicMicros() - cell_start));
-        }
-      });
-  progress.EndRun();
-  if (failed.load()) return first_error;
-  return result;
+  TDG_ASSIGN_OR_RETURN(SweepShardResult shard,
+                       RunSweepShard(config, SweepShardOptions{}));
+  return std::move(shard.result);
 }
 
 std::string SweepResult::ToTable(int digits) const {

@@ -66,9 +66,9 @@ struct CellSeeds {
 };
 
 /// Seeds for the cell at `cell_index` in grid order (point-major, policy
-/// minor). Both the monolithic RunSweep and the sharded/resumed execution
-/// paths (sweep_shard.h) derive per-cell RNG streams from here and only
-/// here — grid position in, seeds out, scheduling order never involved.
+/// minor). The sweep's one cell loop (RunSweepShard, sweep_shard.h)
+/// derives per-cell RNG streams from here and only here — grid position
+/// in, seeds out, scheduling order never involved.
 CellSeeds SeedsForCell(uint64_t config_seed, long long cell_index,
                        size_t num_policies);
 
@@ -87,7 +87,9 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
 /// `config.runs` seeded populations, parallelized over `config.threads`
 /// worker threads. Deterministic for a fixed config regardless of thread
 /// count — each cell derives its RNG streams from the config seed and the
-/// cell's grid position, never from scheduling order.
+/// cell's grid position, never from scheduling order. This is
+/// RunSweepShard without a checkpoint (one shard, nothing persisted)
+/// inside a `sweep/run` span.
 util::StatusOr<SweepResult> RunSweep(const SweepConfig& config);
 
 }  // namespace tdg::exp

@@ -275,42 +275,16 @@ util::StatusOr<SweepCheckpoint> ReadSweepCheckpoint(
   return checkpoint;
 }
 
-util::StatusOr<SweepShardResult> RunSweepShard(
-    const SweepConfig& config, const SweepShardOptions& options) {
-  TDG_RETURN_IF_ERROR(config.Validate());
-  if (options.checkpoint_path.empty()) {
-    return util::Status::InvalidArgument(
-        "sharded sweep execution requires a checkpoint path");
-  }
-  if (options.shard_count < 1 || options.shard_index < 0 ||
-      options.shard_index >= options.shard_count) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "invalid shard %d of %d", options.shard_index,
-        options.shard_count));
-  }
-  obs::InstallThreadPoolInstrumentation();
-  // Fleet identity on every /metrics sample: scrapes of concurrent shard
-  // workers stay distinguishable in one Prometheus. Single-process sweeps
-  // (shard_count == 1) keep the unlabeled exposition byte-identical.
-  if (options.shard_count > 1) {
-    obs::MetricsRegistry::Global().SetCommonLabels(
-        {{"shard_index", std::to_string(options.shard_index)},
-         {"shard_count", std::to_string(options.shard_count)}});
-  }
-  TDG_ZONE(obs::Zone::kSweepShard);
+namespace {
 
-  const std::vector<std::string> policies = SweepPolicies(config);
-  const std::vector<SweepPoint> points = GridPoints(config);
-  const long long cells_total =
-      static_cast<long long>(points.size()) *
-      static_cast<long long>(policies.size());
-  const std::vector<long long> shard_cells = ShardCellIndices(
-      cells_total, options.shard_index, options.shard_count);
-  const std::string digest = SweepDigest(config);
-
-  SweepShardResult shard_result;
-  std::map<long long, SweepCheckpointCell> completed;
-
+// Opens the shard's checkpoint for appends. A resume first replays the
+// durable cells into `completed` (truncating a torn tail); a fresh file
+// gets its header.
+util::StatusOr<util::DurableAppendFile> OpenCheckpoint(
+    const SweepConfig& config, const SweepShardOptions& options,
+    const std::string& digest, long long cells_total,
+    const std::vector<long long>& shard_cells,
+    std::map<long long, SweepCell>* completed, SweepShardResult* result) {
   bool have_header = false;
   if (util::FileExists(options.checkpoint_path)) {
     if (!options.resume) {
@@ -326,7 +300,7 @@ util::StatusOr<SweepShardResult> RunSweepShard(
       // would concatenate onto the partial line and corrupt the file.
       TDG_RETURN_IF_ERROR(util::TruncateFile(options.checkpoint_path,
                                              checkpoint.valid_bytes));
-      shard_result.torn_tail_dropped = true;
+      result->torn_tail_dropped = true;
       TDG_OBS_COUNTER_ADD("sweep/checkpoint/torn_tail_dropped", 1);
       TDG_LOG(Warning) << "checkpoint '" << options.checkpoint_path
                        << "': dropped torn final record; its cell will be "
@@ -364,14 +338,14 @@ util::StatusOr<SweepShardResult> RunSweepShard(
               record.cell_index, options.shard_index,
               options.shard_count));
         }
-        completed.emplace(record.cell_index, std::move(record));
+        completed->emplace(record.cell_index, std::move(record.cell));
       }
     }
     // A header torn away entirely (no durable record) is a fresh start
     // (util::ReadDurableJsonl): the header is written below.
   }
 
-  TDG_ASSIGN_OR_RETURN(util::DurableAppendFile checkpoint_file,
+  TDG_ASSIGN_OR_RETURN(util::DurableAppendFile file,
                        util::DurableAppendFile::Open(
                            options.checkpoint_path));
   if (!have_header) {
@@ -382,30 +356,84 @@ util::StatusOr<SweepShardResult> RunSweepShard(
     header.shard_index = options.shard_index;
     header.shard_count = options.shard_count;
     header.cells_total = cells_total;
-    TDG_RETURN_IF_ERROR(checkpoint_file.AppendLine(HeaderLine(header)));
+    TDG_RETURN_IF_ERROR(file.AppendLine(HeaderLine(header)));
+  }
+  result->cells_restored = static_cast<int>(completed->size());
+  TDG_OBS_COUNTER_ADD("sweep/checkpoint/cells_restored",
+                      result->cells_restored);
+  return file;
+}
+
+}  // namespace
+
+util::StatusOr<SweepShardResult> RunSweepShard(
+    const SweepConfig& config, const SweepShardOptions& options) {
+  TDG_RETURN_IF_ERROR(config.Validate());
+  if (options.shard_count < 1 || options.shard_index < 0 ||
+      options.shard_index >= options.shard_count) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "invalid shard %d of %d", options.shard_index,
+        options.shard_count));
+  }
+  const bool persisted = !options.checkpoint_path.empty();
+  if (!persisted && (options.shard_count > 1 || options.resume)) {
+    return util::Status::InvalidArgument(
+        "a sharded or resumed sweep needs a checkpoint path (each shard "
+        "persists its cells for the merge; a resume replays them)");
+  }
+  obs::InstallThreadPoolInstrumentation();
+  // Fleet identity on every /metrics sample: scrapes of concurrent shard
+  // workers stay distinguishable in one Prometheus. Single-process sweeps
+  // (shard_count == 1) keep the unlabeled exposition byte-identical.
+  if (options.shard_count > 1) {
+    obs::MetricsRegistry::Global().SetCommonLabels(
+        {{"shard_index", std::to_string(options.shard_index)},
+         {"shard_count", std::to_string(options.shard_count)}});
+  }
+  TDG_ZONE(obs::Zone::kSweepShard);
+
+  const std::vector<std::string> policies = SweepPolicies(config);
+  const std::vector<SweepPoint> points = GridPoints(config);
+  const long long cells_total =
+      static_cast<long long>(points.size()) *
+      static_cast<long long>(policies.size());
+  const std::vector<long long> shard_cells = ShardCellIndices(
+      cells_total, options.shard_index, options.shard_count);
+
+  SweepShardResult shard_result;
+  std::map<long long, SweepCell> completed;
+  // Unpersisted (no checkpoint path): no file, no digest, no records.
+  std::string digest;
+  util::DurableAppendFile checkpoint_file;
+  if (persisted) {
+    digest = SweepDigest(config);
+    TDG_ASSIGN_OR_RETURN(
+        checkpoint_file,
+        OpenCheckpoint(config, options, digest, cells_total, shard_cells,
+                       &completed, &shard_result));
   }
 
-  shard_result.cells_restored = static_cast<int>(completed.size());
   std::vector<long long> remaining;
   for (long long cell_index : shard_cells) {
     if (completed.find(cell_index) == completed.end()) {
       remaining.push_back(cell_index);
     }
   }
-  TDG_OBS_COUNTER_ADD("sweep/checkpoint/cells_restored",
-                      shard_result.cells_restored);
 
   std::atomic<bool> failed{false};
   util::Status first_error;
   std::mutex error_mutex;
+  auto fail = [&](util::Status status) {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!failed.exchange(true)) first_error = std::move(status);
+  };
   // One mutex serializes record appends and completion bookkeeping; cells
   // themselves run in parallel.
   std::mutex append_mutex;
-  int appended_this_run = 0;
+  int completed_this_run = 0;
 
-  // Monitoring plane — observation only. The tracker hooks cost one relaxed
-  // atomic load when disabled; the heartbeat thread samples two atomics and
-  // never touches cell results or checkpoint bytes.
+  // Monitoring plane — observation only. The heartbeat thread samples two
+  // atomics and never touches cell results or checkpoint bytes.
   obs::ProgressTracker& progress = obs::ProgressTracker::Global();
   progress.BeginRun(config.name,
                     static_cast<long long>(shard_cells.size()),
@@ -453,48 +481,45 @@ util::StatusOr<SweepShardResult> RunSweepShard(
       pool, static_cast<int>(remaining.size()), [&](int i) {
         if (failed.load()) return;
         const long long cell_index = remaining[static_cast<size_t>(i)];
-        const size_t point_index =
-            static_cast<size_t>(cell_index) / policies.size();
-        const size_t policy_index =
-            static_cast<size_t>(cell_index) % policies.size();
-        const int64_t cell_start =
-            progress.enabled() ? util::MonotonicMicros() : 0;
-        SweepCheckpointCell record;
-        record.cell_index = cell_index;
+        const SweepPoint& point =
+            points[static_cast<size_t>(cell_index) / policies.size()];
+        const std::string& policy =
+            policies[static_cast<size_t>(cell_index) % policies.size()];
+        const int64_t cell_start = util::MonotonicMicros();
         TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellStart,
                      static_cast<double>(cell_index),
-                     static_cast<double>(points[point_index].n),
-                     static_cast<double>(points[point_index].k),
-                     static_cast<double>(points[point_index].alpha));
+                     static_cast<double>(point.n),
+                     static_cast<double>(point.k),
+                     static_cast<double>(point.alpha));
+        // Seeds depend only on the grid position — thread-schedule free.
+        SweepCheckpointCell record;
+        record.cell_index = cell_index;
         const CellSeeds seeds =
             SeedsForCell(config.seed, cell_index, policies.size());
         record.point_seed = seeds.point_seed;
         record.policy_seed = seeds.policy_seed;
-        auto cell = RunSweepCell(points[point_index],
-                                 policies[policy_index], config.runs,
+        auto cell = RunSweepCell(point, policy, config.runs,
                                  seeds.point_seed, seeds.policy_seed,
-                                 &record.run_gains);
+                                 persisted ? &record.run_gains : nullptr);
         if (!cell.ok()) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!failed.exchange(true)) first_error = cell.status();
+          fail(cell.status());
           return;
         }
         record.cell = std::move(cell).value();
-        if (progress.enabled()) {
-          progress.RecordCell(
-              PointLabel(points[point_index]) + "/" +
-                  policies[policy_index],
-              static_cast<double>(util::MonotonicMicros() - cell_start));
-        }
-        const std::string line = CellLine(record, digest);
+        progress.RecordCell(
+            PointLabel(point) + "/" + policy,
+            static_cast<double>(util::MonotonicMicros() - cell_start));
+        const std::string line =
+            persisted ? CellLine(record, digest) : std::string();
         std::lock_guard<std::mutex> lock(append_mutex);
-        util::Status append_status = checkpoint_file.AppendLine(line);
-        if (!append_status.ok()) {
-          std::lock_guard<std::mutex> error_lock(error_mutex);
-          if (!failed.exchange(true)) first_error = append_status;
-          return;
+        if (persisted) {
+          util::Status append_status = checkpoint_file.AppendLine(line);
+          if (!append_status.ok()) {
+            fail(std::move(append_status));
+            return;
+          }
+          TDG_OBS_COUNTER_ADD("sweep/checkpoint/cells_written", 1);
         }
-        TDG_OBS_COUNTER_ADD("sweep/checkpoint/cells_written", 1);
         // Emitted after the checkpoint append under the same mutex, so at
         // any crash cut the black box's cell_end events equal the
         // checkpoint's cell set (asserted by the ci blackbox e2e).
@@ -502,22 +527,22 @@ util::StatusOr<SweepShardResult> RunSweepShard(
                      static_cast<double>(cell_index),
                      record.cell.mean_gain,
                      static_cast<double>(record.cell.runs));
-        completed.emplace(cell_index, std::move(record));
-        ++appended_this_run;
+        completed.emplace(cell_index, std::move(record.cell));
+        ++completed_this_run;
         if (heartbeat.running()) {
           hb_cells_done.fetch_add(1, std::memory_order_relaxed);
           hb_last_cell_unix_ms.store(obs::UnixMillis(),
                                      std::memory_order_relaxed);
         }
 #if defined(TDG_TEST_HOOKS)
-        MaybeCrashAfterCells(appended_this_run);
+        if (persisted) MaybeCrashAfterCells(completed_this_run);
 #endif
       });
   heartbeat.Stop();
   progress.EndRun();
   if (failed.load()) return first_error;
 
-  shard_result.cells_run = appended_this_run;
+  shard_result.cells_run = completed_this_run;
   shard_result.result.name = config.name;
   shard_result.result.cells.reserve(shard_cells.size());
   shard_result.cell_indices.reserve(shard_cells.size());
@@ -525,7 +550,7 @@ util::StatusOr<SweepShardResult> RunSweepShard(
     auto it = completed.find(cell_index);
     TDG_CHECK(it != completed.end())
         << "cell " << cell_index << " missing after shard run";
-    shard_result.result.cells.push_back(it->second.cell);
+    shard_result.result.cells.push_back(std::move(it->second));
     shard_result.cell_indices.push_back(cell_index);
   }
   return shard_result;

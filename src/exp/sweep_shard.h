@@ -11,15 +11,15 @@
 
 namespace tdg::exp {
 
-/// Crash-safe sharded sweep execution (DESIGN.md §8).
+/// The sweep's one cell loop, crash-safe and sharded (DESIGN.md §8).
 ///
 /// A sweep's cell grid is partitioned deterministically into
 /// `shard_count` slices; each shard appends one fsync'd JSONL record per
 /// completed cell to a checkpoint file, so an interrupted shard resumes by
 /// replaying its checkpoint and re-running only the tail. `tdg_sweepmerge`
 /// (or MergeSweepCheckpoints) folds the N shard checkpoints back into the
-/// byte-identical CSV/JSON the monolithic RunSweep would have produced —
-/// the PR 2 determinism contract extends across process boundaries.
+/// byte-identical CSV/JSON of one unpersisted run (RunSweep) — the
+/// determinism contract extends across process boundaries.
 
 /// Schema identifier of the checkpoint file format; bump on incompatible
 /// change.
@@ -84,7 +84,8 @@ util::StatusOr<SweepCheckpoint> ReadSweepCheckpoint(const std::string& path);
 struct SweepShardOptions {
   int shard_index = 0;
   int shard_count = 1;
-  /// JSONL checkpoint path; required.
+  /// JSONL checkpoint path. Empty means an unpersisted run: no file, no
+  /// digest, no records. It requires shard_count == 1 and no resume.
   std::string checkpoint_path;
   /// Replay an existing checkpoint and run only the remaining cells. Without
   /// this, an existing checkpoint file is a FailedPrecondition error (never
@@ -102,7 +103,7 @@ struct SweepShardOptions {
 
 struct SweepShardResult {
   /// The shard's completed cells in global grid order (for shard_count == 1
-  /// this is exactly what RunSweep would return).
+  /// this is exactly what RunSweep returns).
   SweepResult result;
   /// Global cell indices, parallel to result.cells.
   std::vector<long long> cell_indices;
@@ -116,7 +117,8 @@ struct SweepShardResult {
 /// line is truncated away and its cell re-run; a checkpoint whose digest
 /// does not match SweepDigest(config) aborts the process (LOG(FATAL)) —
 /// silently mixing cells from two different binaries or configs would
-/// corrupt the experiment.
+/// corrupt the experiment. Without a checkpoint path nothing is written;
+/// shard_count > 1 or resume is then InvalidArgument.
 ///
 /// Fault injection (test builds, TDG_TEST_HOOKS): when the environment
 /// variable TDG_TEST_CRASH_AFTER_CELLS=<n> is set, the process exits hard
@@ -129,8 +131,7 @@ util::StatusOr<SweepShardResult> RunSweepShard(
 /// agree on schema, name, digest, shard_count and cells_total; the union of
 /// cell records must cover every cell exactly once (a torn tail in any file
 /// surfaces as a missing cell). Cells are ordered by global index, so the
-/// CSV/JSON serializations are byte-identical to an uninterrupted
-/// single-process RunSweep.
+/// CSV/JSON serializations are byte-identical to one unpersisted RunSweep.
 util::StatusOr<SweepResult> MergeSweepCheckpoints(
     const std::vector<std::string>& paths);
 

@@ -105,6 +105,10 @@ struct FlightRecorder::State {
   int fd = -1;
   std::size_t ring_bytes = 0;
   int max_rings = 0;
+  // Rings whose threads exited, handed to the next thread that records
+  // before a new ring is claimed (process memory, not in the file).
+  std::mutex free_mutex;
+  std::vector<int> free_rings;
 
   FileHeaderLive* header() const {
     return reinterpret_cast<FileHeaderLive*>(map);
@@ -135,6 +139,25 @@ struct ThreadSlot {
   FlightRecorder::State* state = nullptr;
   util::RecordRingWriter writer;
   std::uint32_t tid = 0;
+  int ring = -1;  // index into state's rings; -1 when none was left
+
+  ThreadSlot() = default;
+  ThreadSlot(const ThreadSlot&) = delete;
+  ThreadSlot& operator=(const ThreadSlot&) = delete;
+  ~ThreadSlot() { Release(); }
+
+  // Puts the ring on its State's free list. The ring's cursor and in_use
+  // stay as they are, so this thread's records still decode (each carries
+  // its own tid) until the next owner's appends overwrite them.
+  void Release() {
+    if (state != nullptr && ring >= 0) {
+      std::lock_guard<std::mutex> lock(state->free_mutex);
+      state->free_rings.push_back(ring);
+    }
+    state = nullptr;
+    ring = -1;
+    writer = util::RecordRingWriter{};
+  }
 };
 thread_local ThreadSlot tls_slot;
 
@@ -230,16 +253,26 @@ void FlightRecorder::SetActive(bool active) {
 
 void FlightRecorder::AcquireRing(State* state) {
   ThreadSlot& slot = tls_slot;
+  slot.Release();  // a restart leaves the previous epoch's ring behind
   slot.state = state;
   slot.tid = static_cast<std::uint32_t>(util::CurrentThreadId());
-  slot.writer = util::RecordRingWriter{};
-  const std::uint32_t index = state->header()->rings_claimed.fetch_add(
-      1, std::memory_order_relaxed);
-  if (index >= static_cast<std::uint32_t>(state->max_rings)) return;
-  RingHeaderLive* ring = state->ring_header(static_cast<int>(index));
+  {
+    std::lock_guard<std::mutex> lock(state->free_mutex);
+    if (!state->free_rings.empty()) {
+      slot.ring = state->free_rings.back();
+      state->free_rings.pop_back();
+    }
+  }
+  if (slot.ring < 0) {
+    const std::uint32_t claimed = state->header()->rings_claimed.fetch_add(
+        1, std::memory_order_relaxed);
+    if (claimed >= static_cast<std::uint32_t>(state->max_rings)) return;
+    slot.ring = static_cast<int>(claimed);
+  }
+  RingHeaderLive* ring = state->ring_header(slot.ring);
   ring->tid = slot.tid;
   ring->in_use = 1;
-  slot.writer.data = state->ring_data(static_cast<int>(index));
+  slot.writer.data = state->ring_data(slot.ring);
   slot.writer.capacity_bytes = state->ring_bytes;
   slot.writer.cursor = &ring->cursor;
 }

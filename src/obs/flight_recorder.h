@@ -103,7 +103,8 @@ class FlightRecorder {
     /// Per-thread arena bytes; power of two, >= 64. 64 KiB holds the last
     /// 1024 events per thread.
     std::size_t ring_bytes = 64 * 1024;
-    /// Ring slots; threads beyond this drop events (counted).
+    /// Ring slots; a thread's ring is reused once it exits, and threads
+    /// recording beyond this at once drop events (counted).
     int max_rings = 64;
   };
 
@@ -131,9 +132,10 @@ class FlightRecorder {
   bool active() const { return active_.load(std::memory_order_relaxed); }
 
   /// Appends one event to this thread's ring. Wait-free after the thread's
-  /// first call (which claims a ring slot); drops — counted — when more
-  /// than max_rings threads record. No-op when inactive. At most six
-  /// values are recorded; extras are ignored.
+  /// first call (which takes an exited thread's ring or claims a new one);
+  /// drops — counted — when more than max_rings live threads record.
+  /// No-op when inactive. At most six values are recorded; extras are
+  /// ignored.
   void Record(BlackboxEventType type, std::initializer_list<double> values);
 
   /// Appends the kSpan record of a span that opened at `start_micros`

@@ -98,24 +98,32 @@ double Histogram::Mean() const {
 }
 
 double Histogram::Quantile(double q) const {
-  q = std::clamp(q, 0.0, 1.0);
   std::array<int64_t, kNumBuckets> counts;
   int64_t total = 0;
-  int first_nonempty = -1;
-  int last_nonempty = -1;
   for (int i = 0; i < kNumBuckets; ++i) {
     counts[i] = buckets_[i].load(std::memory_order_relaxed);
     total += counts[i];
+  }
+  return QuantileOf(counts, total, Min(), Max(), q);
+}
+
+double Histogram::QuantileOf(const std::array<int64_t, kNumBuckets>& counts,
+                             int64_t total, double min, double max,
+                             double q) {
+  q = std::clamp(q, 0.0, 1.0);
+  if (total == 0) return 0.0;
+  // A single sample has no within-bucket spread to interpolate: every
+  // quantile is the sample itself, which `min` holds exactly.
+  if (total == 1) return min;
+
+  int first_nonempty = -1;
+  int last_nonempty = -1;
+  for (int i = 0; i < kNumBuckets; ++i) {
     if (counts[i] > 0) {
       if (first_nonempty < 0) first_nonempty = i;
       last_nonempty = i;
     }
   }
-  if (total == 0) return 0.0;
-  // A single sample has no within-bucket spread to interpolate: every
-  // quantile is the sample itself, which min_ tracks exactly.
-  if (total == 1) return Min();
-
   double target = q * static_cast<double>(total);
   if (target < 1.0) target = 1.0;
   int64_t cumulative = 0;
@@ -125,21 +133,21 @@ double Histogram::Quantile(double q) const {
       double lo = BucketLowerBound(i);
       double hi = BucketLowerBound(i + 1);
       // The exact extrema tighten the interpolation range at the histogram
-      // edges: the first populated bucket holds no mass below Min() and the
-      // last none above Max(). With every sample in one bucket this
-      // interpolates across [Min(), Max()] instead of the (much wider)
-      // bucket bounds — and when Min() == Max() it returns that value
-      // exactly for every q.
-      if (i == first_nonempty) lo = std::max(lo, Min());
-      if (i == last_nonempty) hi = std::min(hi, Max());
+      // edges: the first populated bucket holds no mass below `min` and the
+      // last none above `max`. With every sample in one bucket this
+      // interpolates across [min, max] instead of the (much wider) bucket
+      // bounds — and when min == max it returns that value exactly for
+      // every q.
+      if (i == first_nonempty) lo = std::max(lo, min);
+      if (i == last_nonempty) hi = std::min(hi, max);
       double fraction = (target - static_cast<double>(cumulative)) /
                         static_cast<double>(counts[i]);
       double estimate = lo + fraction * (hi - lo);
-      return std::clamp(estimate, Min(), Max());
+      return std::clamp(estimate, min, max);
     }
     cumulative += counts[i];
   }
-  return Max();
+  return max;
 }
 
 std::vector<Histogram::BucketCount> Histogram::NonEmptyBuckets() const {

@@ -74,6 +74,12 @@ class Histogram {
   /// Bucket-interpolated quantile for q in [0, 1]; 0 when empty.
   double Quantile(double q) const;
 
+  /// The quantile walk behind Quantile, over any bucket counts in this
+  /// geometry (WindowedHistogram runs it on merged epochs): `total` is the
+  /// sum of `counts`, and the exact `min`/`max` tighten the edge buckets.
+  static double QuantileOf(const std::array<int64_t, kNumBuckets>& counts,
+                           int64_t total, double min, double max, double q);
+
   /// Consistent-enough (relaxed) count+sum pair, for before/after deltas
   /// taken by a single writer thread.
   struct Totals {

@@ -12,6 +12,9 @@ namespace {
 // cells while smoothing one-off stragglers.
 constexpr double kEwmaAlpha = 0.2;
 
+// Minimum spacing of the --progress stderr lines.
+constexpr int64_t kStderrIntervalMicros = 500000;
+
 double Ewma(double current, double sample) {
   return current <= 0 ? sample
                       : current + kEwmaAlpha * (sample - current);
@@ -62,16 +65,13 @@ ProgressTracker& ProgressTracker::Global() {
   return *kTracker;
 }
 
-void ProgressTracker::SetStderrReport(bool enabled,
-                                      int64_t min_interval_micros) {
+void ProgressTracker::SetStderrReport(bool enabled) {
   std::lock_guard<std::mutex> lock(mutex_);
   stderr_report_ = enabled;
-  stderr_interval_micros_ = min_interval_micros;
 }
 
 void ProgressTracker::BeginRun(std::string_view name, long long cells_total,
                                long long cells_restored) {
-  if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
   active_ = true;
   name_ = std::string(name);
@@ -88,7 +88,6 @@ void ProgressTracker::BeginRun(std::string_view name, long long cells_total,
 
 void ProgressTracker::RecordCell(std::string_view label,
                                  double cell_micros) {
-  if (!enabled()) return;
   std::string report;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -105,10 +104,10 @@ void ProgressTracker::RecordCell(std::string_view label,
     interval_ewma_micros_ = Ewma(interval_ewma_micros_, interval);
     last_completion_micros_ = now;
     current_cell_ = std::string(label);
-    if (stderr_report_ && (stderr_last_micros_ == 0 ||
-                           now - stderr_last_micros_ >=
-                               stderr_interval_micros_ ||
-                           cells_done_ == cells_total_)) {
+    if (stderr_report_ &&
+        (stderr_last_micros_ == 0 ||
+         now - stderr_last_micros_ >= kStderrIntervalMicros ||
+         cells_done_ == cells_total_)) {
       stderr_last_micros_ = now;
       ProgressSnapshot snapshot = SnapshotLocked(now);
       report = snapshot.ToLine();
@@ -123,7 +122,6 @@ void ProgressTracker::RecordCell(std::string_view label,
 }
 
 void ProgressTracker::EndRun() {
-  if (!enabled()) return;
   bool was_reporting = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);

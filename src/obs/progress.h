@@ -1,7 +1,6 @@
 #ifndef TDG_OBS_PROGRESS_H_
 #define TDG_OBS_PROGRESS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -37,10 +36,10 @@ struct ProgressSnapshot {
 };
 
 /// Tracks cells done / total, per-cell latency EWMA, and an ETA across one
-/// sweep execution. Wired into RunSweep / RunSweepShard cell boundaries;
-/// disabled (the default) every hook is one relaxed atomic load, and the
-/// sweep's outputs are byte-identical either way — the tracker observes,
-/// never participates.
+/// sweep execution. Wired into RunSweepShard's cell boundaries and always
+/// on: a completed cell costs one mutex and one clock read, noise next to
+/// the cell's α-processes. The sweep's outputs never depend on it — the
+/// tracker observes, never participates.
 ///
 /// Thread-safe: BeginRun/EndRun from the driver thread, RecordCell from any
 /// worker, Snapshot from the stats server thread.
@@ -53,17 +52,9 @@ class ProgressTracker {
   /// The process-wide instance the sweep layer reports into.
   static ProgressTracker& Global();
 
-  /// Master switch. The sweep hooks only take the mutex when enabled.
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Echo a throttled single-line progress report to stderr on each
-  /// RecordCell (the CLI's --progress flag).
-  void SetStderrReport(bool enabled, int64_t min_interval_micros = 500000);
+  /// Echo a single-line progress report to stderr on RecordCell, at most
+  /// every 500 ms and on the last cell (the CLI's --progress flag).
+  void SetStderrReport(bool enabled);
 
   void BeginRun(std::string_view name, long long cells_total,
                 long long cells_restored);
@@ -78,8 +69,6 @@ class ProgressTracker {
   /// Builds a snapshot with mutex_ already held.
   ProgressSnapshot SnapshotLocked(int64_t now_micros) const;
 
-  std::atomic<bool> enabled_{false};
-
   mutable std::mutex mutex_;
   bool active_ = false;
   std::string name_;
@@ -92,7 +81,6 @@ class ProgressTracker {
   double interval_ewma_micros_ = 0;
   std::string current_cell_;
   bool stderr_report_ = false;
-  int64_t stderr_interval_micros_ = 500000;
   int64_t stderr_last_micros_ = 0;
 };
 

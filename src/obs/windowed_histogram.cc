@@ -8,8 +8,8 @@
 namespace tdg::obs {
 namespace {
 
-// Epoch counts merged over one window span; the quantile walk below runs on
-// this instead of live atomics, but is otherwise Histogram::Quantile.
+// Epoch counts merged over one window span; Histogram::QuantileOf walks
+// these instead of live atomics.
 struct MergedWindow {
   int64_t count = 0;
   int64_t errors = 0;
@@ -18,44 +18,6 @@ struct MergedWindow {
   double max = 0;
   std::array<int64_t, WindowedHistogram::kNumBuckets> buckets{};
 };
-
-double MergedQuantile(const MergedWindow& merged, double q) {
-  q = std::clamp(q, 0.0, 1.0);
-  if (merged.count == 0) return 0.0;
-  // A single sample has no within-bucket spread: every quantile is the
-  // sample itself.
-  if (merged.count == 1) return merged.min;
-
-  int first_nonempty = -1;
-  int last_nonempty = -1;
-  for (int i = 0; i < WindowedHistogram::kNumBuckets; ++i) {
-    if (merged.buckets[i] > 0) {
-      if (first_nonempty < 0) first_nonempty = i;
-      last_nonempty = i;
-    }
-  }
-  double target = q * static_cast<double>(merged.count);
-  if (target < 1.0) target = 1.0;
-  int64_t cumulative = 0;
-  for (int i = 0; i < WindowedHistogram::kNumBuckets; ++i) {
-    if (merged.buckets[i] == 0) continue;
-    if (static_cast<double>(cumulative + merged.buckets[i]) >= target) {
-      double lo = Histogram::BucketLowerBound(i);
-      double hi = Histogram::BucketLowerBound(i + 1);
-      // Exact window extrema tighten the edge buckets, same as the
-      // cumulative histogram: no mass below min in the first populated
-      // bucket, none above max in the last.
-      if (i == first_nonempty) lo = std::max(lo, merged.min);
-      if (i == last_nonempty) hi = std::min(hi, merged.max);
-      double fraction = (target - static_cast<double>(cumulative)) /
-                        static_cast<double>(merged.buckets[i]);
-      double estimate = lo + fraction * (hi - lo);
-      return std::clamp(estimate, merged.min, merged.max);
-    }
-    cumulative += merged.buckets[i];
-  }
-  return merged.max;
-}
 
 }  // namespace
 
@@ -147,9 +109,14 @@ WindowedHistogramStats WindowedHistogram::SnapshotAt(
       w.min = merged.min * scale;
       w.max = merged.max * scale;
       w.mean = merged.sum / count * scale;
-      w.p50 = MergedQuantile(merged, 0.50) * scale;
-      w.p95 = MergedQuantile(merged, 0.95) * scale;
-      w.p99 = MergedQuantile(merged, 0.99) * scale;
+      auto quantile = [&merged, scale](double q) {
+        return Histogram::QuantileOf(merged.buckets, merged.count,
+                                     merged.min, merged.max, q) *
+               scale;
+      };
+      w.p50 = quantile(0.50);
+      w.p95 = quantile(0.95);
+      w.p99 = quantile(0.99);
     }
     stats.windows.push_back(std::move(w));
   }

@@ -11,9 +11,11 @@
 #include <sys/wait.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -220,13 +222,17 @@ TEST(FlightRecorderTest, EachThreadGetsItsOwnRing) {
 
   constexpr int kThreads = 4;
   constexpr int kEventsPerThread = 16;
+  // No thread exits before all have recorded, so none can inherit an
+  // exited thread's ring: four rings are in use at once.
+  std::barrier all_recorded(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &recorder] {
+    threads.emplace_back([t, &recorder, &all_recorded] {
       for (int i = 0; i < kEventsPerThread; ++i) {
         recorder.Record(BlackboxEventType::kNote,
                         {static_cast<double>(t), static_cast<double>(i)});
       }
+      all_recorded.arrive_and_wait();
     });
   }
   for (std::thread& thread : threads) thread.join();
@@ -253,6 +259,31 @@ TEST(FlightRecorderTest, EachThreadGetsItsOwnRing) {
     ++counts[t];
   }
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(counts[t], kEventsPerThread);
+}
+
+TEST(FlightRecorderTest, RingOfAnExitedThreadIsReused) {
+  // Threads that come and go (sweep pool workers, journal replay threads)
+  // must not use up the ring slots: each exited thread's ring goes to the
+  // next thread that records.
+  const std::string path = MakeScratchDir() + "/bb.bin";
+  FlightRecorder& recorder = FlightRecorder::Global();
+  ASSERT_TRUE(recorder.Start(SmallOptions(path, 4096, /*max_rings=*/2)).ok());
+  constexpr int kThreads = 8;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([t, &recorder] {
+      recorder.Record(BlackboxEventType::kNote, {static_cast<double>(t)});
+    }).join();
+  }
+  recorder.Stop();
+  EXPECT_EQ(recorder.dropped(), 0);
+
+  auto dump = ReadBlackbox(path);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  EXPECT_EQ(dump->dropped, 0u);
+  ASSERT_EQ(dump->events.size(), static_cast<std::size_t>(kThreads));
+  std::set<std::uint32_t> tids;
+  for (const BlackboxEvent& event : dump->events) tids.insert(event.tid);
+  EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
 }
 
 TEST(FlightRecorderTest, ThreadsBeyondRingQuotaDropCounted) {

@@ -1,7 +1,6 @@
-// Tests for obs::ProgressTracker: disabled hooks are no-ops, the ETA is
-// finite after a single completion, snapshots track counts/labels, and
-// EndRun deactivates. Every test restores the global tracker state so test
-// order never matters.
+// Tests for obs::ProgressTracker: the ETA is finite after a single
+// completion, snapshots track counts/labels, and EndRun deactivates. Every
+// test ends the global tracker's run so test order never matters.
 
 #include "obs/progress.h"
 
@@ -14,35 +13,15 @@
 namespace tdg::obs {
 namespace {
 
-/// Enables the global tracker for one test and restores the previous state
-/// (tests share the process-wide instance with the sweep layer).
-class TrackerOnGuard {
+/// Ends the global tracker's run when a test finishes (tests share the
+/// process-wide instance with the sweep layer).
+class TrackerRunGuard {
  public:
-  TrackerOnGuard() : was_enabled_(ProgressTracker::Global().enabled()) {
-    ProgressTracker::Global().SetEnabled(true);
-  }
-  ~TrackerOnGuard() {
-    ProgressTracker::Global().EndRun();
-    ProgressTracker::Global().SetEnabled(was_enabled_);
-  }
-
- private:
-  bool was_enabled_;
+  ~TrackerRunGuard() { ProgressTracker::Global().EndRun(); }
 };
 
-TEST(ProgressTrackerTest, DisabledHooksAreNoOps) {
-  ProgressTracker tracker;
-  ASSERT_FALSE(tracker.enabled());
-  tracker.BeginRun("ignored", 100, 0);
-  tracker.RecordCell("ignored-cell", 1000);
-  ProgressSnapshot snapshot = tracker.Snapshot();
-  EXPECT_FALSE(snapshot.active);
-  EXPECT_EQ(snapshot.cells_done, 0);
-  EXPECT_EQ(snapshot.cells_total, 0);
-}
-
 TEST(ProgressTrackerTest, EtaIsUnknownBeforeAndFiniteAfterFirstCell) {
-  TrackerOnGuard guard;
+  TrackerRunGuard guard;
   ProgressTracker& tracker = ProgressTracker::Global();
   tracker.BeginRun("eta-test", 10, 0);
 
@@ -61,7 +40,7 @@ TEST(ProgressTrackerTest, EtaIsUnknownBeforeAndFiniteAfterFirstCell) {
 }
 
 TEST(ProgressTrackerTest, RestoredCellsCountTowardCompletion) {
-  TrackerOnGuard guard;
+  TrackerRunGuard guard;
   ProgressTracker& tracker = ProgressTracker::Global();
   tracker.BeginRun("resume-test", 16, /*cells_restored=*/12);
 
@@ -81,7 +60,7 @@ TEST(ProgressTrackerTest, RestoredCellsCountTowardCompletion) {
 }
 
 TEST(ProgressTrackerTest, EndRunDeactivatesAndEtaReachesZeroWhenDone) {
-  TrackerOnGuard guard;
+  TrackerRunGuard guard;
   ProgressTracker& tracker = ProgressTracker::Global();
   tracker.BeginRun("end-test", 2, 0);
   tracker.RecordCell("a", 10);

@@ -256,7 +256,6 @@ TEST(StatsServerTest, StatuszServesManifestAndUptime) {
 
 TEST(StatsServerTest, ProgresszServesTrackerSnapshot) {
   ProgressTracker tracker;
-  tracker.SetEnabled(true);
   tracker.BeginRun("progressz-test", 8, 2);
   tracker.RecordCell("cell-2", 1000.0);
 
@@ -385,16 +384,14 @@ TEST(StatsServerTest, ObsDisabledBuildDegradesCleanly) {
 
 TEST(StatsServerTest, SweepOutputsAreByteIdenticalWithServerOn) {
   // The monitoring plane's headline contract: a live server being scraped
-  // mid-sweep (tracker enabled, /metrics + /progressz polled from another
-  // thread) must not change a single output byte.
+  // mid-sweep (/metrics + /progressz polled from another thread) must not
+  // change a single output byte.
   test::MetricsOffGuard metrics_off;
   const exp::SweepConfig config = test::TinyConfig();
 
   auto baseline = exp::RunSweep(config);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
-  const bool tracker_was_enabled = ProgressTracker::Global().enabled();
-  ProgressTracker::Global().SetEnabled(true);
   auto server = StartServer();
   ASSERT_NE(server, nullptr);
   std::atomic<bool> stop_scraping{false};
@@ -418,7 +415,6 @@ TEST(StatsServerTest, SweepOutputsAreByteIdenticalWithServerOn) {
   stop_scraping.store(true, std::memory_order_relaxed);
   scraper.join();
   server->Stop();
-  ProgressTracker::Global().SetEnabled(tracker_was_enabled);
 
   ASSERT_TRUE(monitored.ok()) << monitored.status();
   EXPECT_GT(server->requests_served(), 0);

@@ -1,13 +1,17 @@
 // Unit tests for the crash-safe sweep execution layer (exp/sweep_shard.h):
 // checkpoint write/read round-trips, resume semantics, the digest fatal
-// path, failure-path semantics of corrupt checkpoints, and the headline
-// contract — shards merged with MergeSweepCheckpoints are byte-identical
-// to the uninterrupted monolithic RunSweep across 1/2/8 worker threads.
+// path, failure-path semantics of corrupt checkpoints, the unpersisted
+// run behind RunSweep, and the headline contract — shards merged with
+// MergeSweepCheckpoints are byte-identical to the uninterrupted
+// monolithic RunSweep across 1/2/8 worker threads.
 
 #include "exp/sweep_shard.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -174,8 +178,39 @@ TEST_F(SweepShardTest, ExistingCheckpointWithoutResumeIsRefused) {
   EXPECT_EQ(again.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
-TEST_F(SweepShardTest, MissingCheckpointPathIsInvalid) {
-  auto result = RunSweepShard(TinyConfig(1), SweepShardOptions{});
+TEST_F(SweepShardTest, UnpersistedRunWritesNothingAndMatchesCheckpointedRun) {
+  // Run from inside the empty scratch dir, so a stray relative-path write
+  // would show up in it.
+  char cwd[4096];
+  ASSERT_NE(::getcwd(cwd, sizeof(cwd)), nullptr);
+  ASSERT_EQ(::chdir(dir_.c_str()), 0);
+  auto unpersisted = RunSweepShard(TinyConfig(2), SweepShardOptions{});
+  ASSERT_EQ(::chdir(cwd), 0);
+  ASSERT_TRUE(unpersisted.ok()) << unpersisted.status();
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+  EXPECT_EQ(unpersisted->cells_run, 16);
+  EXPECT_EQ(unpersisted->cells_restored, 0);
+
+  SweepShardOptions options;
+  options.checkpoint_path = CheckpointPath(0);
+  auto checkpointed = RunSweepShard(TinyConfig(2), options);
+  ASSERT_TRUE(checkpointed.ok()) << checkpointed.status();
+  EXPECT_EQ(CsvBytes(unpersisted->result), CsvBytes(checkpointed->result));
+  EXPECT_EQ(JsonBytes(unpersisted->result),
+            JsonBytes(checkpointed->result));
+  EXPECT_EQ(unpersisted->cell_indices, checkpointed->cell_indices);
+}
+
+TEST_F(SweepShardTest, ShardedOrResumedRunWithoutCheckpointIsInvalid) {
+  SweepShardOptions sharded;
+  sharded.shard_count = 2;
+  auto result = RunSweepShard(TinyConfig(1), sharded);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+
+  SweepShardOptions resumed;
+  resumed.resume = true;
+  result = RunSweepShard(TinyConfig(1), resumed);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
