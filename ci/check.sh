@@ -31,8 +31,8 @@
 #            uninterrupted run
 #   monitor  live-monitoring e2e (DESIGN.md §9): run the monitoring test
 #            suites under asan and tsan, then start a sweep with
-#            --stats_port=0 --progress --heartbeat, curl /healthz /metrics
-#            /statusz /progressz mid-run, watch the heartbeat with
+#            --stats_port=0 --progress, curl /healthz /metrics /statusz
+#            /progressz mid-run, watch its checkpoint with
 #            tdg_sweepmerge --watch, and require the sweep outputs to be
 #            byte-identical to a server-off run
 #   profile  kernel-profiling e2e (DESIGN.md §10): run the perf-counter /
@@ -123,14 +123,15 @@ ctest_args() {
     # mutex-guarded fsync'd appends race worker threads by design;
     # FileUtil covers the durable-append primitive underneath it.
     # The monitoring suites (Net accept loop, StatsServer scrape threads,
-    # Progress/Heartbeat writer threads) are in the tsan net too, as are
-    # the SoA suites: sweeps drive the arena through thread_local scratch
-    # and flip nothing but relaxed atomics on the SIMD gate, which is
-    # exactly the kind of claim tsan should referee. The Serve suites put a
-    # multi-worker HTTP server, per-cohort locks, and journal appends under
-    # concurrent clients — the serving plane's whole thread-safety story.
+    # Progress tracker, SweepWatch over shard checkpoints) are in the tsan
+    # net too, as are the SoA suites: sweeps drive the arena through
+    # thread_local scratch and flip nothing but relaxed atomics on the SIMD
+    # gate, which is exactly the kind of claim tsan should referee. The
+    # Serve suites put a multi-worker HTTP server, per-cohort locks, and
+    # journal appends under concurrent clients — the serving plane's whole
+    # thread-safety story.
     tsan)
-      echo "-R ThreadPool|ParallelFor|Obs|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|Heartbeat|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler|Zone"
+      echo "-R ThreadPool|ParallelFor|Obs|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|SweepWatch|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler|Zone"
       ;;
     crash-resume)
       echo "-R SweepShard|SweepCrash|SweepTornWrite|FileUtil|CheckDeathTest|LoggingDeathTest"
@@ -226,6 +227,18 @@ EOF
     echo "sweep --shard_count=2 without --checkpoint should fail" >&2
     exit 1
   fi
+  # An output that cannot be written is an error, not "wrote <path>".
+  for out in --json=/dev/full --csv=/dev/full; do
+    if "${cli}" sweep --config="${work}/sweep.cfg" --no_metrics "${out}" \
+      >/dev/null 2>&1; then
+      echo "sweep ${out} should fail" >&2
+      exit 1
+    fi
+    if "${merge}" "${out}" "${work}/mono.ckpt" >/dev/null 2>&1; then
+      echo "tdg_sweepmerge ${out} should fail" >&2
+      exit 1
+    fi
+  done
 
   # Shard 0 of 2 is killed by the fault hook after two cells (exit 42 =
   # kCrashHookExitCode), then resumed to completion.
@@ -263,7 +276,7 @@ run_monitor() {
     >/dev/null
   echo "==> [monitor] monitoring suites (asan)"
   (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    --no-tests=error -R "Net|StatsServer|Prometheus|Progress|Heartbeat")
+    --no-tests=error -R "Net|StatsServer|Prometheus|Progress|SweepWatch")
   echo "==> [monitor] monitoring suites (tsan)"
   local tsan_dir="build-ci/monitor-tsan"
   cmake -B "${tsan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -271,7 +284,7 @@ run_monitor() {
   cmake --build "${tsan_dir}" -j "${JOBS}" \
     --target tdg_tests tdg_sweep_shard_child >/dev/null
   (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    --no-tests=error -R "Net|StatsServer|Prometheus|Progress|Heartbeat")
+    --no-tests=error -R "Net|StatsServer|Prometheus|Progress|SweepWatch")
 
   echo "==> [monitor] live-scrape e2e"
   command -v curl >/dev/null || { echo "curl not found" >&2; exit 1; }
@@ -303,14 +316,13 @@ EOF
     --checkpoint="${work}/off.ckpt" \
     --csv="${work}/off.csv" --json="${work}/off.json" >/dev/null
 
-  # Live run: stats server on an ephemeral port + stderr progress +
-  # heartbeat file, scraped from outside while cells execute.
+  # Live run: stats server on an ephemeral port + stderr progress,
+  # scraped from outside while cells execute.
   "${cli}" sweep --config="${work}/sweep.cfg" --no_metrics \
     --checkpoint="${work}/on.ckpt" \
     --csv="${work}/on.csv" --json="${work}/on.json" \
     --stats_port=0 --stats_port_file="${work}/stats.port" \
-    --progress --heartbeat --heartbeat_period_ms=100 \
-    >/dev/null 2>"${work}/progress.log" &
+    --progress >/dev/null 2>"${work}/progress.log" &
   local sweep_pid=$!
 
   local port=""
@@ -349,14 +361,16 @@ EOF
     exit 1
   fi
   grep -q '"name": "ci-monitor"' "${work}/progressz.json"
-  # The heartbeat file is live while the shard runs.
-  "${merge}" --watch --watch_iterations=1 "${work}/on.ckpt" \
-    > "${work}/watch_mid.txt"
+  # The checkpoint shows the shard's progress while it runs. A sanitized
+  # cell can take seconds, so staleness gets a generous bound.
+  "${merge}" --watch --watch_iterations=1 --stale_after_ms=600000 \
+    "${work}/on.ckpt" > "${work}/watch_mid.txt"
   grep -Eq 'running|done' "${work}/watch_mid.txt"
 
   wait "${sweep_pid}"
-  # After completion the final heartbeat reports done and --watch exits 0.
-  "${merge}" --watch "${work}/on.ckpt" > "${work}/watch_done.txt"
+  # After completion every owned cell is durable: done, and --watch exits 0.
+  "${merge}" --watch --stale_after_ms=600000 "${work}/on.ckpt" \
+    > "${work}/watch_done.txt"
   grep -q 'done' "${work}/watch_done.txt"
 
   echo "==> [monitor] outputs byte-identical with the server on"

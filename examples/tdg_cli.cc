@@ -23,7 +23,8 @@
 //       grid; merge the N shard checkpoints back into the monolithic
 //       CSV/JSON with `tdg_sweepmerge` (byte-identical to an
 //       uninterrupted single-process run). --resume and --shard_count > 1
-//       without --checkpoint are errors.
+//       without --checkpoint are errors. `tdg_sweepmerge --watch` reads
+//       the checkpoints of running shards to show their progress.
 //
 //   example_tdg_cli config-template
 //       Print a commented sweep config to adapt.
@@ -71,12 +72,6 @@
 //                          scripts can discover an ephemeral --stats_port=0.
 //   --progress             Echo a throttled single-line sweep progress /
 //                          ETA report to stderr.
-//   --heartbeat            (sweep with --checkpoint) Atomically rewrite
-//                          <checkpoint>.heartbeat (tdg.heartbeat.v1 JSON)
-//                          every --heartbeat_period_ms=<ms> [default 1000]
-//                          so `tdg_sweepmerge --watch` can track the fleet.
-//                          With --stats_port, /healthz folds the heartbeat
-//                          in: stale or torn beats degrade it to HTTP 503.
 //
 // Flight recorder (valid with every command; see DESIGN.md §12):
 //
@@ -94,7 +89,6 @@
 //                          defaults to <checkpoint>.blackbox.
 
 #include <cstdio>
-#include <fstream>
 
 #include "baselines/registry.h"
 #include "core/branch_bound.h"
@@ -105,6 +99,7 @@
 #include "obs/obs.h"
 #include "random/distributions.h"
 #include "sim/amt_experiment.h"
+#include "util/file_util.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -182,11 +177,9 @@ int WriteSweepOutputs(const tdg::exp::SweepResult& result,
   }
   std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      return Fail(tdg::util::Status::IOError("cannot open " + json_path));
-    }
-    out << result.ToJson().SerializePretty() << "\n";
+    auto status = tdg::util::WriteStringToFile(
+        json_path, result.ToJson().SerializePretty() + "\n");
+    if (!status.ok()) return Fail(status);
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;
@@ -209,16 +202,6 @@ int CmdSweep(const tdg::util::FlagParser& flags) {
   shard.shard_count = static_cast<int>(flags.GetInt("shard_count", 1));
   shard.checkpoint_path = flags.GetString("checkpoint", "");
   shard.resume = flags.GetBool("resume", false);
-  if (flags.GetBool("heartbeat", false)) {
-    if (shard.checkpoint_path.empty()) {
-      return Fail(tdg::util::Status::InvalidArgument(
-          "--heartbeat requires --checkpoint (the heartbeat file lives "
-          "next to it as <checkpoint>.heartbeat)"));
-    }
-    shard.heartbeat_path = shard.checkpoint_path + ".heartbeat";
-    shard.heartbeat_period_ms =
-        static_cast<int>(flags.GetInt("heartbeat_period_ms", 1000));
-  }
 
   // One cell loop on every path; a sharded or resumed run without a
   // checkpoint is InvalidArgument from the library.
@@ -337,8 +320,7 @@ void PrintUsage() {
       "observability (any command): --metrics_out=<file> --print_metrics "
       "--manifest_out=<file> --no_metrics --profile\n"
       "live monitoring (any command): --stats_port=<port|0> "
-      "--stats_port_file=<file> --progress; sweep: --heartbeat "
-      "[--heartbeat_period_ms=MS]\n"
+      "--stats_port_file=<file> --progress\n"
       "flight recorder (any command): --blackbox=<file> (or bare "
       "--blackbox next to a sweep --checkpoint); decode with "
       "tdg_blackbox\n"
@@ -428,13 +410,6 @@ int main(int argc, char** argv) {
     server_options.port_file = flags.GetString("stats_port_file", "");
     server_options.manifest = tdg::obs::RunManifest::Capture(
         static_cast<uint64_t>(flags.GetInt("seed", 42)), argc, argv);
-    // Fold the sweep heartbeat (written next to the checkpoint, see
-    // CmdSweep) into /healthz so the probe degrades when the worker
-    // stops making progress, not just when the process dies.
-    const std::string checkpoint = flags.GetString("checkpoint", "");
-    if (flags.GetBool("heartbeat", false) && !checkpoint.empty()) {
-      server_options.heartbeat_paths.push_back(checkpoint + ".heartbeat");
-    }
     server_options.blackbox_path = blackbox;  // "" → global recorder path
     auto server = tdg::obs::StartStatsServer(std::move(server_options));
     if (!server.ok()) return Fail(server.status());
@@ -460,11 +435,9 @@ int main(int argc, char** argv) {
     const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
     tdg::obs::RunManifest manifest =
         tdg::obs::RunManifest::Capture(seed, argc, argv);
-    std::ofstream out(manifest_out, std::ios::trunc);
-    if (!out) {
-      return Fail(tdg::util::Status::IOError("cannot open " + manifest_out));
-    }
-    out << manifest.ToJson().SerializePretty() << "\n";
+    auto status = tdg::util::WriteStringToFile(
+        manifest_out, manifest.ToJson().SerializePretty() + "\n");
+    if (!status.ok()) return Fail(status);
     std::printf("wrote manifest to %s\n", manifest_out.c_str());
   }
   if (print_metrics) {

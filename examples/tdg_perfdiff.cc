@@ -18,10 +18,10 @@
 // appeared/vanished), 2 = usage or input error.
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "obs/obs.h"
+#include "util/file_util.h"
 #include "util/flags.h"
 
 namespace {
@@ -139,13 +139,12 @@ int main(int argc, char** argv) {
 
   const std::string json_out = flags.GetString("json_out", "");
   if (!json_out.empty()) {
-    std::ofstream out(json_out, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "tdg_perfdiff: cannot open %s\n",
-                   json_out.c_str());
+    auto status = tdg::util::WriteStringToFile(
+        json_out, diff->ToJson().SerializePretty() + "\n");
+    if (!status.ok()) {
+      std::fprintf(stderr, "tdg_perfdiff: %s\n", status.ToString().c_str());
       return 2;
     }
-    out << diff->ToJson().SerializePretty() << "\n";
     std::printf("wrote %s\n", json_out.c_str());
   }
   return diff->Failed() ? 1 : 0;

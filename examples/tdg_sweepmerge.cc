@@ -6,9 +6,8 @@
 //   tdg_sweepmerge [--csv=<out.csv>] [--json=<out.json>] [--table]
 //                  <shard0.ckpt> [<shard1.ckpt> ...]
 //
-// Watch mode — live fleet progress from the shards' heartbeat files
-// (tdg.heartbeat.v1, written next to each checkpoint by
-// `example_tdg_cli sweep --heartbeat`; see DESIGN.md §9):
+// Watch mode — live fleet progress read from the shards' checkpoints
+// (exp::WatchSweepCheckpoints; see DESIGN.md §9):
 //
 //   tdg_sweepmerge --watch [--watch_interval_ms=2000]
 //                  [--watch_iterations=0] [--stale_after_ms=10000]
@@ -17,10 +16,12 @@
 // Renders a per-shard progress / straggler table (state: running | done |
 // stale | torn | missing) plus a fleet totals/ETA footer, refreshing every
 // --watch_interval_ms until every shard is done (or --watch_iterations > 0
-// rounds have printed — handy for scripts). Positional arguments are
-// checkpoint paths; each shard's heartbeat is read from
-// <checkpoint>.heartbeat (a path already ending in .heartbeat is used
-// as-is). Read-only: never blocks or perturbs the shards.
+// rounds have printed — handy for scripts). Cells done are the durable
+// records, and a shard whose checkpoint has not changed for
+// --stale_after_ms reads stale, whether it is dead or inside one long
+// cell. The rate and ETA come from the records added between two frames,
+// so the first frame prints "-" and "eta ?". Read-only: never blocks or
+// perturbs the shards.
 //
 // Exit codes: 0 merged cleanly (or watch finished); 1 the checkpoints are
 // inconsistent (digest/coverage/duplicates) or an output could not be
@@ -33,16 +34,16 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/sweep_shard.h"
-#include "obs/heartbeat.h"
+#include "util/file_util.h"
 #include "util/flags.h"
 #include "util/status.h"
-#include "util/string_util.h"
+#include "util/stopwatch.h"
 
 namespace {
 
@@ -53,35 +54,26 @@ int Fail(const tdg::util::Status& status) {
 
 int Watch(const std::vector<std::string>& paths,
           const tdg::util::FlagParser& flags) {
-  std::vector<std::string> heartbeat_paths;
-  heartbeat_paths.reserve(paths.size());
-  for (const std::string& path : paths) {
-    heartbeat_paths.push_back(tdg::util::EndsWith(path, ".heartbeat")
-                                  ? path
-                                  : path + ".heartbeat");
-  }
   const long long interval_ms = flags.GetInt("watch_interval_ms", 2000);
   const long long max_iterations = flags.GetInt("watch_iterations", 0);
   const long long stale_after_ms = flags.GetInt("stale_after_ms", 10000);
+  tdg::exp::SweepWatchFrame previous;
   for (long long iteration = 1;; ++iteration) {
-    const std::vector<tdg::obs::HeartbeatStatus> fleet =
-        tdg::obs::CollectHeartbeats(heartbeat_paths, tdg::obs::UnixMillis(),
-                                    stale_after_ms);
-    std::printf("%s", tdg::obs::RenderHeartbeatTable(fleet).c_str());
+    tdg::exp::SweepWatchFrame frame = tdg::exp::WatchSweepCheckpoints(
+        paths, tdg::util::UnixMillis(), stale_after_ms,
+        iteration > 1 ? &previous : nullptr);
+    std::printf("%s", frame.table.c_str());
     std::fflush(stdout);
-    bool all_done = true;
-    for (const tdg::obs::HeartbeatStatus& status : fleet) {
-      all_done = all_done && status.state == "done";
-    }
-    if (all_done) {
+    if (frame.all_done) {
       std::printf("all %zu shard(s) done — merge with: tdg_sweepmerge "
                   "--csv=... <checkpoints...>\n",
-                  fleet.size());
+                  paths.size());
       return 0;
     }
     if (max_iterations > 0 && iteration >= max_iterations) return 0;
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     std::printf("\n");
+    previous = std::move(frame);
   }
 }
 
@@ -131,11 +123,9 @@ int main(int argc, char** argv) {
   }
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      return Fail(tdg::util::Status::IOError("cannot open " + json_path));
-    }
-    out << merged->ToJson().SerializePretty() << "\n";
+    auto status = tdg::util::WriteStringToFile(
+        json_path, merged->ToJson().SerializePretty() + "\n");
+    if (!status.ok()) return Fail(status);
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;

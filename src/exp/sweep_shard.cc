@@ -9,8 +9,6 @@
 #include <mutex>
 #include <set>
 
-#include <unistd.h>
-
 #include "baselines/registry.h"
 #include "obs/obs.h"
 #include "obs/run_manifest.h"
@@ -18,6 +16,7 @@
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
+#include "util/table_printer.h"
 #include "util/thread_pool.h"
 
 namespace tdg::exp {
@@ -175,6 +174,12 @@ util::StatusOr<SweepCheckpointHeader> ParseHeader(
   header.shard_index = static_cast<int>(shard_index);
   header.shard_count = static_cast<int>(shard_count);
   header.cells_total = static_cast<long long>(cells_total);
+  if (header.shard_count < 1 || header.shard_index < 0 ||
+      header.shard_index >= header.shard_count || header.cells_total < 0) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "checkpoint header names shard %d of %d over %lld cells",
+        header.shard_index, header.shard_count, header.cells_total));
+  }
   return header;
 }
 
@@ -432,49 +437,10 @@ util::StatusOr<SweepShardResult> RunSweepShard(
   std::mutex append_mutex;
   int completed_this_run = 0;
 
-  // Monitoring plane — observation only. The heartbeat thread samples two
-  // atomics and never touches cell results or checkpoint bytes.
   obs::ProgressTracker& progress = obs::ProgressTracker::Global();
   progress.BeginRun(config.name,
                     static_cast<long long>(shard_cells.size()),
                     shard_result.cells_restored);
-
-  const long long hb_restored = shard_result.cells_restored;
-  std::atomic<long long> hb_cells_done{hb_restored};
-  std::atomic<long long> hb_last_cell_unix_ms{0};
-  const long long hb_start_unix_ms = obs::UnixMillis();
-  obs::HeartbeatWriter heartbeat;
-  if (!options.heartbeat_path.empty()) {
-    const long long owned_cells =
-        static_cast<long long>(shard_cells.size());
-    heartbeat.Start(
-        options.heartbeat_path, options.heartbeat_period_ms,
-        [&config, &options, cells_total, owned_cells, hb_restored,
-         hb_start_unix_ms, &hb_cells_done, &hb_last_cell_unix_ms] {
-          obs::Heartbeat beat;
-          beat.name = config.name;
-          beat.shard_index = options.shard_index;
-          beat.shard_count = options.shard_count;
-          beat.cells_total = cells_total;
-          beat.shard_cells = owned_cells;
-          beat.cells_done =
-              hb_cells_done.load(std::memory_order_relaxed);
-          beat.pid = static_cast<long long>(getpid());
-          beat.updated_unix_ms = obs::UnixMillis();
-          beat.last_cell_unix_ms =
-              hb_last_cell_unix_ms.load(std::memory_order_relaxed);
-          const double elapsed_seconds =
-              static_cast<double>(beat.updated_unix_ms -
-                                  hb_start_unix_ms) /
-              1e3;
-          const long long run_cells = beat.cells_done - hb_restored;
-          beat.cells_per_second =
-              elapsed_seconds > 0
-                  ? static_cast<double>(run_cells) / elapsed_seconds
-                  : 0;
-          return beat;
-        });
-  }
 
   util::ThreadPool pool(config.threads);
   util::ParallelFor(
@@ -529,16 +495,10 @@ util::StatusOr<SweepShardResult> RunSweepShard(
                      static_cast<double>(record.cell.runs));
         completed.emplace(cell_index, std::move(record.cell));
         ++completed_this_run;
-        if (heartbeat.running()) {
-          hb_cells_done.fetch_add(1, std::memory_order_relaxed);
-          hb_last_cell_unix_ms.store(obs::UnixMillis(),
-                                     std::memory_order_relaxed);
-        }
 #if defined(TDG_TEST_HOOKS)
         if (persisted) MaybeCrashAfterCells(completed_this_run);
 #endif
       });
-  heartbeat.Stop();
   progress.EndRun();
   if (failed.load()) return first_error;
 
@@ -633,6 +593,106 @@ util::StatusOr<SweepResult> MergeSweepCheckpoints(
     result.cells.push_back(std::move(cell));
   }
   return result;
+}
+
+namespace {
+
+SweepWatchRow WatchRow(const std::string& path, long long now_unix_ms,
+                       long long stale_after_ms) {
+  SweepWatchRow row;
+  row.path = path;
+  util::StatusOr<int64_t> mtime = util::FileMtimeUnixMillis(path);
+  if (!mtime.ok()) {
+    row.state = "missing";
+    return row;
+  }
+  util::StatusOr<SweepCheckpoint> checkpoint = ReadSweepCheckpoint(path);
+  if (!checkpoint.ok() || checkpoint->header.schema.empty()) {
+    row.state = "torn";
+    return row;
+  }
+  row.header = checkpoint->header;
+  row.cells_done = static_cast<long long>(checkpoint->cells.size());
+  row.cells_owned = static_cast<long long>(
+      ShardCellIndices(row.header.cells_total, row.header.shard_index,
+                       row.header.shard_count)
+          .size());
+  row.age_ms = now_unix_ms - *mtime;
+  if (row.cells_done >= row.cells_owned) {
+    row.state = "done";
+  } else if (row.age_ms > stale_after_ms) {
+    row.state = "stale";
+  } else {
+    row.state = "running";
+  }
+  return row;
+}
+
+}  // namespace
+
+SweepWatchFrame WatchSweepCheckpoints(const std::vector<std::string>& paths,
+                                      long long now_unix_ms,
+                                      long long stale_after_ms,
+                                      const SweepWatchFrame* previous) {
+  SweepWatchFrame frame;
+  frame.unix_ms = now_unix_ms;
+  frame.all_done = true;
+  const bool have_rate = previous != nullptr &&
+                         previous->rows.size() == paths.size() &&
+                         now_unix_ms > previous->unix_ms;
+  const double elapsed_seconds =
+      have_rate ? static_cast<double>(now_unix_ms - previous->unix_ms) / 1e3
+                : 0;
+  util::TablePrinter table(
+      {"shard", "state", "cells", "%", "cells/s", "age", "file"});
+  long long done = 0;
+  long long owned = 0;
+  long long live_delta = 0;  // new records of the shards still running
+  for (size_t i = 0; i < paths.size(); ++i) {
+    SweepWatchRow row = WatchRow(paths[i], now_unix_ms, stale_after_ms);
+    frame.all_done = frame.all_done && row.state == "done";
+    if (row.header.schema.empty()) {
+      table.AddRow({"?", row.state, "-", "-", "-", "-", row.path});
+    } else {
+      done += row.cells_done;
+      owned += row.cells_owned;
+      std::string rate = "-";
+      if (have_rate) {
+        const long long delta =
+            row.cells_done - previous->rows[i].cells_done;
+        rate = util::FormatDouble(static_cast<double>(delta) /
+                                      elapsed_seconds,
+                                  2);
+        if (row.state == "running") live_delta += delta;
+      }
+      const double percent =
+          row.cells_owned > 0 ? 100.0 * static_cast<double>(row.cells_done) /
+                                    static_cast<double>(row.cells_owned)
+                              : 100.0;
+      table.AddRow({util::StrFormat("%d/%d", row.header.shard_index,
+                                    row.header.shard_count),
+                    row.state,
+                    util::StrFormat("%lld/%lld", row.cells_done,
+                                    row.cells_owned),
+                    util::FormatDouble(percent, 1), rate,
+                    util::StrFormat("%.1fs",
+                                    static_cast<double>(row.age_ms) / 1e3),
+                    row.path});
+    }
+    frame.rows.push_back(std::move(row));
+  }
+  std::string eta = "?";
+  if (frame.all_done) {
+    eta = "done";
+  } else if (live_delta > 0) {
+    eta = util::StrFormat("%.0fs", static_cast<double>(owned - done) *
+                                       elapsed_seconds /
+                                       static_cast<double>(live_delta));
+  }
+  frame.table = table.ToString() +
+                util::StrFormat("fleet: %lld/%lld cells done, eta %s\n",
+                                done, owned, eta.c_str());
+  return frame;
 }
 
 }  // namespace tdg::exp

@@ -76,9 +76,12 @@ struct SweepCheckpoint {
   uint64_t valid_bytes = 0;
 };
 
-/// Parses a checkpoint file. Duplicate cell indices, a malformed durable
-/// line, unknown schema, or a missing header are errors; a torn final line
-/// is dropped. Read-only: never repairs the file.
+/// Parses a checkpoint file. An unreadable file, a malformed durable line,
+/// an unknown schema, a first record that is not the header, or duplicate
+/// cell indices are errors; a torn final line is dropped. A file with no
+/// durable record (the header itself was torn away) is OK with an empty
+/// `header.schema`: resume treats it as a fresh start, and merge refuses
+/// it. Read-only: never repairs the file.
 util::StatusOr<SweepCheckpoint> ReadSweepCheckpoint(const std::string& path);
 
 struct SweepShardOptions {
@@ -91,14 +94,6 @@ struct SweepShardOptions {
   /// this, an existing checkpoint file is a FailedPrecondition error (never
   /// silently clobber completed work).
   bool resume = false;
-  /// When non-empty, a background obs::HeartbeatWriter atomically rewrites
-  /// this file (tdg.heartbeat.v1 JSON) every `heartbeat_period_ms` for the
-  /// duration of the shard, so `tdg_sweepmerge --watch` can report fleet
-  /// progress and spot stragglers without touching the shard processes.
-  /// Pure observation: cell results and checkpoint bytes are identical with
-  /// or without it. Convention: `<checkpoint_path>.heartbeat`.
-  std::string heartbeat_path;
-  int heartbeat_period_ms = 1000;
 };
 
 struct SweepShardResult {
@@ -134,6 +129,41 @@ util::StatusOr<SweepShardResult> RunSweepShard(
 /// CSV/JSON serializations are byte-identical to one unpersisted RunSweep.
 util::StatusOr<SweepResult> MergeSweepCheckpoints(
     const std::vector<std::string>& paths);
+
+/// One shard's row in a watch frame (`tdg_sweepmerge --watch`).
+struct SweepWatchRow {
+  std::string path;
+  /// "done" (durable cells >= owned cells, at any age), "running",
+  /// "stale" (checkpoint unmodified for longer than stale_after_ms),
+  /// "torn" (unreadable, or no durable header) or "missing".
+  std::string state;
+  SweepCheckpointHeader header;  // empty schema when torn or missing
+  long long cells_done = 0;      // durable cell records
+  long long cells_owned = 0;     // ShardCellIndices of the header's plan
+  long long age_ms = 0;          // now - the checkpoint's mtime
+};
+
+struct SweepWatchFrame {
+  long long unix_ms = 0;
+  std::vector<SweepWatchRow> rows;  // parallel to the watched paths
+  bool all_done = false;
+  /// The per-shard table plus the fleet footer ("fleet: D/O cells done,
+  /// eta E").
+  std::string table;
+};
+
+/// Shard progress read from the checkpoints alone: the shard processes are
+/// never contacted, and a shard publishes nothing beyond its checkpoint.
+/// Each file is read with ReadSweepCheckpoint; its mtime, the time of its
+/// last durable record, gives the age. A shard stuck inside one cell for
+/// longer than `stale_after_ms` therefore reads "stale", like a dead one.
+/// The cells/s column and the ETA use the change in durable records since
+/// `previous`, the frame before this one over the same paths; without it
+/// they print "-" and "eta ?".
+SweepWatchFrame WatchSweepCheckpoints(const std::vector<std::string>& paths,
+                                      long long now_unix_ms,
+                                      long long stale_after_ms,
+                                      const SweepWatchFrame* previous);
 
 }  // namespace tdg::exp
 

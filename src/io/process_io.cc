@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace tdg::io {
@@ -163,15 +164,8 @@ util::StatusOr<ProcessResult> ProcessResultFromJson(
 
 util::Status WriteProcessResult(const std::string& path,
                                 const ProcessResult& result) {
-  std::ofstream out(path);
-  if (!out) {
-    return util::Status::IOError("cannot open '" + path + "' for writing");
-  }
-  out << ProcessResultToJson(result).SerializePretty() << "\n";
-  if (!out) {
-    return util::Status::IOError("write to '" + path + "' failed");
-  }
-  return util::Status::OK();
+  return util::WriteStringToFile(
+      path, ProcessResultToJson(result).SerializePretty() + "\n");
 }
 
 util::StatusOr<ProcessResult> ReadProcessResult(const std::string& path) {

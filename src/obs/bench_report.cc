@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/zone.h"
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace tdg::obs {
@@ -226,15 +227,7 @@ util::Status BenchReport::Validate() const {
 }
 
 util::Status BenchReport::WriteFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return util::Status::IOError("cannot open bench report: " + path);
-  }
-  out << ToJson().SerializePretty() << "\n";
-  if (!out) {
-    return util::Status::IOError("failed writing bench report: " + path);
-  }
-  return util::Status::OK();
+  return util::WriteStringToFile(path, ToJson().SerializePretty() + "\n");
 }
 
 util::StatusOr<BenchReport> BenchReport::ReadFile(const std::string& path) {

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <utility>
 
-#include "obs/heartbeat.h"
 #include "util/file_util.h"
 #include "util/logging.h"
 #include "util/mmap_file.h"
@@ -215,7 +214,7 @@ util::Status FlightRecorder::Start(Options options) {
   header->version = kBlackboxVersion;
   header->max_rings = static_cast<std::uint32_t>(options.max_rings);
   header->ring_bytes = options.ring_bytes;
-  header->start_unix_ms = UnixMillis();
+  header->start_unix_ms = util::UnixMillis();
   header->rings_claimed.store(0, std::memory_order_relaxed);
   header->flags.store(0, std::memory_order_relaxed);
   header->dropped.store(0, std::memory_order_relaxed);

@@ -1,9 +1,8 @@
 #include "obs/obs.h"
 
-#include <fstream>
-
 #include <sys/resource.h>
 
+#include "util/file_util.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 #include "util/work_steal_queue.h"
@@ -77,16 +76,9 @@ void InstallBuildInfoMetrics() {
 
 util::Status WriteMetricsJsonFile(const std::string& path) {
   RefreshProcessGauges();
-  std::ofstream out(path);
-  if (!out) {
-    return util::Status::IOError("cannot open metrics file: " + path);
-  }
-  out << MetricsRegistry::Global().Snapshot().ToJson().SerializePretty()
-      << "\n";
-  if (!out) {
-    return util::Status::IOError("failed writing metrics file: " + path);
-  }
-  return util::Status::OK();
+  return util::WriteStringToFile(
+      path,
+      MetricsRegistry::Global().Snapshot().ToJson().SerializePretty() + "\n");
 }
 
 util::Status WriteMetricsCsvFile(const std::string& path) {

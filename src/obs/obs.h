@@ -25,12 +25,13 @@
 ///     site.
 ///
 /// A third pillar — the live monitoring plane (stats_server.h, progress.h,
-/// heartbeat.h, prometheus.h) — serves the same registry over loopback HTTP
-/// (/metrics Prometheus exposition, /statusz, /healthz, /blackboxz: the
-/// shared routes both obs::StartStatsServer, which adds /progressz, and
-/// serve::CohortServer answer on a util::net::HttpServer), tracks sweep
-/// progress/ETA, and lets crash-safe shards advertise liveness via atomic
-/// heartbeat files. All of it only *reads* experiment state: outputs are
+/// prometheus.h) — serves the same registry over loopback HTTP (/metrics
+/// Prometheus exposition, /statusz, /healthz, /blackboxz: the shared routes
+/// both obs::StartStatsServer, which adds /progressz, and
+/// serve::CohortServer answer on a util::net::HttpServer) and tracks sweep
+/// progress/ETA. A crash-safe shard's liveness is read from its checkpoint
+/// (exp::WatchSweepCheckpoints, `tdg_sweepmerge --watch`), not published
+/// by the shard. All of it only *reads* experiment state: outputs are
 /// byte-identical with and without the server.
 ///
 /// A fourth pillar — kernel profiling (perf_counters.h, zone.h) — reads
@@ -53,7 +54,6 @@
 
 #include "obs/bench_report.h"
 #include "obs/flight_recorder.h"
-#include "obs/heartbeat.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/perf_diff.h"

@@ -5,7 +5,6 @@
 #include <atomic>
 
 #include "obs/flight_recorder.h"
-#include "obs/heartbeat.h"
 #include "util/string_util.h"
 
 namespace tdg::obs {
@@ -46,7 +45,7 @@ std::string_view RequestPhaseName(RequestPhase phase) {
 uint64_t MintTraceId() {
   static std::atomic<uint64_t> counter{0};
   static const uint64_t process_seed =
-      Mix64(static_cast<uint64_t>(UnixMillis()) ^
+      Mix64(static_cast<uint64_t>(util::UnixMillis()) ^
             (static_cast<uint64_t>(::getpid()) << 48));
   for (;;) {
     const uint64_t n = counter.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -64,7 +63,7 @@ RequestContext* CurrentRequestContext() { return t_request_context; }
 
 ScopedRequestContext::ScopedRequestContext(RequestContext& context)
     : previous_(t_request_context) {
-  context.start_unix_ms = UnixMillis();
+  context.start_unix_ms = util::UnixMillis();
   context.start_micros = util::MonotonicMicros();
   t_request_context = &context;
   FlightRecorder& recorder = FlightRecorder::Global();

@@ -6,32 +6,12 @@
 #include "obs/obs.h"
 #include "obs/prometheus.h"
 #include "util/stopwatch.h"
-#include "util/string_util.h"
 
 namespace tdg::obs {
 namespace {
 
 std::string OkResponse(std::string_view content_type, std::string_view body) {
   return util::net::BuildHttpResponse(200, "OK", content_type, body);
-}
-
-std::string HealthzResponse(const StatsRouteOptions& options) {
-  // Liveness alone is not health: fold in the registered shard heartbeats.
-  // Stale (writer stopped beating) or torn (crashed host mid-write) degrade
-  // the probe to 503 so an orchestrator restarts or reschedules the worker;
-  // "missing" stays ok — the shard may simply not have started writing yet.
-  std::string degraded;
-  for (const HeartbeatStatus& status :
-       CollectHeartbeats(options.heartbeat_paths, UnixMillis(),
-                         options.heartbeat_stale_after_ms)) {
-    if (status.state == "stale" || status.state == "torn") {
-      degraded += util::StrFormat("%s: %s\n", status.path.c_str(),
-                                  status.state.c_str());
-    }
-  }
-  if (degraded.empty()) return OkResponse("text/plain", "ok\n");
-  return util::net::BuildHttpResponse(503, "Service Unavailable",
-                                      "text/plain", "degraded\n" + degraded);
 }
 
 std::string BlackboxzResponse(const StatsRouteOptions& options) {
@@ -117,7 +97,7 @@ std::optional<std::string> ServeStatsRoute(
     return util::net::BuildHttpJsonError(
         405, "Method Not Allowed", "method not allowed on this endpoint");
   }
-  if (path == "/healthz") return HealthzResponse(options);
+  if (path == "/healthz") return OkResponse("text/plain", "ok\n");
   if (path == "/blackboxz") return BlackboxzResponse(options);
   if (path == "/metrics") {
     // Refresh the process gauges (uptime, peak RSS) so every scrape carries

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "obs/progress.h"
 #include "obs/run_manifest.h"
@@ -20,13 +19,6 @@ struct StatsRouteOptions {
   /// Provenance served on /statusz. The servers capture it at Start when
   /// left default-constructed (empty git_sha).
   RunManifest manifest;
-  /// Heartbeat files /healthz folds into its verdict: "ok" while every
-  /// present heartbeat is fresh, "degraded" (HTTP 503) once any is stale
-  /// (updated older than heartbeat_stale_after_ms) or torn. A heartbeat
-  /// that does not exist yet counts as ok — the shard may simply not have
-  /// started. Empty (the default) keeps /healthz unconditional.
-  std::vector<std::string> heartbeat_paths;
-  long long heartbeat_stale_after_ms = 15000;
   /// Dump file tailed by /blackboxz; the global FlightRecorder's active
   /// path when empty.
   std::string blackbox_path;
@@ -43,8 +35,7 @@ struct StatsRouteHooks {
 };
 
 /// The monitoring endpoints every embedded server answers first:
-///   /healthz    200 "ok" — liveness probe; 503 "degraded" when any
-///               registered shard heartbeat is stale or torn
+///   /healthz    200 "ok" — liveness probe: the process answers
 ///   /metrics    Prometheus text exposition of the metrics registry
 ///               (see obs/prometheus.h), plus the process gauges
 ///   /statusz    JSON: manifest, uptime_seconds, peak_rss_bytes,

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace tdg::util {
@@ -132,15 +133,7 @@ StatusOr<CsvDocument> CsvDocument::Parse(std::string_view text) {
 }
 
 Status CsvDocument::WriteToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  out << ToString();
-  if (!out) {
-    return Status::IOError("write to '" + path + "' failed");
-  }
-  return Status::OK();
+  return WriteStringToFile(path, ToString());
 }
 
 StatusOr<CsvDocument> CsvDocument::ReadFromFile(const std::string& path) {

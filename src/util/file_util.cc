@@ -32,6 +32,22 @@ std::string DirName(const std::string& path) {
   return path.substr(0, slash);
 }
 
+// Writes all of `content` to `fd`, retrying short writes and EINTR. On
+// failure returns false with errno set.
+bool WriteAll(int fd, std::string_view content) {
+  size_t written = 0;
+  while (written < content.size()) {
+    ssize_t n =
+        ::write(fd, content.data() + written, content.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    written += static_cast<size_t>(n);
+  }
+  return true;
+}
+
 Status SyncDirectory(const std::string& dir) {
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return Errno("open directory", dir);
@@ -63,10 +79,29 @@ StatusOr<uint64_t> FileSize(const std::string& path) {
   return static_cast<uint64_t>(st.st_size);
 }
 
+StatusOr<int64_t> FileMtimeUnixMillis(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return Errno("stat", path);
+  return static_cast<int64_t>(st.st_mtim.tv_sec) * 1000 +
+         static_cast<int64_t>(st.st_mtim.tv_nsec) / 1000000;
+}
+
 Status TruncateFile(const std::string& path, uint64_t length) {
   if (::truncate(path.c_str(), static_cast<off_t>(length)) != 0) {
     return Errno("truncate", path);
   }
+  return Status::OK();
+}
+
+Status WriteStringToFile(const std::string& path, std::string_view content) {
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return Errno("open", path);
+  if (!WriteAll(fd, content)) {
+    Status status = Errno("write", path);
+    ::close(fd);
+    return status;
+  }
+  if (::close(fd) != 0) return Errno("close", path);
   return Status::OK();
 }
 
@@ -75,18 +110,11 @@ Status WriteFileAtomic(const std::string& path, std::string_view content) {
       path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Errno("open", tmp);
-  size_t written = 0;
-  while (written < content.size()) {
-    ssize_t n =
-        ::write(fd, content.data() + written, content.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status = Errno("write", tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return status;
-    }
-    written += static_cast<size_t>(n);
+  if (!WriteAll(fd, content)) {
+    Status status = Errno("write", tmp);
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return status;
   }
   if (::fsync(fd) != 0) {
     Status status = Errno("fsync", tmp);
@@ -137,16 +165,9 @@ Status DurableAppendFile::AppendLine(std::string_view line) {
   buffer.reserve(line.size() + 1);
   buffer.append(line);
   buffer.push_back('\n');
-  size_t written = 0;
-  while (written < buffer.size()) {
-    ssize_t n = ::write(fd_, buffer.data() + written,
-                        buffer.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("append write: ") +
-                             std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
+  if (!WriteAll(fd_, buffer)) {
+    return Status::IOError(std::string("append write: ") +
+                           std::strerror(errno));
   }
 #if defined(__APPLE__)
   if (::fsync(fd_) != 0) {

@@ -25,8 +25,18 @@ StatusOr<std::string> ReadFileToString(const std::string& path);
 /// Returns the file's size in bytes.
 StatusOr<uint64_t> FileSize(const std::string& path);
 
+/// Returns the file's last-modification time in milliseconds since the
+/// unix epoch (comparable with util::UnixMillis).
+StatusOr<int64_t> FileMtimeUnixMillis(const std::string& path);
+
 /// Shrinks (or grows, zero-filled) the file to exactly `length` bytes.
 Status TruncateFile(const std::string& path, uint64_t length);
+
+/// Writes `content` to `path` in place (create or truncate), then closes
+/// it. Every failure, including one reported only by close (a full disk
+/// under delayed allocation), is an IOError. Unlike WriteFileAtomic it
+/// never renames, so device paths such as /dev/stdout stay usable.
+Status WriteStringToFile(const std::string& path, std::string_view content);
 
 /// Atomic whole-file replace: writes `content` to a temporary sibling
 /// (`path.tmp.<pid>`), fsyncs it, renames it over `path`, then fsyncs the

@@ -17,6 +17,15 @@ inline int64_t MonotonicMicros() {
       .count();
 }
 
+/// Milliseconds since the unix epoch (wall clock: comparable across
+/// processes and machines, and with file mtimes, where a monotonic origin
+/// means nothing).
+inline int64_t UnixMillis() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Wall-clock stopwatch with microsecond resolution. Starts running on
 /// construction; `Restart()` resets the origin. Supports Pause()/Resume()
 /// so a caller can exclude sections from the accumulated time, and Lap()

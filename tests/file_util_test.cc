@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sweep_shard_test_util.h"
+#include "util/stopwatch.h"
 
 namespace tdg::util {
 namespace {
@@ -54,6 +55,31 @@ TEST_F(FileUtilTest, WriteFileAtomicReplacesWholeContent) {
   EXPECT_EQ(read.value(), "second");
   // No temporary litter left behind.
   EXPECT_FALSE(FileExists(path + ".tmp." + std::to_string(::getpid())));
+}
+
+TEST_F(FileUtilTest, WriteStringToFileReplacesInPlaceAndReportsAFullDisk) {
+  const std::string path = Path("plain.txt");
+  ASSERT_TRUE(WriteStringToFile(path, "first version, long content").ok());
+  ASSERT_TRUE(WriteStringToFile(path, "second").ok());
+  auto read = ReadFileToString(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), "second");
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  Status full = WriteStringToFile("/dev/full", "lost bytes\n");
+  EXPECT_EQ(full.code(), StatusCode::kIOError) << full;
+  EXPECT_FALSE(WriteStringToFile(Path("no/such/dir/out.txt"), "x").ok());
+}
+
+TEST_F(FileUtilTest, FileMtimeFollowsTheLastWrite) {
+  const std::string path = Path("mtime.txt");
+  const int64_t before = UnixMillis();
+  ASSERT_TRUE(WriteStringToFile(path, "x").ok());
+  auto mtime = FileMtimeUnixMillis(path);
+  ASSERT_TRUE(mtime.ok()) << mtime.status();
+  // Filesystem timestamps may be coarser than the clock; allow a second.
+  EXPECT_GE(*mtime, before - 1000);
+  EXPECT_LE(*mtime, UnixMillis() + 1000);
+  EXPECT_FALSE(FileMtimeUnixMillis(Path("missing.txt")).ok());
 }
 
 TEST_F(FileUtilTest, FileSizeAndTruncate) {

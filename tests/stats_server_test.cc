@@ -68,65 +68,6 @@ TEST(StatsServerTest, HealthzAnswersOk) {
   EXPECT_EQ(body.value(), "ok\n");
 }
 
-TEST(StatsServerTest, HealthzDegradesOnStaleOrTornHeartbeat) {
-  const std::string dir = test::MakeScratchDir();
-  const std::string fresh_path = dir + "/fresh.heartbeat";
-  const std::string stale_path = dir + "/stale.heartbeat";
-  const std::string torn_path = dir + "/torn.heartbeat";
-
-  Heartbeat fresh;
-  fresh.name = "healthz-test";
-  fresh.shard_cells = 8;
-  fresh.cells_done = 1;
-  fresh.updated_unix_ms = UnixMillis();
-  ASSERT_TRUE(WriteHeartbeat(fresh_path, fresh).ok());
-
-  // A fresh heartbeat plus one that does not exist yet: still healthy (the
-  // missing shard may simply not have started).
-  {
-    StatsServerOptions options;
-    options.heartbeat_paths = {fresh_path, dir + "/not-yet.heartbeat"};
-    auto server = StartServer(std::move(options));
-    ASSERT_NE(server, nullptr);
-    const std::string response = Get(server->port(), "/healthz");
-    EXPECT_TRUE(util::StartsWith(response, "HTTP/1.1 200")) << response;
-  }
-
-  // One shard stopped beating 10 minutes ago: degraded, and the body names
-  // the offender.
-  Heartbeat stale = fresh;
-  stale.updated_unix_ms = UnixMillis() - 10 * 60 * 1000;
-  ASSERT_TRUE(WriteHeartbeat(stale_path, stale).ok());
-  {
-    StatsServerOptions options;
-    options.heartbeat_paths = {fresh_path, stale_path};
-    auto server = StartServer(std::move(options));
-    ASSERT_NE(server, nullptr);
-    const std::string response = Get(server->port(), "/healthz");
-    EXPECT_TRUE(util::StartsWith(response, "HTTP/1.1 503")) << response;
-    auto body = util::net::HttpBody(response);
-    ASSERT_TRUE(body.ok());
-    EXPECT_TRUE(util::StartsWith(body.value(), "degraded\n")) << *body;
-    EXPECT_NE(body->find(stale_path + ": stale"), std::string::npos)
-        << *body;
-    EXPECT_EQ(body->find(fresh_path), std::string::npos) << *body;
-  }
-
-  // A torn heartbeat (crashed host mid-write) also degrades.
-  ASSERT_TRUE(util::WriteFileAtomic(torn_path, "{\"schema\": \"tdg.he").ok());
-  {
-    StatsServerOptions options;
-    options.heartbeat_paths = {torn_path};
-    auto server = StartServer(std::move(options));
-    ASSERT_NE(server, nullptr);
-    const std::string response = Get(server->port(), "/healthz");
-    EXPECT_TRUE(util::StartsWith(response, "HTTP/1.1 503")) << response;
-    auto body = util::net::HttpBody(response);
-    ASSERT_TRUE(body.ok());
-    EXPECT_NE(body->find(torn_path + ": torn"), std::string::npos) << *body;
-  }
-}
-
 TEST(StatsServerTest, BlackboxzTailsTheDump) {
   const std::string path = test::MakeScratchDir() + "/server.blackbox";
   FlightRecorder& recorder = FlightRecorder::Global();
