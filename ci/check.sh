@@ -23,18 +23,20 @@
 #   crash-resume  AddressSanitizer build with the fault-injection hooks
 #            compiled in; runs the crash/torn-write/shard-planner/death
 #            suites, then a CLI-level e2e: require a checkpointed
-#            single-shard sweep to match an unpersisted one byte for byte
-#            and a sharded sweep without --checkpoint to fail, kill a
-#            sweep shard mid-run via TDG_TEST_CRASH_AFTER_CELLS, resume
-#            it, run the sibling shard, tdg_sweepmerge the checkpoints,
+#            single-shard sweep to match an unpersisted one byte for byte,
+#            require a sharded sweep without --checkpoint, an unknown flag
+#            and an unwritable output to fail, kill a sweep shard mid-run
+#            via TDG_TEST_CRASH_AFTER_CELLS, resume it, run the sibling
+#            shard, tdg_sweepmerge the checkpoints,
 #            and require the merged CSV/JSON to be byte-identical to an
 #            uninterrupted run
 #   monitor  live-monitoring e2e (DESIGN.md §9): run the monitoring test
 #            suites under asan and tsan, then start a sweep with
 #            --stats_port=0 --progress, curl /healthz /metrics /statusz
-#            /progressz mid-run, watch its checkpoint with
-#            tdg_sweepmerge --watch, and require the sweep outputs to be
-#            byte-identical to a server-off run
+#            mid-run, poll tdg_sweepmerge --watch on its checkpoint until a
+#            durable cell shows, require the --progress log to end at N/N,
+#            and require the sweep outputs to be byte-identical to a
+#            server-off run
 #   profile  kernel-profiling e2e (DESIGN.md §10): run the perf-counter /
 #            attribution / bench-report / perf-diff suites, record a
 #            profiled bench with --profile, gate the artifact with
@@ -123,8 +125,8 @@ ctest_args() {
     # mutex-guarded fsync'd appends race worker threads by design;
     # FileUtil covers the durable-append primitive underneath it.
     # The monitoring suites (Net accept loop, StatsServer scrape threads,
-    # Progress tracker, SweepWatch over shard checkpoints) are in the tsan
-    # net too, as are the SoA suites: sweeps drive the arena through
+    # the sweep's progress line, SweepWatch over shard checkpoints) are in
+    # the tsan net too, as are the SoA suites: sweeps drive the arena through
     # thread_local scratch and flip nothing but relaxed atomics on the SIMD
     # gate, which is exactly the kind of claim tsan should referee. The
     # Serve suites put a multi-worker HTTP server, per-cohort locks, and
@@ -227,6 +229,15 @@ EOF
     echo "sweep --shard_count=2 without --checkpoint should fail" >&2
     exit 1
   fi
+  # A mistyped or removed flag is an error, not an ignored flag (here: an
+  # unpersisted run that writes no y.ckpt).
+  for flag in --chekpoint="${work}/y.ckpt" --heartbeat; do
+    if "${cli}" sweep --config="${work}/sweep.cfg" --no_metrics "${flag}" \
+      >/dev/null 2>&1; then
+      echo "sweep ${flag} should fail" >&2
+      exit 1
+    fi
+  done
   # An output that cannot be written is an error, not "wrote <path>".
   for out in --json=/dev/full --csv=/dev/full; do
     if "${cli}" sweep --config="${work}/sweep.cfg" --no_metrics "${out}" \
@@ -344,30 +355,35 @@ EOF
   grep -q '^# TYPE tdg_' "${work}/metrics.prom"
   grep -q '^tdg_process_uptime_seconds ' "${work}/metrics.prom"
   curl -sf "${base}/statusz" | grep -q 'tdg.run_manifest.v1'
-  # Mid-run progress: poll until at least one cell completion is visible.
+  # Mid-run progress is the checkpoint's durable cell count: poll the watch
+  # until at least one cell record shows. A sanitized cell can take
+  # seconds, so staleness gets a generous bound.
   local saw_progress=0
   for _ in $(seq 1 100); do
-    curl -sf "${base}/progressz" > "${work}/progressz.json" || break
-    if grep -q '"cells_done": 0,' "${work}/progressz.json"; then
-      sleep 0.1
-    else
+    "${merge}" --watch --watch_iterations=1 --stale_after_ms=600000 \
+      "${work}/on.ckpt" > "${work}/watch_mid.txt" || break
+    if grep -Eq '^fleet: [1-9][0-9]*/' "${work}/watch_mid.txt"; then
       saw_progress=1
       break
     fi
+    sleep 0.1
   done
   if [[ "${saw_progress}" -ne 1 ]]; then
-    echo "/progressz never reported a completed cell mid-run" >&2
+    echo "tdg_sweepmerge --watch never showed a durable cell mid-run" >&2
     kill "${sweep_pid}" 2>/dev/null || true
     exit 1
   fi
-  grep -q '"name": "ci-monitor"' "${work}/progressz.json"
-  # The checkpoint shows the shard's progress while it runs. A sanitized
-  # cell can take seconds, so staleness gets a generous bound.
-  "${merge}" --watch --watch_iterations=1 --stale_after_ms=600000 \
-    "${work}/on.ckpt" > "${work}/watch_mid.txt"
   grep -Eq 'running|done' "${work}/watch_mid.txt"
 
   wait "${sweep_pid}"
+  # The \r-updated --progress line ends at N/N cells.
+  local last_line
+  last_line="$(tr '\r' '\n' < "${work}/progress.log" | grep 'cells (' | tail -1)"
+  if ! [[ "${last_line}" =~ ([0-9]+)/([0-9]+)\ cells ]] ||
+    [[ "${BASH_REMATCH[1]}" != "${BASH_REMATCH[2]}" ]]; then
+    echo "--progress did not end at N/N cells: ${last_line}" >&2
+    exit 1
+  fi
   # After completion every owned cell is durable: done, and --watch exits 0.
   "${merge}" --watch --stale_after_ms=600000 "${work}/on.ckpt" \
     > "${work}/watch_done.txt"

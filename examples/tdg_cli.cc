@@ -13,6 +13,7 @@
 //                         [--json=<out.json>]
 //                         [--checkpoint=<file>] [--resume]
 //                         [--shard_index=<i> --shard_count=<s>]
+//                         [--progress]
 //       Run a declarative sweep (see config-template) and print the grid.
 //       Every sweep runs the one cell loop, exp::RunSweepShard; without
 //       --checkpoint nothing is written but the outputs. With
@@ -25,6 +26,9 @@
 //       uninterrupted single-process run). --resume and --shard_count > 1
 //       without --checkpoint are errors. `tdg_sweepmerge --watch` reads
 //       the checkpoints of running shards to show their progress.
+//       --progress prints a throttled `\r`-updated line to stderr
+//       ("sweep NAME: D/O cells (P%) | R cells/s | eta E"); a cell counts
+//       once its checkpoint record is durable.
 //
 //   example_tdg_cli config-template
 //       Print a commented sweep config to adapt.
@@ -63,15 +67,15 @@
 // Live monitoring flags (valid with every command; see DESIGN.md §9):
 //
 //   --stats_port=<port>    Serve /metrics (Prometheus text exposition),
-//                          /statusz, /progressz and /healthz over HTTP on
+//                          /statusz, /healthz and /blackboxz over HTTP on
 //                          127.0.0.1:<port> for the duration of the run.
+//                          A sweep's progress is on /metrics:
+//                          sweep/cells_completed of sweep/cells_owned.
 //                          Port 0 binds an ephemeral port. Off by default;
 //                          pure observation — outputs are byte-identical
 //                          with and without the server.
 //   --stats_port_file=<f>  Write the bound port (atomic replace) so
 //                          scripts can discover an ephemeral --stats_port=0.
-//   --progress             Echo a throttled single-line sweep progress /
-//                          ETA report to stderr.
 //
 // Flight recorder (valid with every command; see DESIGN.md §12):
 //
@@ -87,6 +91,9 @@
 //                          tail it live at /blackboxz when --stats_port is
 //                          up. Bare --blackbox (sweep with --checkpoint)
 //                          defaults to <checkpoint>.blackbox.
+//
+// An unknown flag (a typo, or a removed one such as --trace_out) is an
+// error before any work starts.
 
 #include <cstdio>
 
@@ -202,6 +209,7 @@ int CmdSweep(const tdg::util::FlagParser& flags) {
   shard.shard_count = static_cast<int>(flags.GetInt("shard_count", 1));
   shard.checkpoint_path = flags.GetString("checkpoint", "");
   shard.resume = flags.GetBool("resume", false);
+  shard.progress = flags.GetBool("progress", false);
 
   // One cell loop on every path; a sharded or resumed run without a
   // checkpoint is InvalidArgument from the library.
@@ -320,12 +328,13 @@ void PrintUsage() {
       "observability (any command): --metrics_out=<file> --print_metrics "
       "--manifest_out=<file> --no_metrics --profile\n"
       "live monitoring (any command): --stats_port=<port|0> "
-      "--stats_port_file=<file> --progress\n"
+      "--stats_port_file=<file>\n"
       "flight recorder (any command): --blackbox=<file> (or bare "
       "--blackbox next to a sweep --checkpoint); decode with "
       "tdg_blackbox\n"
       "crash-safe sweeps: sweep --checkpoint=<file> [--resume] "
-      "[--shard_index=I --shard_count=S]; merge with tdg_sweepmerge\n"
+      "[--shard_index=I --shard_count=S] [--progress]; merge with "
+      "tdg_sweepmerge\n"
       "see the header comment of examples/tdg_cli.cc for per-command "
       "flags\n");
 }
@@ -346,22 +355,19 @@ int Dispatch(const std::string& command, const tdg::util::FlagParser& flags) {
 
 int main(int argc, char** argv) {
   tdg::util::FlagParser flags;
-  auto parse_status = flags.Parse(argc, argv);
+  auto parse_status = flags.Parse(
+      argc, argv,
+      {// commands
+       "policy", "n", "k", "alpha", "r", "mode", "distribution", "seed",
+       "config", "csv", "json", "checkpoint", "resume", "shard_index",
+       "shard_count", "progress", "solver_threads", "experiment",
+       // observability, live monitoring, flight recorder
+       "metrics_out", "print_metrics", "manifest_out", "no_metrics",
+       "profile", "stats_port", "stats_port_file", "blackbox"});
   if (!parse_status.ok()) return Fail(parse_status);
   if (flags.positional().empty()) {
     PrintUsage();
     return 1;
-  }
-  // Removed flags fail loudly (the parser ignores unknown ones): spans and
-  // events now live in the flight recorder.
-  for (const char* removed : {"trace_out", "events_out"}) {
-    if (flags.HasFlag(removed)) {
-      return Fail(tdg::util::Status::InvalidArgument(tdg::util::StrFormat(
-          "--%s was removed: record with --blackbox=<file>, then render "
-          "with `tdg_blackbox --trace=<out> <file>` (Chrome trace) or "
-          "`tdg_blackbox --jsonl <file>`",
-          removed)));
-    }
   }
   const std::string metrics_out = flags.GetString("metrics_out", "");
   const std::string manifest_out = flags.GetString("manifest_out", "");
@@ -400,9 +406,6 @@ int main(int argc, char** argv) {
   // byte-identical with and without these flags.
   tdg::obs::InstallBuildInfoMetrics();
   const int stats_port = static_cast<int>(flags.GetInt("stats_port", -1));
-  if (flags.GetBool("progress", false)) {
-    tdg::obs::ProgressTracker::Global().SetStderrReport(true);
-  }
   std::unique_ptr<tdg::util::net::HttpServer> stats_server;
   if (stats_port >= 0) {
     tdg::obs::StatsServerOptions server_options;
@@ -416,7 +419,7 @@ int main(int argc, char** argv) {
     stats_server = std::move(server).value();
     std::fprintf(stderr,
                  "stats server listening on http://127.0.0.1:%d "
-                 "(/healthz /metrics /statusz /progressz /blackboxz)\n",
+                 "(/healthz /metrics /statusz /blackboxz)\n",
                  stats_server->port());
   }
 

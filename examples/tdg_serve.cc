@@ -20,7 +20,8 @@
 // memory only.
 //
 // SIGINT/SIGTERM shut down cleanly (drain in-flight requests, mark the
-// blackbox dump clean). Exit codes: 0 = clean shutdown, 2 = startup error.
+// blackbox dump clean). Exit codes: 0 = clean shutdown, 2 = startup error
+// (an unknown flag included).
 
 #include <csignal>
 #include <cstdio>
@@ -41,7 +42,12 @@ void HandleSignal(int) { g_shutdown = 1; }
 
 int main(int argc, char** argv) {
   tdg::util::FlagParser flags;
-  if (!flags.Parse(argc, argv).ok()) {
+  const tdg::util::Status parsed = flags.Parse(
+      argc, argv,
+      {"state_dir", "port", "port_file", "workers", "blackbox", "no_metrics",
+       "slow_micros", "slow_sample_n"});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "tdg_serve: %s\n", parsed.ToString().c_str());
     std::fprintf(stderr,
                  "usage: tdg_serve --state_dir=DIR [--port=P] "
                  "[--port_file=F] [--workers=N] [--blackbox=DUMP.bin] "

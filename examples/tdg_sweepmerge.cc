@@ -24,8 +24,8 @@
 // perturbs the shards.
 //
 // Exit codes: 0 merged cleanly (or watch finished); 1 the checkpoints are
-// inconsistent (digest/coverage/duplicates) or an output could not be
-// written; 2 usage.
+// inconsistent (digest/coverage/duplicates), an output could not be
+// written, or a flag is unknown; 2 usage.
 //
 // A torn final record in a shard file (crash mid-append) is tolerated at
 // read time but surfaces as a missing cell — resume that shard to
@@ -92,7 +92,10 @@ int main(int argc, char** argv) {
   for (const std::string& arg : args) arg_ptrs.push_back(arg.c_str());
 
   tdg::util::FlagParser flags;
-  auto parse_status = flags.Parse(argc, arg_ptrs.data());
+  auto parse_status =
+      flags.Parse(argc, arg_ptrs.data(),
+                  {"csv", "json", "table", "watch", "watch_interval_ms",
+                   "watch_iterations", "stale_after_ms"});
   if (!parse_status.ok()) return Fail(parse_status);
   const std::vector<std::string>& paths = flags.positional();
   if (paths.empty()) {

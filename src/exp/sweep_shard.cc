@@ -51,6 +51,9 @@ std::string SweepDigest(const SweepConfig& config) {
 
 namespace {
 
+// Minimum spacing of the --progress stderr lines.
+constexpr int64_t kProgressIntervalMicros = 500000;
+
 #if defined(TDG_TEST_HOOKS)
 // Fault-injection hook (test builds only): simulate a crash — no stack
 // unwinding, no stream flushing beyond what AppendLine already fsynced —
@@ -432,15 +435,33 @@ util::StatusOr<SweepShardResult> RunSweepShard(
     std::lock_guard<std::mutex> lock(error_mutex);
     if (!failed.exchange(true)) first_error = std::move(status);
   };
-  // One mutex serializes record appends and completion bookkeeping; cells
-  // themselves run in parallel.
+  // One mutex serializes record appends, completion bookkeeping and the
+  // --progress line; cells themselves run in parallel.
   std::mutex append_mutex;
   int completed_this_run = 0;
-
-  obs::ProgressTracker& progress = obs::ProgressTracker::Global();
-  progress.BeginRun(config.name,
-                    static_cast<long long>(shard_cells.size()),
-                    shard_result.cells_restored);
+  const long long cells_owned = static_cast<long long>(shard_cells.size());
+  TDG_OBS_GAUGE_SET("sweep/cells_owned", static_cast<double>(cells_owned));
+  const int64_t loop_start = util::MonotonicMicros();
+  int64_t last_report = 0;  // 0: no --progress line printed yet
+  // Prints the line with append_mutex held, so the lines appear in count
+  // order and the final one reads N/N.
+  auto report_progress = [&] {
+    const int64_t now = util::MonotonicMicros();
+    const long long done = shard_result.cells_restored + completed_this_run;
+    if (last_report != 0 && now - last_report < kProgressIntervalMicros &&
+        done < cells_owned) {
+      return;
+    }
+    last_report = now;
+    // \r keeps the report to one updating terminal line; the trailing
+    // spaces erase a longer previous report.
+    std::fprintf(stderr, "\r%s    ",
+                 SweepProgressLine(config.name, done, cells_owned,
+                                   completed_this_run,
+                                   static_cast<double>(now - loop_start) / 1e6)
+                     .c_str());
+    std::fflush(stderr);
+  };
 
   util::ThreadPool pool(config.threads);
   util::ParallelFor(
@@ -451,7 +472,6 @@ util::StatusOr<SweepShardResult> RunSweepShard(
             points[static_cast<size_t>(cell_index) / policies.size()];
         const std::string& policy =
             policies[static_cast<size_t>(cell_index) % policies.size()];
-        const int64_t cell_start = util::MonotonicMicros();
         TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellStart,
                      static_cast<double>(cell_index),
                      static_cast<double>(point.n),
@@ -472,9 +492,6 @@ util::StatusOr<SweepShardResult> RunSweepShard(
           return;
         }
         record.cell = std::move(cell).value();
-        progress.RecordCell(
-            PointLabel(point) + "/" + policy,
-            static_cast<double>(util::MonotonicMicros() - cell_start));
         const std::string line =
             persisted ? CellLine(record, digest) : std::string();
         std::lock_guard<std::mutex> lock(append_mutex);
@@ -495,11 +512,12 @@ util::StatusOr<SweepShardResult> RunSweepShard(
                      static_cast<double>(record.cell.runs));
         completed.emplace(cell_index, std::move(record.cell));
         ++completed_this_run;
+        if (options.progress) report_progress();
 #if defined(TDG_TEST_HOOKS)
         if (persisted) MaybeCrashAfterCells(completed_this_run);
 #endif
       });
-  progress.EndRun();
+  if (last_report != 0) std::fprintf(stderr, "\n");
   if (failed.load()) return first_error;
 
   shard_result.cells_run = completed_this_run;
@@ -628,6 +646,15 @@ SweepWatchRow WatchRow(const std::string& path, long long now_unix_ms,
   return row;
 }
 
+// The ETA of the watch footer and the --progress line: `remaining` cells at
+// the rate of `cells` per `seconds`.
+std::string FormatEta(long long remaining, long long cells, double seconds) {
+  if (remaining <= 0) return "done";
+  if (cells <= 0 || seconds <= 0) return "?";
+  return util::StrFormat("%.0fs", static_cast<double>(remaining) * seconds /
+                                      static_cast<double>(cells));
+}
+
 }  // namespace
 
 SweepWatchFrame WatchSweepCheckpoints(const std::vector<std::string>& paths,
@@ -646,7 +673,8 @@ SweepWatchFrame WatchSweepCheckpoints(const std::vector<std::string>& paths,
   util::TablePrinter table(
       {"shard", "state", "cells", "%", "cells/s", "age", "file"});
   long long done = 0;
-  long long owned = 0;
+  long long cells_total = -1;  // the grid, from the first readable header
+  bool totals_agree = true;
   long long live_delta = 0;  // new records of the shards still running
   for (size_t i = 0; i < paths.size(); ++i) {
     SweepWatchRow row = WatchRow(paths[i], now_unix_ms, stale_after_ms);
@@ -655,7 +683,8 @@ SweepWatchFrame WatchSweepCheckpoints(const std::vector<std::string>& paths,
       table.AddRow({"?", row.state, "-", "-", "-", "-", row.path});
     } else {
       done += row.cells_done;
-      owned += row.cells_owned;
+      if (cells_total < 0) cells_total = row.header.cells_total;
+      totals_agree = totals_agree && row.header.cells_total == cells_total;
       std::string rate = "-";
       if (have_rate) {
         const long long delta =
@@ -681,18 +710,33 @@ SweepWatchFrame WatchSweepCheckpoints(const std::vector<std::string>& paths,
     }
     frame.rows.push_back(std::move(row));
   }
-  std::string eta = "?";
-  if (frame.all_done) {
-    eta = "done";
-  } else if (live_delta > 0) {
-    eta = util::StrFormat("%.0fs", static_cast<double>(owned - done) *
-                                       elapsed_seconds /
-                                       static_cast<double>(live_delta));
-  }
-  frame.table = table.ToString() +
-                util::StrFormat("fleet: %lld/%lld cells done, eta %s\n",
-                                done, owned, eta.c_str());
+  // Without a readable header the grid is unknown: "0/0", eta "?".
+  const std::string eta =
+      cells_total < 0
+          ? "?"
+          : FormatEta(cells_total - done, live_delta, elapsed_seconds);
+  frame.table =
+      table.ToString() +
+      (totals_agree
+           ? util::StrFormat("fleet: %lld/%lld cells done, eta %s\n", done,
+                             std::max(cells_total, 0LL), eta.c_str())
+           : std::string("fleet: checkpoints disagree on cells_total\n"));
   return frame;
+}
+
+std::string SweepProgressLine(const std::string& name, long long cells_done,
+                              long long cells_owned, long long cells_run,
+                              double seconds) {
+  const double percent =
+      cells_owned > 0 ? 100.0 * static_cast<double>(cells_done) /
+                            static_cast<double>(cells_owned)
+                      : 100.0;
+  const double rate =
+      seconds > 0 ? static_cast<double>(cells_run) / seconds : 0.0;
+  return util::StrFormat(
+      "sweep %s: %lld/%lld cells (%.1f%%) | %.2f cells/s | eta %s",
+      name.c_str(), cells_done, cells_owned, percent, rate,
+      FormatEta(cells_owned - cells_done, cells_run, seconds).c_str());
 }
 
 }  // namespace tdg::exp

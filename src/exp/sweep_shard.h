@@ -94,6 +94,12 @@ struct SweepShardOptions {
   /// this, an existing checkpoint file is a FailedPrecondition error (never
   /// silently clobber completed work).
   bool resume = false;
+  /// Print SweepProgressLine to stderr as a `\r`-updated line: on the
+  /// first cell of this execution, then at most every 500 ms and on the
+  /// last cell, with a newline when the loop ends. A cell counts once its
+  /// record is durable (unpersisted: once it is taken under the append
+  /// mutex), so the count never exceeds the checkpoint's records.
+  bool progress = false;
 };
 
 struct SweepShardResult {
@@ -147,7 +153,7 @@ struct SweepWatchFrame {
   long long unix_ms = 0;
   std::vector<SweepWatchRow> rows;  // parallel to the watched paths
   bool all_done = false;
-  /// The per-shard table plus the fleet footer ("fleet: D/O cells done,
+  /// The per-shard table plus the fleet footer ("fleet: D/T cells done,
   /// eta E").
   std::string table;
 };
@@ -157,13 +163,27 @@ struct SweepWatchFrame {
 /// Each file is read with ReadSweepCheckpoint; its mtime, the time of its
 /// last durable record, gives the age. A shard stuck inside one cell for
 /// longer than `stale_after_ms` therefore reads "stale", like a dead one.
-/// The cells/s column and the ETA use the change in durable records since
-/// `previous`, the frame before this one over the same paths; without it
-/// they print "-" and "eta ?".
+/// The footer's T is the whole grid, the headers' `cells_total`, so a
+/// missing or torn shard's cells still count as not done; headers that
+/// disagree on it (as MergeSweepCheckpoints would refuse) print
+/// "fleet: checkpoints disagree on cells_total". The cells/s column and
+/// the ETA use the change in durable records since `previous`, the frame
+/// before this one over the same paths; without it they print "-" and
+/// "eta ?".
 SweepWatchFrame WatchSweepCheckpoints(const std::vector<std::string>& paths,
                                       long long now_unix_ms,
                                       long long stale_after_ms,
                                       const SweepWatchFrame* previous);
+
+/// The `--progress` line of one shard execution, e.g.
+/// "sweep paper-grid: 118/256 cells (46.1%) | 3.42 cells/s | eta 40s".
+/// `cells_done` includes the restored cells; the rate is `cells_run` (this
+/// execution's cells) over `seconds` since the loop began, so restored
+/// cells never enter it. The ETA follows WatchSweepCheckpoints' rule:
+/// "?" before the first run cell, "done" once nothing remains.
+std::string SweepProgressLine(const std::string& name, long long cells_done,
+                              long long cells_owned, long long cells_run,
+                              double seconds);
 
 }  // namespace tdg::exp
 

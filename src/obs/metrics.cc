@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/windowed_histogram.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -349,56 +348,6 @@ util::JsonValue MetricsSnapshot::ToJson() const {
   root.Set("histograms", std::move(histograms_json));
   if (!windowed.empty()) root.Set("windowed", std::move(windowed_json));
   return root;
-}
-
-util::CsvDocument MetricsSnapshot::ToCsv() const {
-  util::CsvDocument doc({"kind", "name", "value", "count", "sum", "mean",
-                         "min", "max", "p50", "p95", "p99", "buckets"});
-  auto fmt = [](double v) { return util::StrFormat("%.17g", v); };
-  for (const auto& [name, value] : build_info) {
-    util::Status status = doc.AddRow({"build_info", name, value, "", "", "",
-                                      "", "", "", "", "", ""});
-    TDG_CHECK(status.ok()) << status;
-  }
-  for (const auto& [name, value] : counters) {
-    util::Status status = doc.AddRow({"counter", name, std::to_string(value),
-                                      "", "", "", "", "", "", "", "", ""});
-    TDG_CHECK(status.ok()) << status;
-  }
-  for (const auto& [name, stats] : gauges) {
-    util::Status status =
-        doc.AddRow({"gauge", name, fmt(stats.value), "", "", "", "",
-                    fmt(stats.max), "", "", "", ""});
-    TDG_CHECK(status.ok()) << status;
-  }
-  for (const auto& [name, stats] : histograms) {
-    // Compact "le:cumulative" pairs, '|'-separated, matching the JSON and
-    // Prometheus bucket data so every exporter reads one snapshot.
-    std::string buckets;
-    for (const HistogramBucketStats& bucket : stats.buckets) {
-      if (!buckets.empty()) buckets += '|';
-      buckets += fmt(bucket.upper_bound);
-      buckets += ':';
-      buckets += std::to_string(bucket.cumulative_count);
-    }
-    util::Status status = doc.AddRow(
-        {"histogram", name, "", std::to_string(stats.count), fmt(stats.sum),
-         fmt(stats.mean), fmt(stats.min), fmt(stats.max), fmt(stats.p50),
-         fmt(stats.p95), fmt(stats.p99), buckets});
-    TDG_CHECK(status.ok()) << status;
-  }
-  for (const auto& [name, stats] : windowed) {
-    // One row per window, the label folded into the name; `value` carries
-    // the window's QPS (its headline rate).
-    for (const WindowStats& w : stats.windows) {
-      util::Status status = doc.AddRow(
-          {"windowed", name + "[" + w.label + "]", fmt(w.qps),
-           std::to_string(w.count), fmt(w.sum), fmt(w.mean), fmt(w.min),
-           fmt(w.max), fmt(w.p50), fmt(w.p95), fmt(w.p99), ""});
-      TDG_CHECK(status.ok()) << status;
-    }
-  }
-  return doc;
 }
 
 std::string MetricsSnapshot::ToTable(int digits) const {

@@ -11,7 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/csv.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
 
@@ -181,7 +180,7 @@ struct HistogramStats {
   double p95 = 0;
   double p99 = 0;
   /// Cumulative counts for the *populated* buckets, ascending by bound.
-  /// Shared by every exporter (JSON, CSV, Prometheus /metrics) so a single
+  /// Shared by every exporter (JSON, Prometheus /metrics) so a single
   /// Snapshot() pass feeds them all.
   std::vector<HistogramBucketStats> buckets;
 };
@@ -210,8 +209,6 @@ struct MetricsSnapshot {
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   util::JsonValue ToJson() const;
-  /// Flat rows: kind,name,value,count,sum,mean,min,max,p50,p95,p99.
-  util::CsvDocument ToCsv() const;
   /// Fixed-width table for end-of-run reports.
   std::string ToTable(int digits = 2) const;
 };

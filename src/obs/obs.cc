@@ -81,9 +81,4 @@ util::Status WriteMetricsJsonFile(const std::string& path) {
       MetricsRegistry::Global().Snapshot().ToJson().SerializePretty() + "\n");
 }
 
-util::Status WriteMetricsCsvFile(const std::string& path) {
-  RefreshProcessGauges();
-  return MetricsRegistry::Global().Snapshot().ToCsv().WriteToFile(path);
-}
-
 }  // namespace tdg::obs

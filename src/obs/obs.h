@@ -6,7 +6,7 @@
 /// Two pillars, both process-wide:
 ///   * a thread-safe metrics registry (metrics.h): named counters, gauges,
 ///     and fixed-bucket latency histograms with p50/p95/p99 summaries,
-///     exportable to JSON / CSV / an ASCII table;
+///     exportable to JSON and an ASCII table;
 ///   * the flight recorder (flight_recorder.h): the one event store. Zone
 ///     spans (TDG_ZONE(obs::Zone::kProcessRun), zone.h) and typed
 ///     semantic events (TDG_BLACKBOX) land in per-thread mmap-backed ring
@@ -24,15 +24,17 @@
 ///     both off, instrumented hot paths cost one relaxed atomic load per
 ///     site.
 ///
-/// A third pillar — the live monitoring plane (stats_server.h, progress.h,
+/// A third pillar — the live monitoring plane (stats_server.h,
 /// prometheus.h) — serves the same registry over loopback HTTP (/metrics
 /// Prometheus exposition, /statusz, /healthz, /blackboxz: the shared routes
-/// both obs::StartStatsServer, which adds /progressz, and
-/// serve::CohortServer answer on a util::net::HttpServer) and tracks sweep
-/// progress/ETA. A crash-safe shard's liveness is read from its checkpoint
-/// (exp::WatchSweepCheckpoints, `tdg_sweepmerge --watch`), not published
-/// by the shard. All of it only *reads* experiment state: outputs are
-/// byte-identical with and without the server.
+/// both obs::StartStatsServer and serve::CohortServer answer on a
+/// util::net::HttpServer). Sweep progress is the durable cell count: the
+/// --progress line (exp::SweepProgressLine) counts a cell once its
+/// checkpoint record is durable, and a crash-safe shard's liveness is read
+/// from its checkpoint (exp::WatchSweepCheckpoints, `tdg_sweepmerge
+/// --watch`), not published by the shard. All of it only
+/// *reads* experiment state: outputs are byte-identical with and without
+/// the server.
 ///
 /// A fourth pillar — kernel profiling (perf_counters.h, zone.h) — reads
 /// hardware counters (cycles, instructions, cache/branch misses) via
@@ -57,7 +59,6 @@
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/perf_diff.h"
-#include "obs/progress.h"
 #include "obs/prometheus.h"
 #include "obs/request_context.h"
 #include "obs/run_manifest.h"
@@ -87,7 +88,7 @@ void InstallWorkStealQueueInstrumentation();
 /// Stamps build provenance (git sha, compiler, build type, sanitizer, os —
 /// from RunManifest::Capture()) into the registry's build_info label set,
 /// rendered as the `tdg_build_info{...} 1` gauge on /metrics and as the
-/// "build_info" object in JSON/CSV exports. Idempotent.
+/// "build_info" object in JSON exports. Idempotent.
 void InstallBuildInfoMetrics();
 
 /// Peak resident set size of this process in bytes (ru_maxrss, normalized
@@ -102,10 +103,9 @@ int64_t ProcessPeakRssBytes();
 /// file exports and /metrics scrapes agree on what a snapshot carries.
 void RefreshProcessGauges();
 
-/// Writes MetricsRegistry::Global().Snapshot() to `path`. Both call
+/// Writes MetricsRegistry::Global().Snapshot() as JSON to `path`, calling
 /// RefreshProcessGauges() first.
 util::Status WriteMetricsJsonFile(const std::string& path);
-util::Status WriteMetricsCsvFile(const std::string& path);
 
 }  // namespace tdg::obs
 

@@ -65,20 +65,10 @@ void ServeStatsConnection(const util::net::HttpServer& server,
     response = util::net::BuildHttpErrorResponse(request.status());
   } else if (auto shared = ServeStatsRoute(*request, server, options)) {
     response = std::move(*shared);
-  } else if (request->path != "/progressz") {
+  } else {
     response = util::net::BuildHttpJsonError(
         404, "Not Found",
-        "not found; try /healthz /metrics /statusz /progressz /blackboxz");
-  } else if (request->method != "GET" && request->method != "HEAD") {
-    response = util::net::BuildHttpJsonError(
-        405, "Method Not Allowed", "method not allowed on this endpoint");
-  } else {
-    const ProgressTracker* progress = options.progress != nullptr
-                                          ? options.progress
-                                          : &ProgressTracker::Global();
-    response = OkResponse("application/json",
-                          progress->Snapshot().ToJson().SerializePretty() +
-                              "\n");
+        "not found; try /healthz /metrics /statusz /blackboxz");
   }
   (void)connection.WriteAll(response);  // peer may have hung up; that's fine
 }

@@ -6,7 +6,6 @@
 #include <optional>
 #include <string>
 
-#include "obs/progress.h"
 #include "obs/run_manifest.h"
 #include "util/json.h"
 #include "util/net.h"
@@ -55,17 +54,13 @@ struct StatsServerOptions : StatsRouteOptions {
   int port = 0;
   /// When non-empty, the bound port is written here (atomic replace).
   std::string port_file;
-  /// Progress source for /progressz; the global tracker when null.
-  const ProgressTracker* progress = nullptr;
 };
 
 /// Starts the sweep-side monitoring server: a util::net::HttpServer
-/// answering the shared routes above plus
-///   /progressz  JSON: ProgressTracker snapshot (cells done/total, EWMA
-///               latency, ETA, current grid coordinates)
-/// Off by default; when started it only *reads* the metrics registry /
-/// progress tracker, so sweep outputs are byte-identical with and without
-/// it (asserted by StatsServerTest.SweepOutputsAreByteIdenticalWithServerOn).
+/// answering the shared routes above and 404 for every other path. Off by
+/// default; when started it only *reads* the metrics registry, so sweep
+/// outputs are byte-identical with and without it (asserted by
+/// StatsServerTest.SweepOutputsAreByteIdenticalWithServerOn).
 util::StatusOr<std::unique_ptr<util::net::HttpServer>> StartStatsServer(
     StatsServerOptions options);
 

@@ -28,6 +28,17 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
   return Status::OK();
 }
 
+Status FlagParser::Parse(int argc, const char* const* argv,
+                         const std::set<std::string>& known) {
+  TDG_RETURN_IF_ERROR(Parse(argc, argv));
+  for (const auto& flag : values_) {
+    if (known.count(flag.first) == 0) {
+      return Status::InvalidArgument("unknown flag --" + flag.first);
+    }
+  }
+  return Status::OK();
+}
+
 bool FlagParser::HasFlag(const std::string& name) const {
   return values_.count(name) > 0;
 }

@@ -2,6 +2,7 @@
 #define TDG_UTIL_FLAGS_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,11 +13,13 @@ namespace tdg::util {
 
 /// Minimal command-line flag parser for the example/bench binaries.
 /// Accepts `--name=value` and `--name value`; `--flag` alone sets "true".
-/// Positional arguments are collected in order.
+/// Positional arguments are collected in order. A binary that declares its
+/// flag names gets an error for a mistyped or removed flag instead of a
+/// silently ignored one.
 ///
 /// Example:
 ///   FlagParser flags;
-///   TDG_CHECK(flags.Parse(argc, argv).ok());
+///   TDG_CHECK(flags.Parse(argc, argv, {"n", "k"}).ok());
 ///   int n = flags.GetInt("n", 10000);
 class FlagParser {
  public:
@@ -24,6 +27,10 @@ class FlagParser {
 
   /// Parses argv[1..argc). Returns InvalidArgument on `--` without a name.
   Status Parse(int argc, const char* const* argv);
+  /// As above, and a flag whose name is not in `known` is InvalidArgument
+  /// naming it.
+  Status Parse(int argc, const char* const* argv,
+               const std::set<std::string>& known);
 
   bool HasFlag(const std::string& name) const;
 

@@ -62,5 +62,37 @@ TEST(FlagParserTest, FlagFollowedByFlagIsTrue) {
   EXPECT_EQ(flags.GetInt("n", 0), 10);
 }
 
+TEST(FlagParserTest, DeclaredFlagsParseAsBefore) {
+  const char* args[] = {"binary", "sweep", "--config=a.cfg", "--resume",
+                        "--shard_count", "2"};
+  FlagParser flags;
+  ASSERT_TRUE(
+      flags.Parse(6, args, {"config", "resume", "shard_count", "checkpoint"})
+          .ok());
+  EXPECT_EQ(flags.GetString("config", ""), "a.cfg");
+  EXPECT_TRUE(flags.GetBool("resume", false));
+  EXPECT_EQ(flags.GetInt("shard_count", 1), 2);
+  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"sweep"}));
+}
+
+TEST(FlagParserTest, UndeclaredFlagIsInvalidArgument) {
+  // A typo and a removed flag: both must fail, never be ignored.
+  for (const char* flag : {"--chekpoint=y.ckpt", "--heartbeat"}) {
+    SCOPED_TRACE(flag);
+    const char* args[] = {"binary", "sweep", flag};
+    FlagParser flags;
+    const Status status = flags.Parse(3, args, {"config", "checkpoint"});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    const std::string name = std::string(flag).substr(0, 11);
+    EXPECT_NE(status.message().find("unknown flag " + name),
+              std::string::npos)
+        << status;
+  }
+  // Without a declaration every flag is accepted, as before.
+  const char* args[] = {"binary", "--chekpoint=y.ckpt"};
+  FlagParser flags;
+  EXPECT_TRUE(flags.Parse(2, args).ok());
+}
+
 }  // namespace
 }  // namespace tdg::util

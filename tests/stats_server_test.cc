@@ -17,7 +17,6 @@
 #include "exp/sweep.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/progress.h"
 #include "sweep_shard_test_util.h"
 #include "util/file_util.h"
 #include "util/json.h"
@@ -195,27 +194,29 @@ TEST(StatsServerTest, StatuszServesManifestAndUptime) {
             server->port());
 }
 
-TEST(StatsServerTest, ProgresszServesTrackerSnapshot) {
-  ProgressTracker tracker;
-  tracker.BeginRun("progressz-test", 8, 2);
-  tracker.RecordCell("cell-2", 1000.0);
-
-  StatsServerOptions options;
-  options.progress = &tracker;
-  auto server = StartServer(std::move(options));
+TEST(StatsServerTest, MetricsCarriesSweepCellsOwned) {
+  // "D of O" for a running sweep: sweep/cells_completed of
+  // sweep/cells_owned, the gauge the cell loop sets when it starts.
+  auto result = exp::RunSweep(test::TinyConfig());
+  ASSERT_TRUE(result.ok()) << result.status();
+  auto server = StartServer();
   ASSERT_NE(server, nullptr);
 
-  auto body = util::net::HttpBody(Get(server->port(), "/progressz"));
+  auto body = util::net::HttpBody(Get(server->port(), "/metrics"));
   ASSERT_TRUE(body.ok());
-  auto json = util::JsonValue::Parse(body.value());
-  ASSERT_TRUE(json.ok()) << json.status();
-  EXPECT_EQ(json->GetField("name")->AsString(), "progressz-test");
-  EXPECT_EQ(
-      static_cast<long long>(json->GetField("cells_total")->AsNumber()), 8);
-  EXPECT_EQ(
-      static_cast<long long>(json->GetField("cells_done")->AsNumber()), 3);
-  EXPECT_GE(json->GetField("eta_seconds")->AsNumber(), 0.0);
-  EXPECT_EQ(json->GetField("current_cell")->AsString(), "cell-2");
+#if defined(TDG_OBS_DISABLED)
+  EXPECT_EQ(body->find("tdg_sweep_cells_owned"), std::string::npos);
+#else
+  // The sample line, labelled or not: "tdg_sweep_cells_owned[{...}] 16".
+  const std::size_t owned = body->find("\ntdg_sweep_cells_owned");
+  ASSERT_NE(owned, std::string::npos) << *body;
+  const std::string line =
+      body->substr(owned + 1, body->find('\n', owned + 1) - owned - 1);
+  EXPECT_TRUE(util::EndsWith(line, " 16")) << line;
+  EXPECT_NE(body->find("\ntdg_sweep_cells_completed_total"),
+            std::string::npos)
+      << *body;
+#endif
 }
 
 TEST(StatsServerTest, ConcurrentScrapesAllSucceed) {
@@ -229,10 +230,9 @@ TEST(StatsServerTest, ConcurrentScrapesAllSucceed) {
   scrapers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     scrapers.emplace_back([port = server->port(), &ok_count] {
-      const char* paths[] = {"/healthz", "/metrics", "/statusz",
-                             "/progressz"};
+      const char* paths[] = {"/healthz", "/metrics", "/statusz"};
       for (int i = 0; i < kRequestsPerThread; ++i) {
-        auto response = util::net::HttpGet(port, paths[i % 4]);
+        auto response = util::net::HttpGet(port, paths[i % 3]);
         if (response.ok() &&
             util::StartsWith(response.value(), "HTTP/1.1 200")) {
           ok_count.fetch_add(1, std::memory_order_relaxed);
@@ -325,8 +325,8 @@ TEST(StatsServerTest, ObsDisabledBuildDegradesCleanly) {
 
 TEST(StatsServerTest, SweepOutputsAreByteIdenticalWithServerOn) {
   // The monitoring plane's headline contract: a live server being scraped
-  // mid-sweep (/metrics + /progressz polled from another thread) must not
-  // change a single output byte.
+  // mid-sweep (/metrics polled from another thread) must not change a
+  // single output byte.
   test::MetricsOffGuard metrics_off;
   const exp::SweepConfig config = test::TinyConfig();
 
@@ -340,7 +340,6 @@ TEST(StatsServerTest, SweepOutputsAreByteIdenticalWithServerOn) {
   std::thread scraper([port = server->port(), &stop_scraping, &scraped] {
     while (!stop_scraping.load(std::memory_order_relaxed)) {
       if (util::net::HttpGet(port, "/metrics").ok()) scraped.store(true);
-      (void)util::net::HttpGet(port, "/progressz");
     }
   });
   // The sweep starts only once a scrape has landed, so the server is

@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -34,11 +35,13 @@ using test::MetricsOffGuard;
 using test::TinyConfig;
 
 // Runs the child shard binary; `crash_after_cells < 0` disables the fault
-// hook. Returns the child's exit code (or -1 on abnormal termination).
+// hook, and a non-empty `progress_log` turns on --progress with stderr
+// written there. Returns the child's exit code (or -1 on abnormal
+// termination).
 int RunChild(const std::string& config_path,
              const std::string& checkpoint_path, int shard_index,
              int shard_count, int threads, bool resume,
-             int crash_after_cells) {
+             int crash_after_cells, const std::string& progress_log = "") {
   std::string command;
   if (crash_after_cells >= 0) {
     command += "TDG_TEST_CRASH_AFTER_CELLS=" +
@@ -51,6 +54,9 @@ int RunChild(const std::string& config_path,
   command += " --shard_count=" + std::to_string(shard_count);
   command += " --threads=" + std::to_string(threads);
   if (resume) command += " --resume";
+  if (!progress_log.empty()) {
+    command += " --progress 2>'" + progress_log + "'";
+  }
   command += " >/dev/null";
   const int status = std::system(command.c_str());
   if (status == -1 || !WIFEXITED(status)) return -1;
@@ -136,6 +142,59 @@ TEST(SweepCrashTest, MergeRefusesCheckpointStillMissingCells) {
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(),
             util::StatusCode::kFailedPrecondition);
+}
+
+// The last cell count a --progress child printed to `log` before it died.
+long long LastProgressCount(const std::string& log) {
+  std::ifstream in(log);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::string marker = "\rsweep shard-test: ";
+  const std::size_t at = text.rfind(marker);
+  EXPECT_NE(at, std::string::npos) << text;
+  if (at == std::string::npos) return -1;
+  return std::atoll(text.c_str() + at + marker.size());
+}
+
+TEST(SweepCrashTest, ProgressCountNeverExceedsTheDurableRecords) {
+#if !defined(TDG_TEST_HOOKS)
+  GTEST_SKIP() << "fault-injection hooks compiled out (TDG_TEST_HOOKS=OFF)";
+#endif
+  MetricsOffGuard metrics_off;
+  const std::string dir = MakeScratchDir();
+  const std::string config_path = dir + "/sweep.cfg";
+  {
+    std::ofstream out(config_path);
+    ASSERT_TRUE(out.good());
+    out << TinyConfig(2).ToText();
+  }
+  const std::string checkpoint = dir + "/shard0.ckpt";
+  const std::string log = dir + "/progress.log";
+  // A fresh run killed after its first cell, then resumes killed after 3
+  // and after 1 more. The first cell of an execution always prints, so a
+  // kill after one cell leaves its exact count on stderr; a later kill may
+  // fall between two throttled lines.
+  bool resume = false;
+  long long durable_before = 0;
+  for (int crash_after : {1, 3, 1}) {
+    SCOPED_TRACE("crash_after=" + std::to_string(crash_after));
+    ASSERT_EQ(RunChild(config_path, checkpoint, 0, 1, /*threads=*/2, resume,
+                       crash_after, log),
+              kCrashHookExitCode);
+    auto read = ReadSweepCheckpoint(checkpoint);
+    ASSERT_TRUE(read.ok()) << read.status();
+    const long long durable = static_cast<long long>(read->cells.size());
+    ASSERT_EQ(durable, durable_before + crash_after);
+    const long long printed = LastProgressCount(log);
+    if (crash_after == 1) {
+      EXPECT_EQ(printed, durable);
+    } else {
+      EXPECT_GT(printed, durable_before);
+      EXPECT_LE(printed, durable);
+    }
+    durable_before = durable;
+    resume = true;
+  }
 }
 
 }  // namespace

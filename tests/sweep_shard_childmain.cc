@@ -8,11 +8,13 @@
 //   tdg_sweep_shard_child --config=<file> --checkpoint=<file>
 //                         [--shard_index=<i>] [--shard_count=<s>]
 //                         [--resume] [--threads=<t>]
-//                         [--blackbox=<file>]
+//                         [--blackbox=<file>] [--progress]
 //
 // --blackbox starts the global flight recorder on <file> before the shard
 // runs, so crash tests can assert the black box is decodable after the
 // simulated kill (flight_recorder_test.cc, ci/check.sh blackbox config).
+// --progress prints the sweep's stderr progress line, so crash tests can
+// compare its last count with the checkpoint's durable records.
 //
 // Exit codes: 0 shard completed; 1 error; 42 simulated crash (the hook
 // calls _Exit before main can return).
@@ -59,6 +61,7 @@ int main(int argc, char** argv) {
   options.shard_count = static_cast<int>(flags.GetInt("shard_count", 1));
   options.checkpoint_path = flags.GetString("checkpoint", "");
   options.resume = flags.GetBool("resume", false);
+  options.progress = flags.GetBool("progress", false);
 
   auto result = tdg::exp::RunSweepShard(config.value(), options);
   if (!result.ok()) {

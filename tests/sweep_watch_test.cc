@@ -202,17 +202,33 @@ TEST_F(SweepWatchTest, RateAndEtaComeFromConsecutiveFrames) {
 }
 
 TEST_F(SweepWatchTest, FleetFooterTotalsTheReadableShards) {
-  const long long now = util::UnixMillis();
-  const std::string stale = PartialShard("stale.ckpt", 3);
-  const std::string done = complete_;
-  SetMtime(stale, now - kStaleAfterMs - 1);
-  SweepWatchFrame frame =
-      Watch({done, stale, dir_ + "/missing.ckpt"}, now);
-  ASSERT_EQ(frame.rows.size(), 3u);
+  // The footer's total is the grid from the readable headers, so shard 1's
+  // cells stay "not done" while its checkpoint is missing.
+  const std::string shard0 = CompleteShard(TinyConfig(), 0, 2);
+  const std::string shard1 = dir_ + "/shard-test1.ckpt";
+  SweepWatchFrame frame = Watch({shard0, shard1}, util::UnixMillis());
+  ASSERT_EQ(frame.rows.size(), 2u);
   EXPECT_EQ(frame.rows[0].state, "done");
-  EXPECT_EQ(frame.rows[1].state, "stale");
-  EXPECT_EQ(frame.rows[2].state, "missing");
-  EXPECT_NE(frame.table.find("fleet: 19/32 cells done, eta ?"),
+  EXPECT_EQ(frame.rows[0].cells_owned, 8);
+  EXPECT_EQ(frame.rows[1].state, "missing");
+  EXPECT_FALSE(frame.all_done);
+  EXPECT_NE(frame.table.find("fleet: 8/16 cells done, eta ?"),
+            std::string::npos)
+      << frame.table;
+
+  CompleteShard(TinyConfig(), 1, 2);
+  frame = Watch({shard0, shard1}, util::UnixMillis());
+  EXPECT_TRUE(frame.all_done);
+  EXPECT_NE(frame.table.find("fleet: 16/16 cells done, eta done"),
+            std::string::npos)
+      << frame.table;
+
+  // Checkpoints of two different grids have no fleet total.
+  SweepConfig other = TinyConfig();
+  other.name = "other";
+  other.n_values = {12};
+  frame = Watch({shard0, CompleteShard(other, 0, 1)}, util::UnixMillis());
+  EXPECT_NE(frame.table.find("fleet: checkpoints disagree on cells_total"),
             std::string::npos)
       << frame.table;
 }
