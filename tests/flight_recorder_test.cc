@@ -462,6 +462,61 @@ TEST(FlightRecorderSpanTest, JsonlCarriesStampsAndSpanName) {
   EXPECT_EQ(BlackboxEventLabel(dump->events[1]), "span_200");
 }
 
+// Every event type's decoded name and payload field names, and the
+// generic decoding of a type this reader does not know. Dumps on disk and
+// every JSONL, Chrome-trace and summary view depend on these strings.
+TEST(BlackboxDecodeTest, EventNamesAndFieldsArePinned) {
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"note", ""},
+      {"process_start", "n,num_groups,num_rounds,mode,fused"},
+      {"round_end", "round,round_gain,total_gain"},
+      {"group_churn", "round,moved,n"},
+      {"group_gain_summary", "round,num_groups,min_gain,mean_gain,max_gain"},
+      {"round_objective", "n,num_groups,layout,round_gain"},
+      {"policy_decision", "mode,layout,n,num_groups"},
+      {"sweep_cell_start", "cell_index,n,num_groups,num_rounds"},
+      {"sweep_cell_end", "cell_index,mean_gain,runs"},
+      {"solver_incumbent", "incumbent"},
+      {"crash", "fatal"},
+      {"cohort_enroll", "cohort,n,group_size,mode"},
+      {"cohort_round", "cohort,round,n,round_gain"},
+      {"cohort_churn", "cohort,round,joined,left,n"},
+      {"cohort_restore", "cohort,rounds,n"},
+      {"request_start", "trace_id"},
+      {"request_phase", "trace_id,phase,micros"},
+      {"request_end", "trace_id,status,micros,endpoint"},
+      {"span", "span,micros,depth"},
+  };
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto type = static_cast<BlackboxEventType>(i + 1);
+    SCOPED_TRACE(i + 1);
+    EXPECT_EQ(BlackboxEventName(type), expected[i].first);
+    std::string fields;
+    for (std::string_view field : BlackboxEventFieldNames(type)) {
+      if (!fields.empty()) fields += ",";
+      fields += field;
+    }
+    EXPECT_EQ(fields, expected[i].second);
+    BlackboxEvent event;
+    event.type = type;
+    if (type != BlackboxEventType::kSpan) {
+      EXPECT_EQ(BlackboxEventLabel(event), expected[i].first);
+    }
+  }
+
+  BlackboxEvent unknown;
+  unknown.ts_micros = 5;
+  unknown.tid = 7;
+  unknown.type = static_cast<BlackboxEventType>(20);
+  unknown.values[0] = 1.5;
+  unknown.values[5] = 2.0;
+  EXPECT_EQ(BlackboxEventName(unknown.type), "");
+  EXPECT_TRUE(BlackboxEventFieldNames(unknown.type).empty());
+  EXPECT_EQ(BlackboxEventLabel(unknown), "unknown_20");
+  EXPECT_EQ(BlackboxEventToJson(unknown).Serialize(),
+            R"({"event":"unknown_20","tid":7,"ts_micros":5,"v0":1.5,"v5":2})");
+}
+
 // --- decoder hardening -----------------------------------------------------
 
 TEST(BlackboxDecodeTest, RejectsGarbageAndTruncation) {
