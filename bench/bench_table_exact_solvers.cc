@@ -1,5 +1,6 @@
 // Exact-solver study: brute force vs branch-and-bound on the TDG problem,
-// serial vs the work-stealing parallel search. Reports optimal value
+// serial vs the parallel search (util::ParallelFor over ~4 subtree tasks
+// per thread, each worker claiming the next task). Reports optimal value
 // agreement, node counts (how the admissible deficit bound of
 // branch_bound.h shrinks the tree), and the serial/parallel wall-clock
 // speedup of both solvers. The parallel optimum is asserted bitwise equal
@@ -38,9 +39,6 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("solver_threads", 4));
   const int reps = static_cast<int>(flags.GetInt("reps", 1));
   TDG_CHECK(reps >= 1);
-  // Route work-stealing queue drain totals into the obs registry so the
-  // report's per-case counters include pops/steals/exhausts.
-  tdg::obs::InstallWorkStealQueueInstrumentation();
   tdg::bench::PrintHeader(
       "Exact solvers: brute force vs branch-and-bound, serial vs parallel",
       "Infrastructure behind §V-B3 / Theorem 5 validation");
@@ -48,7 +46,7 @@ int main(int argc, char** argv) {
   tdg::util::TablePrinter table(
       {"n", "k", "alpha", "groupings", "brute sequences", "B&B nodes",
        "B&B pruned", "optima agree", "BF ser ms", "BF par ms", "BF x",
-       "B&B ser ms", "B&B par ms", "B&B x", "steals"});
+       "B&B ser ms", "B&B par ms", "B&B x"});
   struct Case {
     int n, k, alpha;
   };
@@ -141,9 +139,7 @@ int main(int argc, char** argv) {
                     tdg::util::FormatDouble(bb_ms, 2),
                     tdg::util::FormatDouble(bb_par_ms, 2),
                     tdg::util::FormatDouble(
-                        bb_par_ms > 0 ? bb_ms / bb_par_ms : 0.0, 2),
-                    std::to_string(brute_par->steal_count +
-                                   bounded_par->steal_count)});
+                        bb_par_ms > 0 ? bb_ms / bb_par_ms : 0.0, 2)});
     }
   }
   std::printf("%s", table.ToString().c_str());

@@ -10,7 +10,7 @@
 #   asan     AddressSanitizer build, full ctest suite
 #   ubsan    UndefinedBehaviorSanitizer build, full ctest suite
 #   tsan     ThreadSanitizer build, concurrency-sensitive tests only
-#            (thread pool, work-stealing parallel solvers, observability,
+#            (ParallelFor, the parallel exact solvers, observability,
 #            sweep — including the golden byte-stability test)
 #   obs-off  -DTDG_OBS_DISABLED=ON build, full ctest suite — proves the
 #            compiled-out observability path builds and leaves every result
@@ -92,7 +92,9 @@
 #            records in the black-box dump via `tdg_blackbox --trace_id`
 #   werror   plain RelWithDebInfo build of every target with
 #            -DCMAKE_CXX_FLAGS=-Werror on the command line: the repo's
-#            -Wall -Wextra warnings fail the build
+#            -Wall -Wextra warnings fail the build; then the same build
+#            with -DTDG_OBS_DISABLED=ON (build only), where compiled-out
+#            macros leave variables unused
 #
 # Build trees live under build-ci/<config> so they never disturb ./build.
 
@@ -133,7 +135,7 @@ ctest_args() {
     # journal appends under concurrent clients — the serving plane's whole
     # thread-safety story.
     tsan)
-      echo "-R ThreadPool|ParallelFor|Obs|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|SweepWatch|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler|Zone"
+      echo "-R ParallelFor|Obs|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|FileUtil|Net|StatsServer|Prometheus|Progress|SweepWatch|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler|Zone"
       ;;
     crash-resume)
       echo "-R SweepShard|SweepCrash|SweepTornWrite|FileUtil|CheckDeathTest|LoggingDeathTest"
@@ -1053,6 +1055,12 @@ run_werror() {
     -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   echo "==> [werror] build every target"
   cmake --build "${build_dir}" -j "${JOBS}" >/dev/null
+  local obs_off_dir="build-ci/werror-obs-off"
+  echo "==> [werror] configure (-Werror, -DTDG_OBS_DISABLED=ON)"
+  cmake -B "${obs_off_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-Werror -DTDG_OBS_DISABLED=ON >/dev/null
+  echo "==> [werror] build every target with observability compiled out"
+  cmake --build "${obs_off_dir}" -j "${JOBS}" >/dev/null
   echo "==> [werror] OK"
 }
 

@@ -131,18 +131,8 @@ int main(int argc, char** argv) {
   tdg::util::FlagParser flags;
   if (!flags.Parse(argc, argv).ok()) return Usage();
   std::string jsonl = flags.GetString("jsonl", "");
-  std::string path;
-  if (flags.positional().size() == 1) {
-    path = flags.positional()[0];
-  } else if (flags.positional().empty() && !jsonl.empty() &&
-             jsonl != "true" && jsonl != "-") {
-    // "--jsonl DUMP.bin": the flag parser took the dump path as the flag's
-    // value — that spelling means JSONL to stdout.
-    path = jsonl;
-    jsonl = "true";
-  } else {
-    return Usage();
-  }
+  if (flags.positional().size() != 1) return Usage();
+  const std::string path = flags.positional()[0];
   const bool jsonl_stdout = jsonl == "true" || jsonl == "-";
   if (jsonl_stdout) jsonl.clear();
   const std::string trace = flags.GetString("trace", "");

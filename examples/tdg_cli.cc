@@ -36,8 +36,8 @@
 //   example_tdg_cli exact [--n=8] [--k=2] [--alpha=3] [--r=0.5]
 //                         [--mode=star] [--seed=1] [--solver_threads=1]
 //       Solve a small TDG instance exactly (branch & bound) and compare
-//       with DyGroups. --solver_threads > 1 runs the work-stealing
-//       parallel search (bitwise-identical optimum, see DESIGN.md).
+//       with DyGroups. --solver_threads > 1 runs the parallel search
+//       (bitwise-identical optimum, see DESIGN.md).
 //
 //   example_tdg_cli human-sim [--experiment=1|2] [--seed=42]
 //       Run a simulated AMT deployment (see amt_crowdsourcing example).
@@ -280,10 +280,10 @@ int CmdExact(const tdg::util::FlagParser& flags) {
 
   std::printf(
       "exact optimum : %.6f (%lld nodes, %lld pruned, %d thread%s, "
-      "%lld subtree tasks, %lld steals)\n",
+      "%lld subtree tasks)\n",
       exact->best_total_gain, exact->nodes_explored, exact->nodes_pruned,
       exact->threads_used, exact->threads_used == 1 ? "" : "s",
-      exact->subtree_tasks, exact->steal_count);
+      exact->subtree_tasks);
   std::printf("DyGroups      : %.6f (%s)\n", greedy->total_gain,
               greedy->total_gain >= exact->best_total_gain - 1e-9
                   ? "optimal"

@@ -80,20 +80,9 @@ int Watch(const std::vector<std::string>& paths,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --watch and --table are switches that naturally precede the positional
-  // checkpoint paths; rewrite the bare forms to `=true` so FlagParser's
-  // `--name value` rule cannot swallow the first path as a flag value.
-  std::vector<std::string> args(argv, argv + argc);
-  for (std::string& arg : args) {
-    if (arg == "--watch" || arg == "--table") arg += "=true";
-  }
-  std::vector<const char*> arg_ptrs;
-  arg_ptrs.reserve(args.size());
-  for (const std::string& arg : args) arg_ptrs.push_back(arg.c_str());
-
   tdg::util::FlagParser flags;
   auto parse_status =
-      flags.Parse(argc, arg_ptrs.data(),
+      flags.Parse(argc, argv,
                   {"csv", "json", "table", "watch", "watch_interval_ms",
                    "watch_iterations", "stale_after_ms"});
   if (!parse_status.ok()) return Fail(parse_status);

@@ -11,8 +11,7 @@
 #include "obs/obs.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
-#include "util/work_steal_queue.h"
+#include "util/parallel_for.h"
 
 namespace tdg {
 namespace {
@@ -276,31 +275,18 @@ util::StatusOr<BranchBoundResult> SolveTdgBranchBound(
 
   // Solve every subtree; tasks carry their serial traversal rank as index.
   std::vector<SubtreeResult> results(tasks.size());
-  util::WorkStealingIndexQueue queue(static_cast<int>(tasks.size()),
-                                     num_threads);
-  auto run_worker = [&](int worker) {
-    for (int t; (t = queue.Next(worker)) != -1;) {
-      TDG_ZONE(obs::Zone::kBranchBoundSubtree);
-      SubtreeSearcher searcher;
-      searcher.shared = &shared;
-      searcher.local_best = greedy_gain;
-      searcher.choice.assign(num_rounds, 0);
-      std::copy(tasks[t].prefix.begin(), tasks[t].prefix.end(),
-                searcher.choice.begin());
-      searcher.Search(static_cast<int>(tasks[t].prefix.size()),
-                      tasks[t].skills, tasks[t].gain_so_far);
-      results[t] = std::move(searcher.result);
-    }
-  };
-  if (num_threads > 1 && tasks.size() > 1) {
-    util::ThreadPool pool(num_threads);
-    for (int w = 0; w < num_threads; ++w) {
-      pool.Submit([&run_worker, w] { run_worker(w); });
-    }
-    pool.Wait();
-  } else {
-    run_worker(0);
-  }
+  util::ParallelFor(num_threads, static_cast<int>(tasks.size()), [&](int t) {
+    TDG_ZONE(obs::Zone::kBranchBoundSubtree);
+    SubtreeSearcher searcher;
+    searcher.shared = &shared;
+    searcher.local_best = greedy_gain;
+    searcher.choice.assign(num_rounds, 0);
+    std::copy(tasks[t].prefix.begin(), tasks[t].prefix.end(),
+              searcher.choice.begin());
+    searcher.Search(static_cast<int>(tasks[t].prefix.size()), tasks[t].skills,
+                    tasks[t].gain_so_far);
+    results[t] = std::move(searcher.result);
+  });
 
   if (shared.budget_exceeded.load(std::memory_order_relaxed)) {
     return util::Status::InvalidArgument(util::StrFormat(
@@ -325,7 +311,6 @@ util::StatusOr<BranchBoundResult> SolveTdgBranchBound(
       shared.nodes_explored.load(std::memory_order_relaxed);
   result.nodes_pruned = shared.nodes_pruned.load(std::memory_order_relaxed);
   result.subtree_tasks = static_cast<long long>(tasks.size());
-  result.steal_count = queue.steal_count();
   result.threads_used = num_threads;
   result.best_sequence.reserve(num_rounds);
   for (int index : *best_choice) {
@@ -337,7 +322,6 @@ util::StatusOr<BranchBoundResult> SolveTdgBranchBound(
                       result.nodes_pruned);
   TDG_OBS_COUNTER_ADD("solver/branch_bound/subtree_tasks",
                       result.subtree_tasks);
-  TDG_OBS_COUNTER_ADD("solver/branch_bound/steals", result.steal_count);
   return result;
 }
 

@@ -19,8 +19,8 @@ struct BranchBoundOptions {
 
   /// Worker threads for the search. <= 1 runs the classic serial solver;
   /// 0 is treated as 1. N > 1 seeds a frontier of subtree tasks by
-  /// expanding the first tree levels sequentially, then solves them on an
-  /// N-thread pool with work stealing and a shared atomic incumbent bound.
+  /// expanding the first tree levels sequentially, then solves them with
+  /// util::ParallelFor on N workers that share an atomic incumbent bound.
   /// The returned optimum (gain and grouping sequence) is bitwise identical
   /// to the serial solver's for every thread count — see DESIGN.md
   /// "Determinism contract".
@@ -32,10 +32,8 @@ struct BranchBoundResult {
   std::vector<Grouping> best_sequence;
   long long nodes_explored = 0;
   long long nodes_pruned = 0;
-  /// Subtree tasks seeded into the work-stealing queue (1 when serial).
+  /// Subtree tasks the search fanned out over (1 when serial).
   long long subtree_tasks = 1;
-  /// Tasks a worker obtained by stealing from another worker's deque.
-  long long steal_count = 0;
   /// Actual worker count used (after clamping).
   int threads_used = 1;
 };
@@ -54,9 +52,9 @@ struct BranchBoundResult {
 /// Finds the same optimum as SolveTdgBruteForce while typically exploring a
 /// small fraction of the tree, extending exact validation to larger
 /// instances (e.g. n = 10). With options.num_threads > 1 the subtrees below
-/// the sequentially-expanded first levels are searched in parallel over a
-/// work-stealing queue; the result is bitwise identical to the serial
-/// search. Returns ResourceExhausted-style failure as InvalidArgument when
+/// the sequentially-expanded first levels are searched in parallel, each
+/// worker claiming the next subtree as it finishes one; the result is
+/// bitwise identical to the serial search. Returns ResourceExhausted-style failure as InvalidArgument when
 /// the node budget is hit.
 util::StatusOr<BranchBoundResult> SolveTdgBranchBound(
     const SkillVector& skills, int num_groups, int num_rounds,

@@ -7,8 +7,7 @@
 #include "obs/obs.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
-#include "util/work_steal_queue.h"
+#include "util/parallel_for.h"
 
 namespace tdg {
 namespace {
@@ -181,34 +180,21 @@ util::StatusOr<BruteForceResult> SolveTdgBruteForce(
   }
 
   std::vector<ShardResult> results(shards.size());
-  util::WorkStealingIndexQueue queue(static_cast<int>(shards.size()),
-                                     num_threads);
-  auto run_worker = [&](int worker) {
-    for (int t; (t = queue.Next(worker)) != -1;) {
-      TDG_ZONE(obs::Zone::kBruteForceShard);
-      ShardSearcher searcher;
-      searcher.groupings = &groupings;
-      searcher.mode = mode;
-      searcher.gain = &gain;
-      searcher.num_rounds = num_rounds;
-      searcher.choice.assign(num_rounds, 0);
-      std::copy(shards[t].prefix.begin(), shards[t].prefix.end(),
-                searcher.choice.begin());
-      SkillVector working = shards[t].skills;
-      searcher.Search(static_cast<int>(shards[t].prefix.size()), working,
-                      shards[t].gain_so_far);
-      results[t] = std::move(searcher.result);
-    }
-  };
-  if (num_threads > 1 && shards.size() > 1) {
-    util::ThreadPool pool(num_threads);
-    for (int w = 0; w < num_threads; ++w) {
-      pool.Submit([&run_worker, w] { run_worker(w); });
-    }
-    pool.Wait();
-  } else {
-    run_worker(0);
-  }
+  util::ParallelFor(num_threads, static_cast<int>(shards.size()), [&](int t) {
+    TDG_ZONE(obs::Zone::kBruteForceShard);
+    ShardSearcher searcher;
+    searcher.groupings = &groupings;
+    searcher.mode = mode;
+    searcher.gain = &gain;
+    searcher.num_rounds = num_rounds;
+    searcher.choice.assign(num_rounds, 0);
+    std::copy(shards[t].prefix.begin(), shards[t].prefix.end(),
+              searcher.choice.begin());
+    SkillVector working = shards[t].skills;
+    searcher.Search(static_cast<int>(shards[t].prefix.size()), working,
+                    shards[t].gain_so_far);
+    results[t] = std::move(searcher.result);
+  });
 
   // Deterministic selection: shards in enumeration order, strict
   // improvement — the serial "lexicographically first maximum wins" rule.
@@ -226,7 +212,6 @@ util::StatusOr<BruteForceResult> SolveTdgBruteForce(
   }
   result.best_total_gain = found ? best_gain : 0.0;
   result.subtree_tasks = static_cast<long long>(shards.size());
-  result.steal_count = queue.steal_count();
   result.threads_used = num_threads;
   result.best_sequence.reserve(num_rounds);
   if (best_choice != nullptr) {
@@ -239,7 +224,6 @@ util::StatusOr<BruteForceResult> SolveTdgBruteForce(
       static_cast<int64_t>(result.sequences_explored));
   TDG_OBS_COUNTER_ADD("solver/brute_force/subtree_tasks",
                       result.subtree_tasks);
-  TDG_OBS_COUNTER_ADD("solver/brute_force/steals", result.steal_count);
   return result;
 }
 

@@ -29,8 +29,8 @@ struct BruteForceOptions {
 
   /// Worker threads. <= 1 (and 0) runs the classic serial enumeration.
   /// N > 1 shards the sequence space by its first rounds (expanded
-  /// sequentially, in enumeration order) and drains the shards from a
-  /// work-stealing queue. The optimum returned — gain and grouping
+  /// sequentially, in enumeration order) and solves the shards with
+  /// util::ParallelFor on N workers. The optimum returned — gain and grouping
   /// sequence — is bitwise identical to the serial solver's for every
   /// thread count (see DESIGN.md "Determinism contract").
   int num_threads = 1;
@@ -40,10 +40,8 @@ struct BruteForceResult {
   double best_total_gain = 0;
   std::vector<Grouping> best_sequence;  // one grouping per round
   double sequences_explored = 0;
-  /// Shards seeded into the work-stealing queue (1 when serial).
+  /// Shards the enumeration fanned out over (1 when serial).
   long long subtree_tasks = 1;
-  /// Tasks a worker obtained by stealing from another worker's deque.
-  long long steal_count = 0;
   /// Actual worker count used (after clamping).
   int threads_used = 1;
 };

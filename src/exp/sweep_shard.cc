@@ -14,10 +14,10 @@
 #include "obs/run_manifest.h"
 #include "util/file_util.h"
 #include "util/logging.h"
+#include "util/parallel_for.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 
 namespace tdg::exp {
 
@@ -389,7 +389,6 @@ util::StatusOr<SweepShardResult> RunSweepShard(
         "a sharded or resumed sweep needs a checkpoint path (each shard "
         "persists its cells for the merge; a resume replays them)");
   }
-  obs::InstallThreadPoolInstrumentation();
   // Fleet identity on every /metrics sample: scrapes of concurrent shard
   // workers stay distinguishable in one Prometheus. Single-process sweeps
   // (shard_count == 1) keep the unlabeled exposition byte-identical.
@@ -463,9 +462,8 @@ util::StatusOr<SweepShardResult> RunSweepShard(
     std::fflush(stderr);
   };
 
-  util::ThreadPool pool(config.threads);
   util::ParallelFor(
-      pool, static_cast<int>(remaining.size()), [&](int i) {
+      config.threads, static_cast<int>(remaining.size()), [&](int i) {
         if (failed.load()) return;
         const long long cell_index = remaining[static_cast<size_t>(i)];
         const SweepPoint& point =

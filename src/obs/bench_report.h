@@ -131,8 +131,8 @@ BenchReporter& GlobalBenchReporter();
 
 /// RAII repetition recorder: times its scope, and on destruction records
 /// the repetition plus the deltas of every MetricsRegistry *counter* that
-/// changed while it was alive (solver node counts, steals, ...). Counters
-/// first created during the scope are treated as starting from 0. When
+/// changed while it was alive (solver node counts, subtree tasks, ...).
+/// Counters first created during the scope are treated as starting from 0. When
 /// profiling is on (ProfilingEnabled()) it additionally reads the calling
 /// thread's perf counters around the scope and appends each available event
 /// delta to the case's "perf/total/<event>" series. Pause the exposed watch

@@ -343,93 +343,31 @@ void FlightRecorder::CrashSync() {
 // Decoder
 // ---------------------------------------------------------------------------
 
+namespace {
+
+const BlackboxEventSpec* FindBlackboxEventSpec(BlackboxEventType type) {
+  const std::size_t row = static_cast<std::size_t>(type) - 1;
+  return row < std::size(kBlackboxEventTable) ? &kBlackboxEventTable[row]
+                                               : nullptr;
+}
+
+}  // namespace
+
 std::string_view BlackboxEventName(BlackboxEventType type) {
-  switch (type) {
-    case BlackboxEventType::kNote:
-      return "note";
-    case BlackboxEventType::kProcessStart:
-      return "process_start";
-    case BlackboxEventType::kRoundEnd:
-      return "round_end";
-    case BlackboxEventType::kGroupChurn:
-      return "group_churn";
-    case BlackboxEventType::kGroupGainSummary:
-      return "group_gain_summary";
-    case BlackboxEventType::kRoundObjective:
-      return "round_objective";
-    case BlackboxEventType::kPolicyDecision:
-      return "policy_decision";
-    case BlackboxEventType::kSweepCellStart:
-      return "sweep_cell_start";
-    case BlackboxEventType::kSweepCellEnd:
-      return "sweep_cell_end";
-    case BlackboxEventType::kSolverIncumbent:
-      return "solver_incumbent";
-    case BlackboxEventType::kCrash:
-      return "crash";
-    case BlackboxEventType::kCohortEnroll:
-      return "cohort_enroll";
-    case BlackboxEventType::kCohortRound:
-      return "cohort_round";
-    case BlackboxEventType::kCohortChurn:
-      return "cohort_churn";
-    case BlackboxEventType::kCohortRestore:
-      return "cohort_restore";
-    case BlackboxEventType::kRequestStart:
-      return "request_start";
-    case BlackboxEventType::kRequestPhase:
-      return "request_phase";
-    case BlackboxEventType::kRequestEnd:
-      return "request_end";
-    case BlackboxEventType::kSpan:
-      return "span";
-  }
-  return {};
+  const BlackboxEventSpec* spec = FindBlackboxEventSpec(type);
+  return spec == nullptr ? std::string_view() : spec->name;
 }
 
 std::vector<std::string_view> BlackboxEventFieldNames(
     BlackboxEventType type) {
-  switch (type) {
-    case BlackboxEventType::kNote:
-      return {};
-    case BlackboxEventType::kProcessStart:
-      return {"n", "num_groups", "num_rounds", "mode", "fused"};
-    case BlackboxEventType::kRoundEnd:
-      return {"round", "round_gain", "total_gain"};
-    case BlackboxEventType::kGroupChurn:
-      return {"round", "moved", "n"};
-    case BlackboxEventType::kGroupGainSummary:
-      return {"round", "num_groups", "min_gain", "mean_gain", "max_gain"};
-    case BlackboxEventType::kRoundObjective:
-      return {"n", "num_groups", "layout", "round_gain"};
-    case BlackboxEventType::kPolicyDecision:
-      return {"mode", "layout", "n", "num_groups"};
-    case BlackboxEventType::kSweepCellStart:
-      return {"cell_index", "n", "num_groups", "num_rounds"};
-    case BlackboxEventType::kSweepCellEnd:
-      return {"cell_index", "mean_gain", "runs"};
-    case BlackboxEventType::kSolverIncumbent:
-      return {"incumbent"};
-    case BlackboxEventType::kCrash:
-      return {"fatal"};
-    case BlackboxEventType::kCohortEnroll:
-      return {"cohort", "n", "group_size", "mode"};
-    case BlackboxEventType::kCohortRound:
-      return {"cohort", "round", "n", "round_gain"};
-    case BlackboxEventType::kCohortChurn:
-      return {"cohort", "round", "joined", "left", "n"};
-    case BlackboxEventType::kCohortRestore:
-      return {"cohort", "rounds", "n"};
-    case BlackboxEventType::kRequestStart:
-      return {"trace_id"};
-    case BlackboxEventType::kRequestPhase:
-      return {"trace_id", "phase", "micros"};
-    case BlackboxEventType::kRequestEnd:
-      return {"trace_id", "status", "micros", "endpoint"};
-    case BlackboxEventType::kSpan:
-      return {"span", "micros", "depth"};
+  std::vector<std::string_view> fields;
+  if (const BlackboxEventSpec* spec = FindBlackboxEventSpec(type)) {
+    for (std::string_view field : spec->fields) {
+      if (field.empty()) break;
+      fields.push_back(field);
+    }
   }
-  return {};
+  return fields;
 }
 
 std::string BlackboxEventLabel(const BlackboxEvent& event) {

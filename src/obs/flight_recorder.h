@@ -1,6 +1,7 @@
 #ifndef TDG_OBS_FLIGHT_RECORDER_H_
 #define TDG_OBS_FLIGHT_RECORDER_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -51,30 +52,66 @@ inline constexpr char kBlackboxMagic[8] = {'T', 'D', 'G', 'B',
 inline constexpr std::uint32_t kBlackboxVersion = 1;
 
 /// Event vocabulary. Values are part of the on-disk format: append only.
+/// Each type's decoded name and payload slots are its kBlackboxEventTable
+/// row.
 enum class BlackboxEventType : std::uint8_t {
-  kNote = 1,             // generic payload (bench, tests)
-  kProcessStart = 2,     // n, num_groups, num_rounds, mode, fused
-  kRoundEnd = 3,         // round, round_gain, total_gain
-  kGroupChurn = 4,       // round, moved, n
-  kGroupGainSummary = 5, // round, num_groups, min/mean/max group gain
-  kRoundObjective = 6,   // n, num_groups, layout, round_gain (fused round)
-  kPolicyDecision = 7,   // mode, layout, n, num_groups
-  kSweepCellStart = 8,   // cell_index, n, num_groups, num_rounds
-  kSweepCellEnd = 9,     // cell_index, mean_gain, runs
-  kSolverIncumbent = 10, // incumbent (shared bound improvements)
-  kCrash = 11,           // stamped by the fatal handler before abort
-  kCohortEnroll = 12,    // cohort, n, group_size, mode (serving plane)
-  kCohortRound = 13,     // cohort, round, n, round_gain
-  kCohortChurn = 14,     // cohort, round, joined, left, n
-  kCohortRestore = 15,   // cohort, rounds, n (journal replay on restart)
-  kRequestStart = 16,    // trace_id (request_context.h)
-  kRequestPhase = 17,    // trace_id, phase, micros (one per timed phase)
-  kRequestEnd = 18,      // trace_id, status, micros, endpoint
-  kSpan = 19,            // span, micros, depth; stamped when the span closes
+  kNote = 1,  // generic payload (bench, tests)
+  kProcessStart = 2,
+  kRoundEnd = 3,
+  kGroupChurn = 4,
+  kGroupGainSummary = 5,
+  kRoundObjective = 6,  // fused round
+  kPolicyDecision = 7,
+  kSweepCellStart = 8,
+  kSweepCellEnd = 9,
+  kSolverIncumbent = 10,  // shared bound improvements
+  kCrash = 11,            // stamped by the fatal handler before abort
+  kCohortEnroll = 12,     // serving plane
+  kCohortRound = 13,
+  kCohortChurn = 14,
+  kCohortRestore = 15,  // journal replay on restart
+  kRequestStart = 16,   // request_context.h
+  kRequestPhase = 17,   // one per timed phase
+  kRequestEnd = 18,
+  kSpan = 19,  // stamped when the span closes
 };
 
-/// Decoder-facing name ("round_end") and named payload slots for a type;
-/// unknown types decode as "unknown_<value>" with generic slot names.
+struct BlackboxEventSpec {
+  std::string_view name;  // decoder-facing ("round_end")
+  std::array<std::string_view, 6> fields;  // named slots; "" past the last
+};
+
+/// The event table, in type order (row i is type i + 1). These strings are
+/// what every JSONL, Chrome-trace and summary view of a dump shows.
+inline constexpr BlackboxEventSpec kBlackboxEventTable[] = {
+    {"note", {}},
+    {"process_start", {"n", "num_groups", "num_rounds", "mode", "fused"}},
+    {"round_end", {"round", "round_gain", "total_gain"}},
+    {"group_churn", {"round", "moved", "n"}},
+    {"group_gain_summary",
+     {"round", "num_groups", "min_gain", "mean_gain", "max_gain"}},
+    {"round_objective", {"n", "num_groups", "layout", "round_gain"}},
+    {"policy_decision", {"mode", "layout", "n", "num_groups"}},
+    {"sweep_cell_start", {"cell_index", "n", "num_groups", "num_rounds"}},
+    {"sweep_cell_end", {"cell_index", "mean_gain", "runs"}},
+    {"solver_incumbent", {"incumbent"}},
+    {"crash", {"fatal"}},
+    {"cohort_enroll", {"cohort", "n", "group_size", "mode"}},
+    {"cohort_round", {"cohort", "round", "n", "round_gain"}},
+    {"cohort_churn", {"cohort", "round", "joined", "left", "n"}},
+    {"cohort_restore", {"cohort", "rounds", "n"}},
+    {"request_start", {"trace_id"}},
+    {"request_phase", {"trace_id", "phase", "micros"}},
+    {"request_end", {"trace_id", "status", "micros", "endpoint"}},
+    {"span", {"span", "micros", "depth"}},
+};
+
+static_assert(std::size(kBlackboxEventTable) ==
+                  static_cast<std::size_t>(BlackboxEventType::kSpan),
+              "one kBlackboxEventTable row per BlackboxEventType");
+
+/// Decoder-facing name and named payload slots for a type; an unknown type
+/// has neither (it decodes as "unknown_<value>" with generic slot names).
 std::string_view BlackboxEventName(BlackboxEventType type);
 std::vector<std::string_view> BlackboxEventFieldNames(BlackboxEventType type);
 

@@ -70,21 +70,6 @@
 
 namespace tdg::obs {
 
-/// Routes util::ThreadPool's observer hooks into the global registry:
-///   gauge     "thread_pool/queue_depth"  (current + peak queued tasks)
-///   histogram "thread_pool/task_micros"  (per-task run latency)
-/// Idempotent; replaces any previously installed observer.
-void InstallThreadPoolInstrumentation();
-
-/// Routes util::WorkStealingIndexQueue's drain totals into the global
-/// registry:
-///   counter "work_steal_queue/pops"      (own-deque takes)
-///   counter "work_steal_queue/steals"    (victim-deque takes)
-///   counter "work_steal_queue/exhausts"  (empty-everywhere scans)
-///   counter "work_steal_queue/queues_drained"
-/// Idempotent; replaces any previously installed observer.
-void InstallWorkStealQueueInstrumentation();
-
 /// Stamps build provenance (git sha, compiler, build type, sanitizer, os —
 /// from RunManifest::Capture()) into the registry's build_info label set,
 /// rendered as the `tdg_build_info{...} 1` gauge on /metrics and as the

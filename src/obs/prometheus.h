@@ -13,7 +13,7 @@ namespace tdg::obs {
 ///
 /// Mapping from the registry's slash-separated names:
 ///   counter   "sweep/cells_completed"  → tdg_sweep_cells_completed_total
-///   gauge     "thread_pool/queue_depth"→ tdg_thread_pool_queue_depth (and a
+///   gauge     "sweep/cells_owned"      → tdg_sweep_cells_owned (and a
 ///             companion ..._max gauge for the tracked peak)
 ///   histogram "sweep/process_micros/…" → tdg_..._bucket{le="…"} cumulative
 ///             lines over the populated buckets, closed by le="+Inf", plus

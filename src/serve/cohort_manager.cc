@@ -22,9 +22,9 @@
 #include "obs/request_context.h"
 #include "obs/run_manifest.h"
 #include "util/logging.h"
+#include "util/parallel_for.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace tdg::serve {
 namespace {
@@ -87,7 +87,9 @@ util::StatusOr<Cohort> CohortFromHeader(const util::JsonValue& header) {
   return Cohort::Create(enroll.id, enroll.config, enroll.participants);
 }
 
-void RecordChurn(const Cohort& cohort, int joined, int left) {
+// The parameters are unused when TDG_OBS_DISABLED compiles TDG_BLACKBOX out.
+void RecordChurn([[maybe_unused]] const Cohort& cohort,
+                 [[maybe_unused]] int joined, [[maybe_unused]] int left) {
   TDG_BLACKBOX(obs::BlackboxEventType::kCohortChurn,
                static_cast<double>(cohort.id_hash()),
                static_cast<double>(cohort.rounds_advanced()),
@@ -143,14 +145,9 @@ util::StatusOr<std::unique_ptr<CohortManager>> CohortManager::Open(
   // thread is started.
   const int count = static_cast<int>(replays.size());
   const int threads = std::min(util::AvailableCpus(), count);
-  if (threads > 1) {
-    util::ThreadPool pool(threads);
-    util::ParallelFor(pool, count, [&](int i) {
-      ReadJournal(replays[static_cast<size_t>(i)]);
-    });
-  } else {
-    for (Replay& replay : replays) ReadJournal(replay);
-  }
+  util::ParallelFor(threads, count, [&](int i) {
+    ReadJournal(replays[static_cast<size_t>(i)]);
+  });
   // Commit: serial in name order, stopping at the first error, so the
   // files end as a serial replay leaves them and the journals after a bad
   // one stay untouched.
@@ -266,10 +263,9 @@ util::Status CohortManager::Enroll(
     }
   }
 
-  const Cohort& resident = entry->cohort;
   TDG_BLACKBOX(obs::BlackboxEventType::kCohortEnroll,
-               static_cast<double>(resident.id_hash()),
-               static_cast<double>(resident.num_participants()),
+               static_cast<double>(entry->cohort.id_hash()),
+               static_cast<double>(entry->cohort.num_participants()),
                static_cast<double>(config.group_size),
                static_cast<double>(config.mode));
   TDG_OBS_COUNTER_ADD("serve/cohort_enrolls", 1);

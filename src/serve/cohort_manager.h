@@ -46,8 +46,8 @@ namespace tdg::serve {
 ///
 /// A cohort's rounds depend only on its own journal, so Open replays the
 /// journals in two phases: a read phase that replays each journal into its
-/// own slot on a thread pool and writes nothing, then a commit phase that
-/// applies those file repairs and inserts the cohorts serially in name
+/// own slot under util::ParallelFor and writes nothing, then a commit phase
+/// that applies those file repairs and inserts the cohorts serially in name
 /// order, stopping at the first error. The files therefore end exactly as
 /// a one-journal-at-a-time replay leaves them, on success and on failure.
 /// Enroll creates its journal with O_EXCL, so of two racing enrolls of one

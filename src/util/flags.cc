@@ -19,8 +19,6 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
     if (eq != std::string_view::npos) {
       values_[std::string(arg.substr(0, eq))] =
           std::string(arg.substr(eq + 1));
-    } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
-      values_[std::string(arg)] = argv[++i];
     } else {
       values_[std::string(arg)] = "true";
     }

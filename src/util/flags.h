@@ -12,8 +12,9 @@
 namespace tdg::util {
 
 /// Minimal command-line flag parser for the example/bench binaries.
-/// Accepts `--name=value` and `--name value`; `--flag` alone sets "true".
-/// Positional arguments are collected in order. A binary that declares its
+/// Accepts `--name=value`; `--name` alone sets "true". An argument without
+/// a leading `--` is always positional (collected in order), so a bare
+/// switch never swallows the argument after it. A binary that declares its
 /// flag names gets an error for a mistyped or removed flag instead of a
 /// silently ignored one.
 ///
@@ -34,8 +35,8 @@ class FlagParser {
 
   bool HasFlag(const std::string& name) const;
 
-  /// Typed getters with defaults; a present-but-malformed value is an error
-  /// only for the Or-less variants, the *Or variants return the default.
+  /// Typed getters with defaults; an absent flag or a malformed value
+  /// returns the default.
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   long long GetInt(const std::string& name, long long default_value) const;

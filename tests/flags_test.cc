@@ -12,10 +12,23 @@ FlagParser ParseArgs(std::vector<const char*> args) {
   return parser;
 }
 
+// Only `--name=value` carries a value: in `--r 0.5` the flag is a bare
+// switch and the value is a positional argument.
 TEST(FlagParserTest, EqualsAndSpaceSyntax) {
   FlagParser flags = ParseArgs({"--n=100", "--r", "0.5"});
   EXPECT_EQ(flags.GetInt("n", 0), 100);
-  EXPECT_DOUBLE_EQ(flags.GetDouble("r", 0), 0.5);
+  EXPECT_EQ(flags.GetString("r", ""), "true");
+  EXPECT_DOUBLE_EQ(flags.GetDouble("r", 7.0), 7.0);
+  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"0.5"}));
+}
+
+// `example_tdg_cli --progress sweep --config=c.cfg`: the switch before the
+// command must leave the command positional.
+TEST(FlagParserTest, BareSwitchNeverSwallowsTheCommand) {
+  FlagParser flags = ParseArgs({"--progress", "sweep", "--config=c.cfg"});
+  EXPECT_TRUE(flags.GetBool("progress", false));
+  EXPECT_EQ(flags.GetString("config", ""), "c.cfg");
+  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"sweep"}));
 }
 
 TEST(FlagParserTest, BareFlagIsTrue) {
@@ -64,7 +77,7 @@ TEST(FlagParserTest, FlagFollowedByFlagIsTrue) {
 
 TEST(FlagParserTest, DeclaredFlagsParseAsBefore) {
   const char* args[] = {"binary", "sweep", "--config=a.cfg", "--resume",
-                        "--shard_count", "2"};
+                        "--shard_count=2", "a.ckpt"};
   FlagParser flags;
   ASSERT_TRUE(
       flags.Parse(6, args, {"config", "resume", "shard_count", "checkpoint"})
@@ -72,7 +85,8 @@ TEST(FlagParserTest, DeclaredFlagsParseAsBefore) {
   EXPECT_EQ(flags.GetString("config", ""), "a.cfg");
   EXPECT_TRUE(flags.GetBool("resume", false));
   EXPECT_EQ(flags.GetInt("shard_count", 1), 2);
-  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"sweep"}));
+  EXPECT_EQ(flags.positional(),
+            (std::vector<std::string>{"sweep", "a.ckpt"}));
 }
 
 TEST(FlagParserTest, UndeclaredFlagIsInvalidArgument) {

@@ -18,7 +18,7 @@
 
 #include "exp/sweep.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace tdg::obs {
 namespace {
@@ -222,31 +222,20 @@ TEST(ObsThreadingTest, ConcurrentRecordingIsLossless) {
   counter.Reset();
   histogram.Reset();
 
-  InstallThreadPoolInstrumentation();
-  Histogram& task_micros = registry.GetHistogram("thread_pool/task_micros");
-  const Histogram::Totals tasks_before = task_micros.GetTotals();
-
   const std::string dump_path = testing::TempDir() + "/obs_threading.bin";
   FlightRecorder::Options recorder_options;
   recorder_options.path = dump_path;
   ASSERT_TRUE(FlightRecorder::Global().Start(recorder_options).ok());
-  {
-    util::ThreadPool pool(4);
-    util::ParallelFor(pool, kIterations, [&](int i) {
-      TDG_ZONE(Zone::kSweepCell);
-      counter.Add(1);
-      histogram.Record(static_cast<double>(i % 100));
-    });
-  }
+  util::ParallelFor(4, kIterations, [&](int i) {
+    TDG_ZONE(Zone::kSweepCell);
+    counter.Add(1);
+    histogram.Record(static_cast<double>(i % 100));
+  });
   FlightRecorder::Global().Stop();
 
   EXPECT_EQ(counter.Value(), kIterations);
   EXPECT_EQ(histogram.Count(), kIterations);
   EXPECT_GE(histogram.Max(), 99.0);
-
-  // The thread-pool observer saw the ParallelFor tasks.
-  EXPECT_GT(task_micros.GetTotals().count, tasks_before.count);
-  EXPECT_GE(registry.GetGauge("thread_pool/queue_depth").Max(), 0.0);
 
 #if !defined(TDG_OBS_DISABLED)
   auto dump = ReadBlackbox(dump_path);

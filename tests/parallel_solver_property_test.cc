@@ -1,9 +1,9 @@
 // Property tests for the parallel exact solvers and the SA delta objective.
 //
 // The determinism contract (DESIGN.md): for every thread count, the
-// work-stealing parallel brute force and branch-and-bound return the SAME
-// optimum as the serial solver — gain bitwise equal, grouping sequence
-// identical — regardless of steal schedule. And simulated annealing's
+// parallel brute force and branch-and-bound return the SAME optimum as the
+// serial solver — gain bitwise equal, grouping sequence identical —
+// regardless of which worker solves which subtree. And simulated annealing's
 // O(n/k) delta objective follows a bitwise-identical trajectory to full
 // O(n) re-evaluation. These tests hammer that contract across ~200
 // randomized instances plus the degenerate shapes (k = 1, k = n, n % k != 0,
@@ -12,16 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/simulated_annealing.h"
 #include "core/branch_bound.h"
 #include "core/brute_force.h"
 #include "core/objective.h"
-#include "obs/obs.h"
 #include "random/distributions.h"
-#include "util/work_steal_queue.h"
 
 namespace tdg {
 namespace {
@@ -316,85 +313,6 @@ TEST(ParallelSolverEdgeCaseTest, ManyMoreThreadsThanSubtreeTasks) {
   EXPECT_EQ(SequenceKey(parallel->best_sequence),
             SequenceKey(serial->best_sequence));
   EXPECT_LE(parallel->subtree_tasks, 3);
-}
-
-// Every task leaves the queue exactly once — as a pop or a steal — and
-// every worker's exit registers at least one exhausted scan, across thread
-// counts and task/worker ratios (incl. more workers than tasks).
-TEST(WorkStealQueueCounterTest, PopsPlusStealsAccountForEveryTask) {
-  for (auto [num_tasks, num_workers] :
-       {std::pair<int, int>{1000, 4}, {7, 3}, {3, 16}, {0, 2}, {64, 1}}) {
-    util::WorkStealingIndexQueue queue(num_tasks, num_workers);
-    std::vector<std::vector<int>> taken(num_workers);
-    std::vector<std::thread> workers;
-    workers.reserve(num_workers);
-    for (int w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&queue, &taken, w] {
-        for (int task = queue.Next(w); task >= 0; task = queue.Next(w)) {
-          taken[w].push_back(task);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-
-    std::vector<int> all;
-    for (const std::vector<int>& per_worker : taken) {
-      all.insert(all.end(), per_worker.begin(), per_worker.end());
-    }
-    ASSERT_EQ(static_cast<int>(all.size()), num_tasks)
-        << num_tasks << " tasks / " << num_workers << " workers";
-    EXPECT_EQ(queue.pop_count() + queue.steal_count(), num_tasks);
-    EXPECT_GE(queue.pop_count(), 0);
-    EXPECT_GE(queue.steal_count(), 0);
-    // Each worker observed the empty queue at least once on its way out.
-    EXPECT_GE(queue.exhaust_count(), num_workers);
-  }
-}
-
-// The obs instrumentation routes queue drain totals into the registry:
-// after a parallel solve, pops + steals in the registry cover the solver's
-// subtree tasks, the steal counter matches the solver's own accounting,
-// and every queue teardown is counted.
-TEST(WorkStealQueueCounterTest, InstrumentationFeedsMetricsRegistry) {
-  const bool metrics_were_enabled = obs::MetricsEnabled();
-  obs::SetMetricsEnabled(true);
-  obs::InstallWorkStealQueueInstrumentation();
-
-  auto counter_value = [](const char* name) {
-    return obs::MetricsRegistry::Global().GetCounter(name).Value();
-  };
-  const int64_t pops_before = counter_value("work_steal_queue/pops");
-  const int64_t steals_before = counter_value("work_steal_queue/steals");
-  const int64_t exhausts_before =
-      counter_value("work_steal_queue/exhausts");
-  const int64_t drained_before =
-      counter_value("work_steal_queue/queues_drained");
-
-  random::Rng rng(777);
-  SkillVector skills = RandomSkills(
-      rng, random::SkillDistribution::kLogNormal, 8);
-  LinearGain gain(0.5);
-  BranchBoundOptions options;
-  options.num_threads = 4;
-  auto result =
-      SolveTdgBranchBound(skills, 2, 2, InteractionMode::kStar, gain,
-                          options);
-  ASSERT_TRUE(result.ok()) << result.status();
-
-  const int64_t pops = counter_value("work_steal_queue/pops") - pops_before;
-  const int64_t steals =
-      counter_value("work_steal_queue/steals") - steals_before;
-  const int64_t exhausts =
-      counter_value("work_steal_queue/exhausts") - exhausts_before;
-  const int64_t drained =
-      counter_value("work_steal_queue/queues_drained") - drained_before;
-
-  EXPECT_EQ(drained, 1);  // one queue per parallel solve
-  EXPECT_EQ(pops + steals, result->subtree_tasks);
-  EXPECT_EQ(steals, result->steal_count);
-  EXPECT_GE(exhausts, options.num_threads);  // every worker's exit scan
-
-  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 }  // namespace

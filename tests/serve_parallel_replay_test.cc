@@ -30,7 +30,7 @@
 #include "util/file_util.h"
 #include "util/json.h"
 #include "util/net.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace tdg::serve {
 namespace {

@@ -36,11 +36,12 @@ class ScopedProfiling {
   bool previous_;
 };
 
-int64_t CounterValue(const std::string& name) {
+// CounterValue and Skills serve only tests skipped under TDG_OBS_DISABLED.
+[[maybe_unused]] int64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Global().GetCounter(name).Value();
 }
 
-SkillVector Skills(int n) {
+[[maybe_unused]] SkillVector Skills(int n) {
   SkillVector skills(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     skills[i] = 1.0 + std::fmod(0.6180339887 * (i + 1) * (i + 3), 5.0);
