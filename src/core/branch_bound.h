@@ -54,8 +54,8 @@ struct BranchBoundResult {
 /// instances (e.g. n = 10). With options.num_threads > 1 the subtrees below
 /// the sequentially-expanded first levels are searched in parallel, each
 /// worker claiming the next subtree as it finishes one; the result is
-/// bitwise identical to the serial search. Returns ResourceExhausted-style failure as InvalidArgument when
-/// the node budget is hit.
+/// bitwise identical to the serial search. Returns ResourceExhausted-style
+/// failure as InvalidArgument when the node budget is hit.
 util::StatusOr<BranchBoundResult> SolveTdgBranchBound(
     const SkillVector& skills, int num_groups, int num_rounds,
     InteractionMode mode, const LearningGainFunction& gain,
