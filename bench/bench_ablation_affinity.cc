@@ -9,6 +9,7 @@
 #include "util/table_printer.h"
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Ablation: bi-criteria gain/affinity grouping",
       "Paper §VII extension; star mode, n=200, k=5, alpha=5, r=0.5, "
@@ -100,6 +101,5 @@ int main(int argc, char** argv) {
   std::printf("(expected: learning gain is maximal at lambda = 0 and "
               "decreases as lambda buys within-group affinity — the "
               "bi-criteria tradeoff the paper proposes studying)\n");
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

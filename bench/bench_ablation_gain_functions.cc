@@ -51,6 +51,7 @@ double PolicyGain(const std::string& policy_name,
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Ablation: learning-gain function families",
       "Paper §VII: DyGroups adapts to concave gains but is only provably "
@@ -114,6 +115,5 @@ int main(int argc, char** argv) {
   std::printf("%s", gap_table.ToString().c_str());
   std::printf("(expected: zero gap for linear; possibly nonzero for the "
               "concave families — the paper's §VII observation)\n");
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

@@ -55,6 +55,7 @@ double DyGroupsGain(InteractionMode mode, int runs) {
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Ablation: Percentile-Partitions percentile parameter p",
       "The paper fixes p = 0.75 (per [8]); n=2000, k=5, alpha=5, r=0.5, "
@@ -92,6 +93,5 @@ int main(int argc, char** argv) {
   std::printf("(expected: performance varies smoothly in p and stays below "
               "the matching DyGroups policy; p = 0.75 is a reasonable but "
               "not special choice)\n");
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

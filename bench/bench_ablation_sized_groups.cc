@@ -40,6 +40,7 @@ double RunSized(const SkillVector& skills, const std::vector<int>& sizes,
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Ablation: variable group sizes",
       "Paper §VII extension; n=600, 5 rounds, r=0.5, log-normal skills, "
@@ -91,6 +92,5 @@ int main(int argc, char** argv) {
   std::printf("(expected: DyGroups-sized >= random for every profile; the "
               "advantage grows with skew in star mode because matching "
               "strong teachers to large groups matters more)\n");
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

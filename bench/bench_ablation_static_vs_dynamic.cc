@@ -46,6 +46,7 @@ double GainWithPolicy(bool dynamic, const std::string& policy_name, int n,
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Ablation: dynamic re-grouping vs static groups",
       "The TDG hypothesis (paper §I): changing group composition across "
@@ -83,6 +84,5 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.ToString().c_str());
   }
   std::printf("(expected: ratio = 1 at alpha = 1, then > 1 and growing)\n");
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

@@ -77,6 +77,7 @@ double MeanGain(GroupingPolicy& policy, int n, int k, int alpha,
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Ablation: variance-maximizing tie-break (Theorem 2)",
       "DESIGN.md §4; all policies are round-optimal (Theorem 1), only the "
@@ -105,8 +106,8 @@ int main(int argc, char** argv) {
         return tdg::bench::MeanGain(policy, kN, kK, static_cast<int>(alpha),
                                     7, kRuns);
       });
-  tdg::bench::EmitSeries(series, argc, argv, 2);
+  harness.EmitSeries(series, "", 2);
   std::printf("(expected: identical at alpha=1 — all are round-optimal — "
               "then DyGroups pulls ahead)\n");
-  return 0;
+  return harness.Finish();
 }

@@ -14,6 +14,7 @@
 #include "util/table_printer.h"
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Simulated annealing vs DyGroups-Local (one round), full vs delta "
       "objective",
@@ -94,6 +95,5 @@ int main(int argc, char** argv) {
       "grouping; the delta objective re-scores only the two groups a swap "
       "touches, so its speedup over full re-evaluation grows ~k/2 with "
       "the group count)\n");
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

@@ -1,14 +1,15 @@
 // Shared helpers for the per-figure bench binaries. Each binary reproduces
 // one table/figure of the paper (see DESIGN.md §2) and prints its series as
-// an aligned table; pass --csv=<path> to also dump plottable CSV, and
-// --report_out=<path> to emit a machine-readable tdg.bench_report.v1 JSON
-// artifact (per-case wall times + objectives + solver counter deltas, with
-// a RunManifest) that `tdg_perfdiff` can gate against a baseline.
+// an aligned table; Harness reads the command line (--csv, --report_out for
+// the tdg.bench_report.v2 artifact `tdg_perfdiff` gates on, --profile).
 #ifndef TDG_BENCH_BENCH_COMMON_H_
 #define TDG_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "baselines/registry.h"
 #include "core/dygroups.h"
@@ -16,6 +17,7 @@
 #include "io/series_io.h"
 #include "obs/obs.h"
 #include "random/distributions.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -76,8 +78,8 @@ inline void PrintHeader(const std::string& title,
 /// where `evaluate(policy_name, x)` returns the y value. Every evaluation
 /// is also recorded into the process-wide obs::BenchReporter as one
 /// repetition of case "<policy>/<x_label>=<x>" (wall micros, y as the
-/// objective, and the deltas of every obs counter it bumped), so a later
-/// EmitSeries(--report_out=...) can write the telemetry artifact.
+/// objective, and the deltas of every obs counter it bumped), so that
+/// Harness::Finish can write the --report_out artifact.
 template <typename Evaluate>
 io::ExperimentSeries SweepSeries(const std::string& x_label,
                                  const std::vector<double>& x_values,
@@ -105,41 +107,79 @@ io::ExperimentSeries SweepSeries(const std::string& x_label,
   return series;
 }
 
-/// Honors `--report_out=<path>`: writes a tdg.bench_report.v1 JSON artifact
-/// built from every case recorded so far in the global BenchReporter. Call
-/// once at the end of main; EmitSeries does it for the sweep binaries.
-inline void EmitReport(int argc, char** argv) {
-  obs::BenchReporter& reporter = obs::GlobalBenchReporter();
-  if (reporter.ParseReportFlag(argc, argv)) {
-    auto status = reporter.WriteIfRequested();
-    if (status.ok()) {
-      std::printf("wrote %s\n", reporter.output_path().c_str());
-    } else {
-      std::printf("report write failed: %s\n", status.ToString().c_str());
+/// The bench command line, parsed once: --csv=<path> (the printed series
+/// as CSV), --report_out=<path> (a JSON report of every recorded case),
+/// --profile (per-rep perf counters in it, as TDG_PROFILE=1), and the
+/// binary's `own` flags. Any other flag, or a malformed value, exits 2
+/// before any work.
+class Harness {
+ public:
+  Harness(int argc, char** argv, util::FlagSpec own = {}) {
+    using enum util::FlagKind;
+    own.insert({{"csv", kString}, {"report_out", kString}, {"profile", kBool}});
+    const util::Status parsed = flags_.Parse(argc, argv, own);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], parsed.ToString().c_str());
+      std::exit(2);
     }
+    csv_path_ = flags_.GetString("csv", "");
+    if (flags_.GetBool("profile", false)) obs::SetProfilingEnabled(true);
+    obs::BenchReporter& reporter = obs::GlobalBenchReporter();
+    reporter.set_bench_name(std::filesystem::path(argv[0]).filename());
+    reporter.set_output_path(flags_.GetString("report_out", ""));
+    reporter.set_args({argv + 1, argv + argc});
   }
-}
 
-/// Prints the series, and honors `--csv=<path>` (plottable CSV) and
-/// `--report_out=<path>` (tdg.bench_report.v1 JSON built from every case
-/// recorded so far in the global BenchReporter).
-inline void EmitSeries(const io::ExperimentSeries& series, int argc,
-                       char** argv, int digits = 4) {
-  std::printf("%s\n", series.ToTable(digits).c_str());
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (util::StartsWith(arg, "--csv=")) {
-      std::string path = arg.substr(6);
-      auto status = series.WriteCsv(path);
-      if (status.ok()) {
-        std::printf("wrote %s\n", path.c_str());
-      } else {
-        std::printf("csv write failed: %s\n", status.ToString().c_str());
-      }
+  const util::FlagParser& flags() const { return flags_; }
+
+  /// Prints `series` and, under --csv, writes it: to the exact path, or,
+  /// for one `panel` of several, to the path with "_<panel>" inserted
+  /// before the extension.
+  void EmitSeries(const io::ExperimentSeries& series,
+                  const std::string& panel = "", int digits = 4) {
+    std::printf("%s\n", series.ToTable(digits).c_str());
+    if (csv_path_.empty()) return;
+    std::filesystem::path path = csv_path_;
+    if (!panel.empty()) {
+      path.replace_filename(path.stem().string() + "_" + panel +
+                            path.extension().string());
+    }
+    wrote_csv_ = true;
+    Report(series.WriteCsv(path.string()), path.string(), "csv");
+  }
+
+  /// Writes the --report_out artifact. Returns main's exit code: 1 when an
+  /// output could not be written or --csv was given to a bench that prints
+  /// no series, else 0.
+  int Finish() {
+    if (!csv_path_.empty() && !wrote_csv_) {
+      std::fprintf(stderr, "--csv: this bench prints no series\n");
+      failed_ = true;
+    }
+    const obs::BenchReporter& reporter = obs::GlobalBenchReporter();
+    if (reporter.enabled()) {
+      Report(reporter.Build().WriteFile(reporter.output_path()),
+             reporter.output_path(), "report");
+    }
+    return failed_ ? 1 : 0;
+  }
+
+ private:
+  void Report(const util::Status& status, const std::string& path,
+              const char* what) {
+    if (status.ok()) {
+      std::printf("wrote %s\n", path.c_str());
+    } else {
+      std::printf("%s write failed: %s\n", what, status.ToString().c_str());
+      failed_ = true;
     }
   }
-  EmitReport(argc, argv);
-}
+
+  util::FlagParser flags_;
+  std::string csv_path_;
+  bool wrote_csv_ = false;
+  bool failed_ = false;
+};
 
 }  // namespace tdg::bench
 

@@ -8,6 +8,7 @@
 #include "sim/amt_experiment.h"
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Experiment-1: learning gain across rounds (simulated AMT)",
       "ICDE'21 Figure 1; human subjects simulated per DESIGN.md "
@@ -60,11 +61,11 @@ int main(int argc, char** argv) {
   std::printf("mean assessed skill by round (round 0 = pre-qualification), "
               "averaged over %d deployments:\n",
               kDeployments);
-  tdg::bench::EmitSeries(series, argc, argv);
+  harness.EmitSeries(series);
 
   std::printf("cumulative observed learning gain: %s=%.3f  %s=%.3f\n",
               names[0].c_str(), cumulative_gain[0], names[1].c_str(),
               cumulative_gain[1]);
   std::printf("(paper shape: DyGroups > KMeans at every round)\n");
-  return 0;
+  return harness.Finish();
 }

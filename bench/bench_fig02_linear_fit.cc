@@ -8,6 +8,7 @@
 #include "stats/regression.h"
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Experiment-1: linear fit to cumulative learning gain",
       "ICDE'21 Figure 2 (Observation IV)");
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
   series.series_names = {"cumulative-gain-DyGroups"};
   series.x_values = x;
   series.values = {y};
-  tdg::bench::EmitSeries(series, argc, argv);
+  harness.EmitSeries(series);
 
   auto fit = tdg::stats::FitLinear(x, y);
   TDG_CHECK(fit.ok()) << fit.status();
@@ -50,5 +51,5 @@ int main(int argc, char** argv) {
               fit->intercept, fit->slope, fit->r_squared);
   std::printf("(paper shape: positive slope, near-linear fit — R^2 close "
               "to 1 in the first rounds)\n");
-  return 0;
+  return harness.Finish();
 }

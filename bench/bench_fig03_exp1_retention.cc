@@ -6,6 +6,7 @@
 #include "sim/amt_experiment.h"
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Experiment-1: worker retention across rounds (simulated AMT)",
       "ICDE'21 Figure 3 (Observation III)");
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
   std::printf("fraction of the initial population still active after each "
               "round, averaged over %d deployments:\n",
               kDeployments);
-  tdg::bench::EmitSeries(series, argc, argv);
+  harness.EmitSeries(series);
   std::printf("(paper shape: DyGroups retention >= KMeans at every round)\n");
-  return 0;
+  return harness.Finish();
 }

@@ -8,6 +8,7 @@
 #include "stats/hypothesis.h"
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Experiment-2: 4-population comparison (simulated AMT)",
       "ICDE'21 Figure 4 (a: learning gain across rounds, b: retention)");
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
           counted[p][t] > 0 ? mean_after[p][t] / counted[p][t] : 0.0);
     }
   }
-  tdg::bench::EmitSeries(gain_series, argc, argv);
+  harness.EmitSeries(gain_series, "a");
 
   std::printf("--- Fig 4(b): worker retention by round ---\n");
   tdg::io::ExperimentSeries retention_series;
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
           counted[p][t] > 0 ? retention[p][t] / counted[p][t] : 0.0);
     }
   }
-  tdg::bench::EmitSeries(retention_series, argc, argv);
+  harness.EmitSeries(retention_series, "b");
 
   std::printf("mean one-sided p-value (DyGroups > baseline), per-worker "
               "gains within one deployment:\n");
@@ -103,5 +104,5 @@ int main(int argc, char** argv) {
   }
   std::printf("(paper shape: DyGroups leads every baseline on gain and "
               "retention)\n");
-  return 0;
+  return harness.Finish();
 }

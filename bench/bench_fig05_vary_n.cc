@@ -7,8 +7,8 @@
 namespace tdg::bench {
 namespace {
 
-void RunPanel(const char* label, InteractionMode mode,
-              random::SkillDistribution distribution, int argc, char** argv) {
+void RunPanel(const char* label, const char* panel, InteractionMode mode,
+              random::SkillDistribution distribution, Harness& harness) {
   std::printf("--- Fig 5(%s): %s mode, %s skills ---\n", label,
               std::string(InteractionModeName(mode)).c_str(),
               std::string(random::SkillDistributionName(distribution))
@@ -24,28 +24,28 @@ void RunPanel(const char* label, InteractionMode mode,
         config.runs = (n >= 100000) ? 3 : 5;
         return MeanTotalGain(policy, config);
       });
-  EmitSeries(series, argc, argv);
+  harness.EmitSeries(series, panel);
 }
 
 }  // namespace
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader("Aggregate learning gain, varying n",
                           "ICDE'21 Figure 5 (a: clique/log-normal, "
                           "b: star/Zipf); defaults k=5, r=0.5, alpha=5");
-  tdg::bench::RunPanel("a", tdg::InteractionMode::kClique,
-                       tdg::random::SkillDistribution::kLogNormal, argc,
-                       argv);
-  tdg::bench::RunPanel("b", tdg::InteractionMode::kStar,
-                       tdg::random::SkillDistribution::kZipf, argc, argv);
+  tdg::bench::RunPanel("a", "a", tdg::InteractionMode::kClique,
+                       tdg::random::SkillDistribution::kLogNormal, harness);
+  tdg::bench::RunPanel("b", "b", tdg::InteractionMode::kStar,
+                       tdg::random::SkillDistribution::kZipf, harness);
   // Supplementary: with the bounded Zipf reading (support {1..10}), large
   // groups almost surely contain a top-skilled member, collapsing star-mode
   // differences (Theorem 1b makes all such groupings tie). The
   // unbounded-zeta reading of the paper's Zipf parameters produces rare
   // experts and restores the separation the paper plots.
-  tdg::bench::RunPanel("b', zeta reading", tdg::InteractionMode::kStar,
-                       tdg::random::SkillDistribution::kZipfUnbounded, argc,
-                       argv);
-  return 0;
+  tdg::bench::RunPanel("b', zeta reading", "b_zeta",
+                       tdg::InteractionMode::kStar,
+                       tdg::random::SkillDistribution::kZipfUnbounded, harness);
+  return harness.Finish();
 }

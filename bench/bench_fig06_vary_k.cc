@@ -9,7 +9,7 @@ namespace tdg::bench {
 namespace {
 
 void RunPanel(const char* label, InteractionMode mode,
-              random::SkillDistribution distribution, int argc, char** argv) {
+              random::SkillDistribution distribution, Harness& harness) {
   std::printf("--- Fig 6(%s): %s mode, %s skills ---\n", label,
               std::string(InteractionModeName(mode)).c_str(),
               std::string(random::SkillDistributionName(distribution))
@@ -24,21 +24,21 @@ void RunPanel(const char* label, InteractionMode mode,
         config.k = static_cast<int>(k);
         return MeanTotalGain(policy, config);
       });
-  EmitSeries(series, argc, argv);
+  harness.EmitSeries(series, label);
 }
 
 }  // namespace
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader("Aggregate learning gain, varying k",
                           "ICDE'21 Figure 6 (a: star/log-normal, "
                           "b: clique/Zipf); defaults n=10000, r=0.5, "
                           "alpha=5");
   tdg::bench::RunPanel("a", tdg::InteractionMode::kStar,
-                       tdg::random::SkillDistribution::kLogNormal, argc,
-                       argv);
+                       tdg::random::SkillDistribution::kLogNormal, harness);
   tdg::bench::RunPanel("b", tdg::InteractionMode::kClique,
-                       tdg::random::SkillDistribution::kZipf, argc, argv);
-  return 0;
+                       tdg::random::SkillDistribution::kZipf, harness);
+  return harness.Finish();
 }

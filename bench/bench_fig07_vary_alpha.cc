@@ -8,7 +8,7 @@ namespace tdg::bench {
 namespace {
 
 void RunPanel(const char* label, InteractionMode mode,
-              random::SkillDistribution distribution, int argc, char** argv) {
+              random::SkillDistribution distribution, Harness& harness) {
   std::printf("--- Fig 7(%s): %s mode, %s skills ---\n", label,
               std::string(InteractionModeName(mode)).c_str(),
               std::string(random::SkillDistributionName(distribution))
@@ -23,21 +23,21 @@ void RunPanel(const char* label, InteractionMode mode,
         config.alpha = static_cast<int>(alpha);
         return MeanTotalGain(policy, config);
       });
-  EmitSeries(series, argc, argv);
+  harness.EmitSeries(series, label);
 }
 
 }  // namespace
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader("Aggregate learning gain, varying alpha",
                           "ICDE'21 Figure 7 (a: clique/Zipf, "
                           "b: star/log-normal); defaults n=10000, k=5, "
                           "r=0.5");
   tdg::bench::RunPanel("a", tdg::InteractionMode::kClique,
-                       tdg::random::SkillDistribution::kZipf, argc, argv);
+                       tdg::random::SkillDistribution::kZipf, harness);
   tdg::bench::RunPanel("b", tdg::InteractionMode::kStar,
-                       tdg::random::SkillDistribution::kLogNormal, argc,
-                       argv);
-  return 0;
+                       tdg::random::SkillDistribution::kLogNormal, harness);
+  return harness.Finish();
 }

@@ -6,8 +6,7 @@
 namespace tdg::bench {
 namespace {
 
-void RunPanel(const char* label, InteractionMode mode, int argc,
-              char** argv) {
+void RunPanel(const char* label, InteractionMode mode, Harness& harness) {
   std::printf("--- Fig 9(%s): %s mode, log-normal skills ---\n", label,
               std::string(InteractionModeName(mode)).c_str());
   std::vector<double> r_values = {0.1, 0.2, 0.3, 0.4, 0.5,
@@ -21,18 +20,19 @@ void RunPanel(const char* label, InteractionMode mode, int argc,
         config.r = r;
         return MeanTotalGain(policy, config);
       });
-  EmitSeries(series, argc, argv);
+  harness.EmitSeries(series, label);
 }
 
 }  // namespace
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Aggregate learning gain, varying r (log-normal)",
       "ICDE'21 Figure 9 (a: clique/log-normal, b: star/log-normal); "
       "defaults n=10000, k=5, alpha=5");
-  tdg::bench::RunPanel("a", tdg::InteractionMode::kClique, argc, argv);
-  tdg::bench::RunPanel("b", tdg::InteractionMode::kStar, argc, argv);
-  return 0;
+  tdg::bench::RunPanel("a", tdg::InteractionMode::kClique, harness);
+  tdg::bench::RunPanel("b", tdg::InteractionMode::kStar, harness);
+  return harness.Finish();
 }

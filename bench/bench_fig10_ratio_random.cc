@@ -30,6 +30,7 @@ double GainRatio(InteractionMode mode, int n, int alpha, uint64_t seed,
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   using tdg::InteractionMode;
   tdg::bench::PrintHeader(
       "Learning gain relative to Random-Assignment",
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
         return tdg::bench::GainRatio(mode, 10000,
                                      static_cast<int>(alpha), 42);
       });
-  tdg::bench::EmitSeries(series_a, argc, argv);
+  harness.EmitSeries(series_a, "a");
 
   std::printf("--- Fig 10(b): ratio vs n (alpha = 10) ---\n");
   std::vector<double> n_values = {10, 100, 1000, 10000, 100000, 1000000};
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
                                    : InteractionMode::kClique;
         return tdg::bench::GainRatio(mode, static_cast<int>(n), 10, 43);
       });
-  tdg::bench::EmitSeries(series_b, argc, argv);
+  harness.EmitSeries(series_b, "b");
 
   // Supplementary panel: the paper reports up to ~30% advantage, which is
   // only attainable when groups are small (its human experiments read k as
@@ -81,6 +82,6 @@ int main(int argc, char** argv) {
         return tdg::bench::GainRatio(mode, 10000, static_cast<int>(alpha),
                                      44, /*k=*/2000);
       });
-  tdg::bench::EmitSeries(series_c, argc, argv);
-  return 0;
+  harness.EmitSeries(series_c, "c");
+  return harness.Finish();
 }

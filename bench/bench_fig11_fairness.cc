@@ -52,6 +52,7 @@ InequalityPoint FinalInequality(const std::string& policy_name, int alpha,
 }  // namespace tdg::bench
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Inequality relative to Random-Assignment",
       "ICDE'21 Figure 11 (a: CV & Gini ratios, b: raw CV & Gini); "
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
     ratios.values[0].push_back(dygroups[i].cv / random_points[i].cv);
     ratios.values[1].push_back(dygroups[i].gini / random_points[i].gini);
   }
-  tdg::bench::EmitSeries(ratios, argc, argv);
+  harness.EmitSeries(ratios, "a");
 
   std::printf("--- Fig 11(b): raw inequality measures ---\n");
   tdg::io::ExperimentSeries raw;
@@ -93,6 +94,6 @@ int main(int argc, char** argv) {
     raw.values[2].push_back(dygroups[i].gini);
     raw.values[3].push_back(random_points[i].gini);
   }
-  tdg::bench::EmitSeries(raw, argc, argv, 6);
-  return 0;
+  harness.EmitSeries(raw, "b", 6);
+  return harness.Finish();
 }

@@ -7,11 +7,5 @@
 
 int main(int argc, char** argv) {
   std::printf("=== Running time, clique mode (ICDE'21 Figure 13) ===\n");
-  tdg::bench::SetupRuntimeReport(&argc, argv);
-  tdg::bench::RegisterRuntimeBenchmarks(tdg::InteractionMode::kClique);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  tdg::bench::FinishRuntimeReport();
-  return 0;
+  return tdg::bench::RuntimeMain(argc, argv, tdg::InteractionMode::kClique);
 }

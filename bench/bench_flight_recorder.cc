@@ -121,12 +121,7 @@ void RunDecodeCase(int reps) {
 }
 
 int Main(int argc, char** argv) {
-  obs::GlobalBenchReporter().ParseReportFlag(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--profile") {
-      obs::SetProfilingEnabled(true);
-    }
-  }
+  Harness harness(argc, argv);
   PrintHeader("flight recorder throughput",
               "DESIGN.md §12 (always-on black box)");
   constexpr int kReps = 15;
@@ -174,8 +169,7 @@ int Main(int argc, char** argv) {
 
   RunDecodeCase(kReps);
 
-  EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }
 
 }  // namespace

@@ -33,7 +33,6 @@
 
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -124,14 +123,13 @@ void RunCase(const std::string& case_key, double (*op)(), int reps) {
 }
 
 int Main(int argc, char** argv) {
-  obs::GlobalBenchReporter().ParseReportFlag(argc, argv);
-  bool tracing = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--profile") obs::SetProfilingEnabled(true);
-    if (arg == "--tracing=off") tracing = false;
-    if (arg == "--tracing=on") tracing = true;
+  Harness harness(argc, argv, {{"tracing", util::FlagKind::kString}});
+  const std::string mode = harness.flags().GetString("tracing", "on");
+  if (mode != "on" && mode != "off") {
+    std::fprintf(stderr, "unknown --tracing=%s (on|off)\n", mode.c_str());
+    return 2;
   }
+  const bool tracing = mode == "on";
   PrintHeader("request tracing overhead",
               tracing ? "DESIGN.md §14 — tracing ON"
                       : "DESIGN.md §14 — tracing OFF (baseline)");
@@ -174,8 +172,7 @@ int Main(int argc, char** argv) {
     RunCase("phase/span_unbound", SpanOps, kReps);
   }
 
-  EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }
 
 }  // namespace

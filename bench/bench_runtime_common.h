@@ -9,8 +9,10 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "baselines/registry.h"
+#include "bench_common.h"
 #include "core/process.h"
 #include "obs/obs.h"
 #include "random/distributions.h"
@@ -84,43 +86,6 @@ inline void RunPolicyBenchmark(benchmark::State& state,
   state.SetLabel(policy_name);
 }
 
-/// Enables `--report_out=<path>` and `--profile` for the google-benchmark
-/// runtime binaries: configures the global BenchReporter, turns kernel
-/// profiling on when `--profile` is present (equivalent to TDG_PROFILE=1),
-/// and strips both flags from argv so benchmark::Initialize never sees
-/// them. Call before benchmark::Initialize.
-inline void SetupRuntimeReport(int* argc, char** argv) {
-  obs::GlobalBenchReporter().ParseReportFlag(*argc, argv);
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg == "--report_out" && i + 1 < *argc) {
-      ++i;
-      continue;
-    }
-    if (arg.rfind("--report_out=", 0) == 0) continue;
-    if (arg == "--profile") {
-      obs::SetProfilingEnabled(true);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-}
-
-/// Writes the accumulated report when --report_out was given. Call after
-/// benchmark::Shutdown.
-inline void FinishRuntimeReport() {
-  obs::BenchReporter& reporter = obs::GlobalBenchReporter();
-  if (!reporter.enabled()) return;
-  auto status = reporter.WriteIfRequested();
-  if (status.ok()) {
-    std::printf("wrote %s\n", reporter.output_path().c_str());
-  } else {
-    std::printf("report write failed: %s\n", status.ToString().c_str());
-  }
-}
-
 /// Registers the paper's two sweeps for `mode`:
 ///   varying n in {10, 100, ..., 100000} at k = 5 (Fig 12/13 (a));
 ///   varying k in {5, 50, 500, 5000} at n = 10000 (Fig 12/13 (b)).
@@ -150,6 +115,20 @@ inline void RegisterRuntimeBenchmarks(InteractionMode mode) {
           ->MinTime(0.05);
     }
   }
+}
+
+/// main() of a running-time figure: google-benchmark takes its own
+/// --benchmark_* flags, then the Harness parses what is left.
+inline int RuntimeMain(int argc, char** argv, InteractionMode mode) {
+  // The report's manifest keeps the whole command line.
+  std::vector<std::string> args(argv + 1, argv + argc);
+  RegisterRuntimeBenchmarks(mode);
+  benchmark::Initialize(&argc, argv);
+  Harness harness(argc, argv);
+  obs::GlobalBenchReporter().set_args(std::move(args));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return harness.Finish();
 }
 
 }  // namespace tdg::bench

@@ -13,7 +13,7 @@
 //   bench_soa_kernels                      # compare both paths, print speedup
 //   bench_soa_kernels --path=soa --report_out=soa.json [--profile]
 //   bench_soa_kernels --path=reference --report_out=ref.json [--profile]
-//   bench_soa_kernels --simd=off           # SoA path with vector units off
+//   TDG_SIMD=off bench_soa_kernels         # SoA path with vector units off
 //   bench_soa_kernels --blackbox=bb.bin    # flight recorder on (overhead
 //                                          # certificate, DESIGN.md §12)
 //
@@ -24,7 +24,6 @@
 // the automated self-diff gate).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -144,28 +143,11 @@ double RunCase(const std::string& path, const BenchCase& bench_case,
 }
 
 int Main(int argc, char** argv) {
-  std::string path = "both";
-  std::string blackbox;
-  bool simd_off = false;
-  obs::GlobalBenchReporter().ParseReportFlag(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg.rfind("--path=", 0) == 0) path = std::string(arg.substr(7));
-    if (arg.rfind("--blackbox=", 0) == 0) {
-      blackbox = std::string(arg.substr(11));
-    }
-    if (arg == "--profile") obs::SetProfilingEnabled(true);
-    if (arg == "--simd=off") simd_off = true;
-  }
-  if (!blackbox.empty()) {
-    // The flight-recorder overhead certificate: identical case keys with
-    // and without --blackbox, gated by tdg_perfdiff (ci/check.sh blackbox,
-    // bench/reports/soa_kernels_blackbox_*.json).
-    obs::FlightRecorder::Options recorder_options;
-    recorder_options.path = blackbox;
-    auto status = obs::FlightRecorder::Global().Start(recorder_options);
-    TDG_CHECK(status.ok()) << status;
-  }
+  Harness harness(argc, argv,
+                  {{"path", util::FlagKind::kString},
+                   {"blackbox", util::FlagKind::kString}});
+  const std::string path = harness.flags().GetString("path", "both");
+  const std::string blackbox = harness.flags().GetString("blackbox", "");
   if (path != "both" && path != "soa" && path != "reference") {
     std::fprintf(stderr, "unknown --path=%s (both|soa|reference)\n",
                  path.c_str());
@@ -177,8 +159,15 @@ int Main(int argc, char** argv) {
                  "artifact's case keys name exactly one implementation\n");
     return 2;
   }
-  if (simd_off) soa::SetSimdEnabledForTest(false);
-
+  if (!blackbox.empty()) {
+    // The flight-recorder overhead certificate: identical case keys with
+    // and without --blackbox, gated by tdg_perfdiff (ci/check.sh blackbox,
+    // bench/reports/soa_kernels_blackbox_*.json).
+    obs::FlightRecorder::Options recorder_options;
+    recorder_options.path = blackbox;
+    auto status = obs::FlightRecorder::Global().Start(recorder_options);
+    TDG_CHECK(status.ok()) << status;
+  }
   PrintHeader("SoA kernel throughput vs AoS reference",
               "DESIGN.md §11 (structure-of-arrays data plane)");
   std::printf("simd: compiled=%s enabled=%s   k=%d r=%.2f\n\n",
@@ -216,8 +205,7 @@ int Main(int argc, char** argv) {
   }
 
   if (!blackbox.empty()) obs::FlightRecorder::Global().Stop();
-  EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "core/brute_force.h"
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Brute force vs DyGroups-Star, k = 2",
       "ICDE'21 §V-B3 (validates Theorem 5): 1000 random instances");
@@ -56,6 +57,5 @@ int main(int argc, char** argv) {
       "theorem5/1000_instances",
       static_cast<double>(stopwatch.TotalMicros()),
       static_cast<double>(agreements));
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

@@ -8,6 +8,7 @@
 #include "util/table_printer.h"
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader(
       "Pre-deployment calibration study (simulated AMT)",
       "ICDE'21 §V-A parameter justification: choose r and the group size");
@@ -35,6 +36,5 @@ int main(int argc, char** argv) {
   std::printf("recommended group size: %d   implied learning rate: %.3f\n",
               result->recommended_group_size, result->recommended_rate);
   std::printf("(paper conclusion: groups of 4-5, r = 0.5)\n");
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

@@ -16,7 +16,6 @@
 #include "bench_common.h"
 #include "core/branch_bound.h"
 #include "core/brute_force.h"
-#include "util/flags.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -33,11 +32,13 @@ std::string Key(const std::vector<tdg::Grouping>& sequence) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  tdg::util::FlagParser flags;
-  TDG_CHECK(flags.Parse(argc, argv).ok());
+  tdg::bench::Harness harness(
+      argc, argv,
+      {{"solver_threads", tdg::util::FlagKind::kInt},
+       {"reps", tdg::util::FlagKind::kInt}});
   const int threads =
-      static_cast<int>(flags.GetInt("solver_threads", 4));
-  const int reps = static_cast<int>(flags.GetInt("reps", 1));
+      static_cast<int>(harness.flags().GetInt("solver_threads", 4));
+  const int reps = static_cast<int>(harness.flags().GetInt("reps", 1));
   TDG_CHECK(reps >= 1);
   tdg::bench::PrintHeader(
       "Exact solvers: brute force vs branch-and-bound, serial vs parallel",
@@ -152,6 +153,5 @@ int main(int argc, char** argv) {
       "machines, with brute force scaling best since it has no shared "
       "bound contention)\n",
       threads);
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

@@ -7,6 +7,7 @@
 #include "util/table_printer.h"
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader("Rate-one saturation rounds",
                           "ICDE'21 §V-B2 note: r = 1 star mode saturates in "
                           "ceil(log_{n/k}(n)) rounds");
@@ -39,6 +40,5 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.ToString().c_str());
   std::printf("(prediction and simulation agree on every shape)\n");
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

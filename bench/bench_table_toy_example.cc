@@ -38,6 +38,7 @@ void PrintTrace(const char* title, const tdg::ProcessResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  tdg::bench::Harness harness(argc, argv);
   tdg::bench::PrintHeader("Toy example traces",
                           "ICDE'21 §II/§III worked example (n=9, k=3, "
                           "r=0.5, 3 rounds)");
@@ -72,6 +73,5 @@ int main(int argc, char** argv) {
   TDG_CHECK(std::abs(star_result->total_gain - 2.55) < 1e-12);
   TDG_CHECK(std::abs(clique_result->total_gain - 2.334375) < 1e-12);
   std::printf("both totals match the paper exactly.\n");
-  tdg::bench::EmitReport(argc, argv);
-  return 0;
+  return harness.Finish();
 }

@@ -15,11 +15,14 @@
 #   obs-off  -DTDG_OBS_DISABLED=ON build, full ctest suite — proves the
 #            compiled-out observability path builds and leaves every result
 #            unchanged
-#   bench-smoke  plain build of two fast bench binaries + tdg_perfdiff;
-#            runs them with --report_out, self-checks the emitted
-#            tdg.bench_report.v1 artifacts, and diffs each report against
-#            itself expecting a clean all-unchanged pass — the end-to-end
-#            smoke test of the perf telemetry pipeline
+#   bench-smoke  plain build of every bench/ and examples/ binary (and
+#            tdg_sweep_shard_child); each must reject --no_such_flag, and
+#            bench_table_exact_solvers must reject --reps 3 and --reps=x;
+#            bench_fig04_exp2 --csv must write both of its panels; then
+#            runs two fast benches with --report_out, self-checks the
+#            emitted tdg.bench_report.v2 artifacts, and diffs each report
+#            against itself expecting a clean all-unchanged pass — the
+#            end-to-end smoke test of the perf telemetry pipeline
 #   crash-resume  AddressSanitizer build with the fault-injection hooks
 #            compiled in; runs the crash/torn-write/shard-planner/death
 #            suites, then a CLI-level e2e: require a checkpointed
@@ -148,10 +151,50 @@ run_bench_smoke() {
   local build_dir="build-ci/bench-smoke"
   echo "==> [bench-smoke] configure"
   cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  local binaries=(tests/tdg_sweep_shard_child) source target
+  for source in bench/bench_*.cc examples/*.cc; do
+    target="$(basename "${source}" .cc)"
+    # examples/CMakeLists.txt: the tdg_* tools keep their name, the other
+    # examples (tdg_cli among them) get an example_ prefix.
+    if [[ "${source}" == examples/* &&
+          ( "${target}" != tdg_* || "${target}" == tdg_cli ) ]]; then
+      target="example_${target}"
+    fi
+    binaries+=("$(dirname "${source}")/${target}")
+  done
   echo "==> [bench-smoke] build"
   cmake --build "${build_dir}" -j "${JOBS}" \
-    --target bench_table_toy_example bench_table_rate_one tdg_perfdiff \
+    --target "${binaries[@]##*/}" >/dev/null
+  echo "==> [bench-smoke] every binary rejects an undeclared flag"
+  local binary
+  for binary in "${binaries[@]}"; do
+    if "${build_dir}/${binary}" --no_such_flag >/dev/null 2>&1; then
+      echo "${binary} accepted --no_such_flag" >&2
+      exit 1
+    fi
+  done
+  echo "==> [bench-smoke] a malformed value is an error, not the default"
+  local reps
+  for reps in "--reps 3" "--reps=x"; do
+    # shellcheck disable=SC2086
+    if "${build_dir}/bench/bench_table_exact_solvers" ${reps} \
+        >/dev/null 2>&1; then
+      echo "bench_table_exact_solvers accepted ${reps}" >&2
+      exit 1
+    fi
+  done
+  echo "==> [bench-smoke] --csv keeps every panel"
+  local csv_dir="${build_dir}/csv"
+  rm -rf "${csv_dir}"
+  mkdir -p "${csv_dir}"
+  "${build_dir}/bench/bench_fig04_exp2" --csv="${csv_dir}/fig04.csv" \
     >/dev/null
+  # Fig 4(a) has rounds 0-2, Fig 4(b) rounds 1-2: a header plus 3 and 2 rows.
+  if [[ "$(wc -l < "${csv_dir}/fig04_a.csv")" -ne 4 ||
+        "$(wc -l < "${csv_dir}/fig04_b.csv")" -ne 3 ]]; then
+    echo "bench_fig04_exp2 --csv did not write both panels" >&2
+    exit 1
+  fi
   echo "==> [bench-smoke] run benches with --report_out"
   local reports_dir="${build_dir}/reports"
   mkdir -p "${reports_dir}"

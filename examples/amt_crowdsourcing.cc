@@ -15,8 +15,12 @@
 #include "util/table_printer.h"
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  TDG_CHECK(flags.Parse(argc, argv).ok());
+  const tdg::util::Status parsed = flags.Parse(
+      argc, argv,
+      {{"experiment", kInt}, {"seed", kInt}, {"deployments", kInt}});
+  TDG_CHECK(parsed.ok()) << parsed;
   int experiment = static_cast<int>(flags.GetInt("experiment", 1));
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   int deployments = static_cast<int>(flags.GetInt("deployments", 1));

@@ -41,8 +41,13 @@ double Run(const tdg::SkillVector& skills, tdg::GroupingPolicy& policy,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  TDG_CHECK(flags.Parse(argc, argv).ok());
+  const tdg::util::Status parsed = flags.Parse(
+      argc, argv,
+      {{"students", kInt}, {"group-size", kInt}, {"assignments", kInt},
+       {"r", kDouble}, {"seed", kInt}, {"save-roster", kString}});
+  TDG_CHECK(parsed.ok()) << parsed;
   int students = static_cast<int>(flags.GetInt("students", 30));
   int group_size = static_cast<int>(flags.GetInt("group-size", 5));
   int assignments = static_cast<int>(flags.GetInt("assignments", 6));

@@ -18,8 +18,14 @@
 #include "util/table_printer.h"
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  TDG_CHECK(flags.Parse(argc, argv).ok());
+  const tdg::util::Status parsed = flags.Parse(
+      argc, argv,
+      {{"policy", kString}, {"n", kInt}, {"k", kInt}, {"alpha", kInt},
+       {"r", kDouble}, {"seed", kInt}, {"mode", kString},
+       {"distribution", kString}});
+  TDG_CHECK(parsed.ok()) << parsed;
   std::string policy_name = flags.GetString("policy", "DyGroups-Star");
   int n = static_cast<int>(flags.GetInt("n", 1000));
   int k = static_cast<int>(flags.GetInt("k", 5));

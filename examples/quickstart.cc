@@ -10,8 +10,15 @@
 
 #include "core/dygroups.h"
 #include "core/process.h"
+#include "util/flags.h"
+#include "util/logging.h"
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: a stray one is an error, not silently ignored.
+  tdg::util::FlagParser flags;
+  const tdg::util::Status parsed = flags.Parse(argc, argv, {});
+  TDG_CHECK(parsed.ok()) << parsed;
+
   // 1. A population: one positive skill per participant.
   tdg::SkillVector skills = {0.1, 0.2, 0.3, 0.4, 0.5,
                              0.6, 0.7, 0.8, 0.9};

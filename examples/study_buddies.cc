@@ -21,8 +21,12 @@
 #include "util/table_printer.h"
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  TDG_CHECK(flags.Parse(argc, argv).ok());
+  const tdg::util::Status parsed = flags.Parse(
+      argc, argv,
+      {{"weeks", kInt}, {"lambda", kDouble}, {"seed", kInt}});
+  TDG_CHECK(parsed.ok()) << parsed;
   int weeks = static_cast<int>(flags.GetInt("weeks", 6));
   double lambda = flags.GetDouble("lambda", 0.5);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 11));

@@ -128,8 +128,16 @@ void PrintSummary(const std::string& path, const BlackboxDump& dump,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  if (!flags.Parse(argc, argv).ok()) return Usage();
+  const tdg::util::Status parsed = flags.Parse(
+      argc, argv,
+      {{"jsonl", kString}, {"trace", kString}, {"tail", kInt},
+       {"trace_id", kInt}});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "tdg_blackbox: %s\n", parsed.ToString().c_str());
+    return Usage();
+  }
   std::string jsonl = flags.GetString("jsonl", "");
   if (flags.positional().size() != 1) return Usage();
   const std::string path = flags.positional()[0];

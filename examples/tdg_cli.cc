@@ -92,8 +92,9 @@
 //                          up. Bare --blackbox (sweep with --checkpoint)
 //                          defaults to <checkpoint>.blackbox.
 //
-// An unknown flag (a typo, or a removed one such as --trace_out) is an
-// error before any work starts.
+// An unknown flag (a typo, or a removed one such as --trace_out), or a
+// value of the wrong kind (--n=abc, --progress=ture), is an error before
+// any work starts.
 
 #include <cstdio>
 
@@ -354,16 +355,22 @@ int Dispatch(const std::string& command, const tdg::util::FlagParser& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
   auto parse_status = flags.Parse(
       argc, argv,
       {// commands
-       "policy", "n", "k", "alpha", "r", "mode", "distribution", "seed",
-       "config", "csv", "json", "checkpoint", "resume", "shard_index",
-       "shard_count", "progress", "solver_threads", "experiment",
+       {"policy", kString}, {"n", kInt}, {"k", kInt}, {"alpha", kInt},
+       {"r", kDouble}, {"mode", kString}, {"distribution", kString},
+       {"seed", kInt}, {"config", kString}, {"csv", kString},
+       {"json", kString}, {"checkpoint", kString}, {"resume", kBool},
+       {"shard_index", kInt}, {"shard_count", kInt}, {"progress", kBool},
+       {"solver_threads", kInt}, {"experiment", kInt},
        // observability, live monitoring, flight recorder
-       "metrics_out", "print_metrics", "manifest_out", "no_metrics",
-       "profile", "stats_port", "stats_port_file", "blackbox"});
+       {"metrics_out", kString}, {"print_metrics", kBool},
+       {"manifest_out", kString}, {"no_metrics", kBool}, {"profile", kBool},
+       {"stats_port", kInt}, {"stats_port_file", kString},
+       {"blackbox", kString}});
   if (!parse_status.ok()) return Fail(parse_status);
   if (flags.positional().empty()) {
     PrintUsage();

@@ -1,4 +1,4 @@
-// Statistically-gated perf regression detector over tdg.bench_report.v1/v2
+// Statistically-gated perf regression detector over tdg.bench_report.v2
 // artifacts (the --report_out output of every bench binary).
 //
 //   tdg_perfdiff --baseline=BENCH_old.json --candidate=BENCH_new.json
@@ -66,25 +66,21 @@ int SelfCheck(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  auto parsed = flags.Parse(argc, argv);
+  auto parsed = flags.Parse(
+      argc, argv,
+      {{"self-check", kString}, {"baseline", kString}, {"candidate", kString},
+       {"metric", kString}, {"threshold", kDouble}, {"alpha", kDouble},
+       {"confidence", kDouble}, {"resamples", kInt}, {"gate_case_set", kBool},
+       {"json_out", kString}});
   if (!parsed.ok()) {
     std::fprintf(stderr, "tdg_perfdiff: %s\n", parsed.ToString().c_str());
     return Usage();
   }
 
-  std::string self_check = flags.GetString("self-check", "");
-  if (self_check.empty()) self_check = flags.GetString("self_check", "");
+  const std::string self_check = flags.GetString("self-check", "");
   if (!self_check.empty()) return SelfCheck(self_check);
-
-  if (flags.HasFlag("events")) {
-    std::fprintf(stderr,
-                 "tdg_perfdiff: --events was removed: record with "
-                 "--blackbox=<file>, then summarize with `tdg_blackbox "
-                 "<file>` (per-event-kind table) or `tdg_blackbox --jsonl "
-                 "<file>`\n");
-    return 2;
-  }
 
   const std::string baseline_path = flags.GetString("baseline", "");
   const std::string candidate_path = flags.GetString("candidate", "");

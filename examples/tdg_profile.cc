@@ -66,8 +66,12 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  auto parsed = flags.Parse(argc, argv);
+  auto parsed = flags.Parse(
+      argc, argv,
+      {{"report", kString}, {"case", kString}, {"digits", kInt},
+       {"check", kBool}});
   if (!parsed.ok()) {
     std::fprintf(stderr, "tdg_profile: %s\n", parsed.ToString().c_str());
     return Usage();
@@ -197,7 +201,7 @@ int main(int argc, char** argv) {
     if (total_basis <= 0) {
       std::fprintf(stderr,
                    "tdg_profile --check: no 'perf/total/%s' series in the "
-                   "report (profiling was off, or a v1 artifact)\n",
+                   "report (profiling was off)\n",
                    basis.c_str());
       return 1;
     }

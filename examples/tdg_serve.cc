@@ -21,7 +21,7 @@
 //
 // SIGINT/SIGTERM shut down cleanly (drain in-flight requests, mark the
 // blackbox dump clean). Exit codes: 0 = clean shutdown, 2 = startup error
-// (an unknown flag included).
+// (an unknown flag or a malformed value included).
 
 #include <csignal>
 #include <cstdio>
@@ -41,11 +41,13 @@ void HandleSignal(int) { g_shutdown = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
   const tdg::util::Status parsed = flags.Parse(
       argc, argv,
-      {"state_dir", "port", "port_file", "workers", "blackbox", "no_metrics",
-       "slow_micros", "slow_sample_n"});
+      {{"state_dir", kString}, {"port", kInt}, {"port_file", kString},
+       {"workers", kInt}, {"blackbox", kString}, {"no_metrics", kBool},
+       {"slow_micros", kInt}, {"slow_sample_n", kInt}});
   if (!parsed.ok()) {
     std::fprintf(stderr, "tdg_serve: %s\n", parsed.ToString().c_str());
     std::fprintf(stderr,

@@ -339,10 +339,17 @@ int Offline(const tdg::util::FlagParser& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  if (!flags.Parse(argc, argv).ok() || flags.positional().empty()) {
+  const Status parsed = flags.Parse(
+      argc, argv,
+      {{"port", kInt}, {"schedule", kString}, {"from", kInt}, {"to", kInt},
+       {"id", kString}, {"via", kString}});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "tdg_servectl: %s\n", parsed.ToString().c_str());
     return Usage();
   }
+  if (flags.positional().empty()) return Usage();
   const std::string& command = flags.positional()[0];
   if (command == "run") return Run(flags);
   if (command == "dump") return Dump(flags);

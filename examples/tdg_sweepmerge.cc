@@ -80,11 +80,13 @@ int Watch(const std::vector<std::string>& paths,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  auto parse_status =
-      flags.Parse(argc, argv,
-                  {"csv", "json", "table", "watch", "watch_interval_ms",
-                   "watch_iterations", "stale_after_ms"});
+  auto parse_status = flags.Parse(
+      argc, argv,
+      {{"csv", kString}, {"json", kString}, {"table", kBool}, {"watch", kBool},
+       {"watch_interval_ms", kInt}, {"watch_iterations", kInt},
+       {"stale_after_ms", kInt}});
   if (!parse_status.ok()) return Fail(parse_status);
   const std::vector<std::string>& paths = flags.positional();
   if (paths.empty()) {

@@ -1,6 +1,5 @@
 #include "io/process_io.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -66,42 +65,6 @@ util::StatusOr<Grouping> GroupingFromJson(const util::JsonValue& json) {
     grouping.groups.push_back(std::move(group));
   }
   return grouping;
-}
-
-util::JsonValue GroupingToFlatJson(const Grouping& grouping) {
-  int n = 0;
-  for (const auto& group : grouping.groups) {
-    for (int id : group) n = std::max(n, id + 1);
-  }
-  util::JsonValue flat = util::JsonValue::MakeArray();
-  for (int g : grouping.Assignment(n)) flat.Append(g);
-  util::JsonValue root = util::JsonValue::MakeObject();
-  root.Set("assignment", std::move(flat));
-  root.Set("num_groups", grouping.num_groups());
-  return root;
-}
-
-util::StatusOr<Grouping> GroupingFromFlatJson(const util::JsonValue& json) {
-  TDG_ASSIGN_OR_RETURN(util::JsonValue assignment_json,
-                       json.GetField("assignment"));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue num_groups_json,
-                       json.GetField("num_groups"));
-  if (!assignment_json.is_array() || !num_groups_json.is_number()) {
-    return util::Status::InvalidArgument(
-        "flat grouping needs an 'assignment' array and a 'num_groups' "
-        "number");
-  }
-  std::vector<int> assignment;
-  assignment.reserve(assignment_json.AsArray().size());
-  for (const util::JsonValue& entry : assignment_json.AsArray()) {
-    if (!entry.is_number()) {
-      return util::Status::InvalidArgument(
-          "assignment entries must be numbers");
-    }
-    assignment.push_back(static_cast<int>(entry.AsNumber()));
-  }
-  return GroupingFromAssignment(assignment,
-                                static_cast<int>(num_groups_json.AsNumber()));
 }
 
 util::JsonValue ProcessResultToJson(const ProcessResult& result) {

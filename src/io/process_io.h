@@ -17,16 +17,6 @@ namespace tdg::io {
 util::JsonValue GroupingToJson(const Grouping& grouping);
 util::StatusOr<Grouping> GroupingFromJson(const util::JsonValue& json);
 
-/// Flat (key,id)-plane form of a grouping that partitions {0..n-1}:
-/// {"assignment": [g_0, ..., g_{n-1}], "num_groups": k} where
-/// assignment[i] is participant i's group. This is the wire format of the
-/// serving plane (serve::CohortServer round endpoints) — O(n) dense, no
-/// nested arrays. Member order *within* a group is not represented (the
-/// learning model is order-invariant); FromFlatJson rebuilds groups with
-/// members ascending via GroupingFromAssignment.
-util::JsonValue GroupingToFlatJson(const Grouping& grouping);
-util::StatusOr<Grouping> GroupingFromFlatJson(const util::JsonValue& json);
-
 /// {
 ///   "initial_skills": [...], "final_skills": [...],
 ///   "round_gains": [...], "total_gain": g,

@@ -7,18 +7,8 @@
 
 #include "obs/zone.h"
 #include "util/file_util.h"
-#include "util/string_util.h"
 
 namespace tdg::obs {
-namespace {
-
-std::string Basename(std::string_view path) {
-  size_t slash = path.find_last_of('/');
-  if (slash != std::string_view::npos) path.remove_prefix(slash + 1);
-  return std::string(path);
-}
-
-}  // namespace
 
 double BenchCase::MeanWallMicros() const {
   if (wall_micros.empty()) return 0;
@@ -69,11 +59,10 @@ util::StatusOr<BenchReport> BenchReport::FromJson(
     return util::Status::InvalidArgument("bench report must be an object");
   }
   auto schema = json.GetField("schema");
-  if (!schema.ok() || !schema->is_string() ||
-      (schema->AsString() != kSchema && schema->AsString() != kSchemaV1)) {
+  if (!schema.ok() || !schema->is_string() || schema->AsString() != kSchema) {
     return util::Status::InvalidArgument(
         "bench report missing or unsupported \"schema\" (want " +
-        std::string(kSchema) + " or " + std::string(kSchemaV1) + ")");
+        std::string(kSchema) + ")");
   }
   BenchReport report;
   report.schema = schema->AsString();
@@ -157,7 +146,7 @@ util::StatusOr<BenchReport> BenchReport::FromJson(
 }
 
 util::Status BenchReport::Validate() const {
-  if (schema != kSchema && schema != kSchemaV1) {
+  if (schema != kSchema) {
     return util::Status::InvalidArgument("unexpected schema: " + schema);
   }
   if (bench_name.empty()) {
@@ -253,24 +242,9 @@ void BenchReporter::set_bench_name(const std::string& name) {
   bench_name_ = name;
 }
 
-bool BenchReporter::ParseReportFlag(int argc, const char* const* argv) {
-  if (bench_name_.empty() && argc > 0) bench_name_ = Basename(argv[0]);
-  args_.clear();
-  for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (util::StartsWith(arg, "--report_out=")) {
-      output_path_ = std::string(arg.substr(std::string_view(
-          "--report_out=").size()));
-    } else if (arg == "--report_out" && i + 1 < argc) {
-      output_path_ = argv[i + 1];
-    } else if (util::StartsWith(arg, "--seed=")) {
-      auto seed = util::ParseInt(arg.substr(std::string_view("--seed=")
-                                                .size()));
-      if (seed.ok()) seed_ = static_cast<uint64_t>(seed.value());
-    }
-  }
-  return enabled();
+void BenchReporter::set_args(std::vector<std::string> args) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  args_ = std::move(args);
 }
 
 BenchCase& BenchReporter::CaseLocked(const std::string& case_key) {
@@ -313,16 +287,11 @@ BenchReport BenchReporter::Build() const {
   std::lock_guard<std::mutex> lock(mutex_);
   BenchReport report;
   report.bench_name = bench_name_.empty() ? "unnamed" : bench_name_;
-  report.manifest = RunManifest::Capture(seed_);
+  report.manifest = RunManifest::Capture();
   report.manifest.args = args_;
   report.perf_backend = perf_backend_;
   report.cases = cases_;
   return report;
-}
-
-util::Status BenchReporter::WriteIfRequested() const {
-  if (!enabled()) return util::Status::OK();
-  return Build().WriteFile(output_path_);
 }
 
 void BenchReporter::Reset() {

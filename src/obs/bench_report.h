@@ -37,18 +37,15 @@ struct BenchCase {
 
 /// Machine-readable result of one bench binary run — the `BENCH_<name>.json`
 /// artifact that makes perf claims checkable across PRs. Stable schema:
-/// sorted object keys, cases in first-recorded order. Writers emit v2;
-/// readers accept v1 artifacts (which simply lack counter_series and
-/// perf_backend) so old baselines keep diffing.
+/// sorted object keys, cases in first-recorded order.
 struct BenchReport {
   static constexpr const char* kSchema = "tdg.bench_report.v2";
-  static constexpr const char* kSchemaV1 = "tdg.bench_report.v1";
 
   std::string schema = kSchema;
   std::string bench_name;
   RunManifest manifest;
   /// Counter backend live while the report was recorded ("perf_event" or
-  /// "rusage"); empty when profiling was off. v2 only.
+  /// "rusage"); empty when profiling was off.
   std::string perf_backend;
   std::vector<BenchCase> cases;
 
@@ -65,26 +62,22 @@ struct BenchReport {
 };
 
 /// Accumulates BenchCase repetitions for one bench binary and writes the
-/// report when a `--report_out=<path>` flag was given. Thread-safe (runtime
-/// benches record from benchmark threads). Cases are created on first
-/// RecordRep and keep insertion order.
+/// report to output_path() when one is set (the bench harness sets it from
+/// `--report_out=<path>`). Thread-safe (runtime benches record from
+/// benchmark threads). Cases are created on first RecordRep and keep
+/// insertion order.
 class BenchReporter {
  public:
   explicit BenchReporter(std::string bench_name = "");
 
   void set_bench_name(const std::string& name);
-  const std::string& bench_name() const { return bench_name_; }
-
-  /// Scans argv for --report_out=<path> (and bare "--report_out <path>"),
-  /// deriving bench_name from argv[0]'s basename when not set. Returns true
-  /// if a report was requested.
-  bool ParseReportFlag(int argc, const char* const* argv);
 
   void set_output_path(const std::string& path) { output_path_ = path; }
   const std::string& output_path() const { return output_path_; }
   bool enabled() const { return !output_path_.empty(); }
 
-  void set_seed(uint64_t seed) { seed_ = seed; }
+  /// The command line after the program name, recorded in the manifest.
+  void set_args(std::vector<std::string> args);
 
   /// Appends one repetition to `case_key`.
   void RecordRep(const std::string& case_key, double wall_micros,
@@ -106,9 +99,6 @@ class BenchReporter {
   /// Builds the report: captured manifest + accumulated cases.
   BenchReport Build() const;
 
-  /// Writes Build() to output_path(); no-op OK when not enabled().
-  util::Status WriteIfRequested() const;
-
   /// Drops every accumulated case (for tests).
   void Reset();
 
@@ -117,8 +107,7 @@ class BenchReporter {
   std::string bench_name_;
   std::string output_path_;
   std::string perf_backend_;
-  uint64_t seed_ = 0;
-  std::vector<std::string> args_;  // argv[1..] copied at ParseReportFlag
+  std::vector<std::string> args_;
   std::vector<BenchCase> cases_;
   std::map<std::string, size_t> case_index_;
 

@@ -2,7 +2,6 @@
 #define TDG_UTIL_FLAGS_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -11,32 +10,41 @@
 
 namespace tdg::util {
 
-/// Minimal command-line flag parser for the example/bench binaries.
-/// Accepts `--name=value`; `--name` alone sets "true". An argument without
-/// a leading `--` is always positional (collected in order), so a bare
-/// switch never swallows the argument after it. A binary that declares its
-/// flag names gets an error for a mistyped or removed flag instead of a
-/// silently ignored one.
+/// The values a declared flag accepts (binaries spell a spec with
+/// `using enum tdg::util::FlagKind;`).
+enum class FlagKind {
+  kString,  // anything, including the empty string
+  kInt,     // a whole decimal number
+  kDouble,  // a number, as strtod reads it
+  kBool,    // true|1|yes|on or false|0|no|off; a bare `--name` is true
+};
+
+/// Every flag a binary reads, by name, with its kind.
+using FlagSpec = std::map<std::string, FlagKind>;
+
+/// The one command-line grammar of the example, bench and test binaries.
+/// Accepts `--name=value`; `--name` alone is "true". An argument without a
+/// leading `--` is always positional (collected in order), so a bare switch
+/// never swallows the argument after it: `--reps 3` is reps=true plus a
+/// positional `3`, which an int flag then rejects. Parse checks every flag
+/// against the binary's FlagSpec before any work starts: an undeclared
+/// name, or a value that is not of the declared kind, is InvalidArgument
+/// naming the flag. Enumerated values (say `--path=soa|reference`) are
+/// strings that the binary checks itself.
 ///
 /// Example:
 ///   FlagParser flags;
-///   TDG_CHECK(flags.Parse(argc, argv, {"n", "k"}).ok());
+///   Status parsed = flags.Parse(argc, argv, {{"n", FlagKind::kInt}});
+///   if (!parsed.ok()) { /* print it, exit with the usage code */ }
 ///   int n = flags.GetInt("n", 10000);
 class FlagParser {
  public:
-  FlagParser() = default;
+  /// Parses argv[1..argc) against `known`.
+  Status Parse(int argc, const char* const* argv, const FlagSpec& known);
 
-  /// Parses argv[1..argc). Returns InvalidArgument on `--` without a name.
-  Status Parse(int argc, const char* const* argv);
-  /// As above, and a flag whose name is not in `known` is InvalidArgument
-  /// naming it.
-  Status Parse(int argc, const char* const* argv,
-               const std::set<std::string>& known);
-
-  bool HasFlag(const std::string& name) const;
-
-  /// Typed getters with defaults; an absent flag or a malformed value
-  /// returns the default.
+  /// The parsed value, or `default_value` when the flag is absent. A getter
+  /// for a name that was not declared with that kind is a programming
+  /// error and aborts.
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   long long GetInt(const std::string& name, long long default_value) const;
@@ -46,6 +54,10 @@ class FlagParser {
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  /// The raw value of a flag declared as `kind`; nullptr when absent.
+  const std::string* Find(const std::string& name, FlagKind kind) const;
+
+  FlagSpec known_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

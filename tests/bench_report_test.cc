@@ -1,7 +1,7 @@
 // Tests for obs::BenchReport / BenchReporter (the --report_out telemetry
-// artifact every bench binary emits): accumulation semantics, flag
-// parsing, JSON round-trips, structural validation, and counter-delta
-// capture via ScopedBenchRep.
+// artifact every bench binary emits): accumulation semantics, JSON
+// round-trips, structural validation, and counter-delta capture via
+// ScopedBenchRep.
 
 #include "obs/bench_report.h"
 
@@ -20,31 +20,19 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-TEST(BenchReporterTest, ParseReportFlagFormsAndBenchName) {
-  {
-    BenchReporter reporter;
-    const char* argv[] = {"/usr/bin/bench_fig05", "--report_out=/tmp/r.json",
-                          "--seed=99"};
-    EXPECT_TRUE(reporter.ParseReportFlag(3, argv));
-    EXPECT_EQ(reporter.bench_name(), "bench_fig05");
-    EXPECT_EQ(reporter.output_path(), "/tmp/r.json");
-    BenchReport report = reporter.Build();
-    EXPECT_EQ(report.manifest.seed, 99u);
-    ASSERT_EQ(report.manifest.args.size(), 2u);
-    EXPECT_EQ(report.manifest.args[0], "--report_out=/tmp/r.json");
-  }
-  {
-    BenchReporter reporter;
-    const char* argv[] = {"bench", "--report_out", "/tmp/r2.json"};
-    EXPECT_TRUE(reporter.ParseReportFlag(3, argv));
-    EXPECT_EQ(reporter.output_path(), "/tmp/r2.json");
-  }
-  {
-    BenchReporter reporter;
-    const char* argv[] = {"bench", "--csv=/tmp/x.csv"};
-    EXPECT_FALSE(reporter.ParseReportFlag(2, argv));
-    EXPECT_FALSE(reporter.enabled());
-  }
+TEST(BenchReporterTest, OutputPathArgsAndBenchName) {
+  BenchReporter reporter;
+  EXPECT_FALSE(reporter.enabled());
+  reporter.set_bench_name("bench_fig05");
+  reporter.set_output_path("/tmp/r.json");
+  reporter.set_args({"--report_out=/tmp/r.json", "--csv=p.csv"});
+  EXPECT_TRUE(reporter.enabled());
+  EXPECT_EQ(reporter.output_path(), "/tmp/r.json");
+  BenchReport report = reporter.Build();
+  EXPECT_EQ(report.bench_name, "bench_fig05");
+  EXPECT_EQ(report.manifest.args,
+            (std::vector<std::string>{"--report_out=/tmp/r.json",
+                                      "--csv=p.csv"}));
 }
 
 TEST(BenchReporterTest, AccumulatesRepsInInsertionOrder) {
@@ -126,6 +114,12 @@ TEST(BenchReportTest, FromJsonRejectsMalformedDocuments) {
   util::JsonValue wrong_schema = util::JsonValue::MakeObject();
   wrong_schema.Set("schema", "nope");
   EXPECT_FALSE(BenchReport::FromJson(wrong_schema).ok());
+  // The v1 schema is no longer read.
+  BenchReporter reporter("v1");
+  reporter.RecordRep("case", 10.0, 1.0);
+  util::JsonValue v1 = reporter.Build().ToJson();
+  v1.Set("schema", "tdg.bench_report.v1");
+  EXPECT_FALSE(BenchReport::FromJson(v1).ok());
 }
 
 TEST(ScopedBenchRepTest, RecordsWallTimeObjectiveAndCounterDeltas) {
@@ -202,23 +196,6 @@ TEST(BenchReportTest, V2RoundTripsCounterSeriesAndBackend) {
             (std::vector<double>{1000.0, 1010.0}));
   EXPECT_EQ(parsed->cases[0].counter_series.at("perf/total/cycles"),
             (std::vector<double>{400.0, 420.0}));
-  EXPECT_TRUE(parsed->Validate().ok()) << parsed->Validate();
-}
-
-TEST(BenchReportTest, ReadsV1ArtifactsWithoutProfilingFields) {
-  // A v1 artifact is exactly a v2 one minus counter_series/perf_backend.
-  BenchReporter reporter("v1_compat");
-  reporter.RecordRep("case", 10.0, 1.0);
-  reporter.AddCounter("case", "nodes", 5.0);
-  util::JsonValue json = reporter.Build().ToJson();
-  json.Set("schema", BenchReport::kSchemaV1);
-
-  auto parsed = BenchReport::FromJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->schema, BenchReport::kSchemaV1);  // schema is preserved
-  EXPECT_TRUE(parsed->perf_backend.empty());
-  ASSERT_EQ(parsed->cases.size(), 1u);
-  EXPECT_TRUE(parsed->cases[0].counter_series.empty());
   EXPECT_TRUE(parsed->Validate().ok()) << parsed->Validate();
 }
 

@@ -291,33 +291,6 @@ TEST(PerfDiffTest, CounterMetricsSkipTheWallResolutionFloor) {
   EXPECT_EQ(diff->cases[0].verdict, PerfVerdict::kRegression);
 }
 
-TEST(PerfDiffTest, V1BaselineDiffsCleanlyAgainstV2Candidate) {
-  // Old baselines keep gating after the schema bump: a v1 artifact (no
-  // counter_series / perf_backend) against a v2 candidate, wall metric.
-  BenchReport baseline = MakeReport({
-      {"case/a", NoisySamples(1000.0, 1.0, 8, 25)},
-  });
-  auto v1 = BenchReport::FromJson([&] {
-    util::JsonValue json = baseline.ToJson();
-    json.Set("schema", BenchReport::kSchemaV1);
-    return json;
-  }());
-  ASSERT_TRUE(v1.ok()) << v1.status();
-  ASSERT_EQ(v1->schema, BenchReport::kSchemaV1);
-
-  BenchReport candidate = MakeReport({
-      {"case/a", NoisySamples(1000.0, 1.0, 8, 26)},
-  });
-  AttachSeries(candidate, "case/a", "perf/total/instructions",
-               NoisySamples(1e6, 1.0, 8, 27));
-  candidate.perf_backend = "rusage";
-
-  auto diff = DiffBenchReports(v1.value(), candidate);
-  ASSERT_TRUE(diff.ok()) << diff.status();
-  EXPECT_FALSE(diff->Failed());
-  EXPECT_EQ(diff->cases[0].verdict, PerfVerdict::kUnchanged);
-}
-
 TEST(PerfDiffTest, MissingCounterMetricOnAPairedCaseIsAnError) {
   BenchReport report = MakeReport({{"case/a", {100.0, 110.0}}});
   PerfGateOptions options;

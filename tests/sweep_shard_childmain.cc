@@ -27,8 +27,13 @@
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
+  using enum tdg::util::FlagKind;
   tdg::util::FlagParser flags;
-  auto parse_status = flags.Parse(argc, argv);
+  auto parse_status = flags.Parse(
+      argc, argv,
+      {{"config", kString}, {"checkpoint", kString}, {"shard_index", kInt},
+       {"shard_count", kInt}, {"resume", kBool}, {"threads", kInt},
+       {"blackbox", kString}, {"progress", kBool}});
   if (!parse_status.ok()) {
     std::fprintf(stderr, "error: %s\n", parse_status.ToString().c_str());
     return 1;
