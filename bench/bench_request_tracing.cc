@@ -62,8 +62,11 @@ serve::CohortManager* OpenBenchManager() {
     std::vector<serve::CohortParticipant> participants;
     participants.reserve(kParticipants);
     for (int i = 0; i < kParticipants; ++i) {
-      participants.push_back(
-          {"p" + std::to_string(i), 1.0 + 0.05 * i});
+      // Built with += rather than `"p" + std::to_string(i)`, which GCC 12
+      // flags with a false -Wrestrict (PR105651) in Release builds.
+      std::string key = "p";
+      key += std::to_string(i);
+      participants.push_back({std::move(key), 1.0 + 0.05 * i});
     }
     auto status = (*opened)->Enroll("bench", config, participants);
     TDG_CHECK(status.ok()) << status;

@@ -16,8 +16,10 @@
 #            compiled-out observability path builds and leaves every result
 #            unchanged
 #   bench-smoke  plain build of every bench/ and examples/ binary (and
-#            tdg_sweep_shard_child); each must reject --no_such_flag, and
-#            bench_table_exact_solvers must reject --reps 3 and --reps=x;
+#            tdg_sweep_shard_child); each must reject --no_such_flag, the
+#            examples' malformed flags (example_study_buddies --weeks=x,
+#            example_quickstart --x, ...) must exit 1 rather than abort,
+#            and bench_table_exact_solvers must reject --reps 3 and --reps=x;
 #            bench_fig04_exp2 --csv must write both of its panels; then
 #            runs two fast benches with --report_out, self-checks the
 #            emitted tdg.bench_report.v2 artifacts, and diffs each report
@@ -170,6 +172,19 @@ run_bench_smoke() {
   for binary in "${binaries[@]}"; do
     if "${build_dir}/${binary}" --no_such_flag >/dev/null 2>&1; then
       echo "${binary} accepted --no_such_flag" >&2
+      exit 1
+    fi
+  done
+  echo "==> [bench-smoke] an example's bad flag is exit 1, not an abort"
+  local args code
+  for args in "example_study_buddies --weeks=x" "example_quickstart --x" \
+      "example_amt_crowdsourcing --experiment=x" \
+      "example_classroom_semester --r=x" "example_fairness_audit --n=x"; do
+    code=0
+    # shellcheck disable=SC2086
+    "${build_dir}/examples/"${args} >/dev/null 2>&1 || code=$?
+    if [[ "${code}" -ne 1 ]]; then
+      echo "${args} exited ${code}, want 1" >&2
       exit 1
     fi
   done

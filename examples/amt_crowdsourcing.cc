@@ -20,7 +20,10 @@ int main(int argc, char** argv) {
   const tdg::util::Status parsed = flags.Parse(
       argc, argv,
       {{"experiment", kInt}, {"seed", kInt}, {"deployments", kInt}});
-  TDG_CHECK(parsed.ok()) << parsed;
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   int experiment = static_cast<int>(flags.GetInt("experiment", 1));
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   int deployments = static_cast<int>(flags.GetInt("deployments", 1));

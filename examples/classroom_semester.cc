@@ -47,7 +47,10 @@ int main(int argc, char** argv) {
       argc, argv,
       {{"students", kInt}, {"group-size", kInt}, {"assignments", kInt},
        {"r", kDouble}, {"seed", kInt}, {"save-roster", kString}});
-  TDG_CHECK(parsed.ok()) << parsed;
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   int students = static_cast<int>(flags.GetInt("students", 30));
   int group_size = static_cast<int>(flags.GetInt("group-size", 5));
   int assignments = static_cast<int>(flags.GetInt("assignments", 6));

@@ -14,7 +14,6 @@
 #include "random/distributions.h"
 #include "stats/inequality.h"
 #include "util/flags.h"
-#include "util/logging.h"
 #include "util/table_printer.h"
 
 int main(int argc, char** argv) {
@@ -25,7 +24,10 @@ int main(int argc, char** argv) {
       {{"policy", kString}, {"n", kInt}, {"k", kInt}, {"alpha", kInt},
        {"r", kDouble}, {"seed", kInt}, {"mode", kString},
        {"distribution", kString}});
-  TDG_CHECK(parsed.ok()) << parsed;
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   std::string policy_name = flags.GetString("policy", "DyGroups-Star");
   int n = static_cast<int>(flags.GetInt("n", 1000));
   int k = static_cast<int>(flags.GetInt("k", 5));

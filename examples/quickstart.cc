@@ -11,13 +11,15 @@
 #include "core/dygroups.h"
 #include "core/process.h"
 #include "util/flags.h"
-#include "util/logging.h"
 
 int main(int argc, char** argv) {
   // No flags: a stray one is an error, not silently ignored.
   tdg::util::FlagParser flags;
   const tdg::util::Status parsed = flags.Parse(argc, argv, {});
-  TDG_CHECK(parsed.ok()) << parsed;
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
 
   // 1. A population: one positive skill per participant.
   tdg::SkillVector skills = {0.1, 0.2, 0.3, 0.4, 0.5,

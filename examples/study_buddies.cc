@@ -26,7 +26,10 @@ int main(int argc, char** argv) {
   const tdg::util::Status parsed = flags.Parse(
       argc, argv,
       {{"weeks", kInt}, {"lambda", kDouble}, {"seed", kInt}});
-  TDG_CHECK(parsed.ok()) << parsed;
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   int weeks = static_cast<int>(flags.GetInt("weeks", 6));
   double lambda = flags.GetDouble("lambda", 0.5);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 11));

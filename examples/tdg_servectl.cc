@@ -35,6 +35,7 @@
 //
 // Exit codes: 0 = ok, 1 = server/application error, 2 = usage error.
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -284,14 +285,16 @@ int OfflineViaProcess(const Schedule& schedule, long long to) {
   }
   const int num_rounds = static_cast<int>(to);
 
-  // No churn: every round shares one key epoch, as a served cohort's do.
+  // No churn: every round shares one id vector, as a served cohort's do.
   tdg::SkillVector skills;
-  auto keys = std::make_shared<std::vector<std::string>>();
+  auto table = std::make_shared<tdg::serve::KeyTable>();
+  auto ids = std::make_shared<std::vector<uint32_t>>();
   for (const CohortParticipant& participant : enroll.participants) {
     skills.push_back(participant.skill);
-    keys->push_back(participant.key);
+    const auto id = static_cast<uint32_t>(ids->size());
+    table->Append(id, participant.key);
+    ids->push_back(id);
   }
-  const tdg::serve::KeyEpoch epoch = std::move(keys);
   auto gain = tdg::LinearGain::Create(enroll.config.learning_rate);
   if (!gain.ok()) return Fail(gain.status());
   tdg::ProcessConfig config;
@@ -310,7 +313,8 @@ int OfflineViaProcess(const Schedule& schedule, long long to) {
     const tdg::RoundRecord& record =
         result->history[static_cast<size_t>(t)];
     tdg::serve::CohortRound round;
-    round.keys = epoch;
+    round.table = table;
+    round.ids = ids;
     round.assignment = std::make_shared<const std::vector<int>>(
         record.grouping.Assignment(n));
     round.num_groups = record.grouping.num_groups();

@@ -6,7 +6,6 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 
 #include "core/process.h"
@@ -122,6 +121,21 @@ util::StatusOr<CohortConfig> CohortConfig::FromJson(
   return config;
 }
 
+bool KeyTable::Append(uint32_t id, std::string_view key) {
+  const int chunk = ChunkOf(id);
+  TDG_CHECK(chunk < kChunks) << "key table full at id " << id;
+  uint32_t expected = id;
+  if (!size_.compare_exchange_strong(expected, id + 1)) return false;
+  // The chunk is allocated by the append of its first id, before any id in
+  // it is published, so no reader reaches the slot being written.
+  if (chunks_[chunk] == nullptr) {
+    const size_t capacity = size_t{1} << (kFirstChunkBits + chunk);
+    chunks_[chunk] = std::make_unique<std::string[]>(capacity);
+  }
+  chunks_[chunk][id - ChunkStart(chunk)] = key;
+  return true;
+}
+
 namespace {
 
 template <typename T>
@@ -133,9 +147,16 @@ bool SameContents(const std::shared_ptr<const T>& a,
 }  // namespace
 
 bool CohortRound::operator==(const CohortRound& other) const {
-  return SameContents(keys, other.keys) &&
-         SameContents(assignment, other.assignment) &&
-         num_groups == other.num_groups && gain == other.gain;
+  if (!SameContents(assignment, other.assignment) ||
+      num_groups != other.num_groups || gain != other.gain) {
+    return false;
+  }
+  if (ids == nullptr || other.ids == nullptr) return ids == other.ids;
+  if (ids->size() != other.ids->size()) return false;
+  for (size_t i = 0; i < ids->size(); ++i) {
+    if (key(i) != other.key(i)) return false;
+  }
+  return true;
 }
 
 void AppendCohortRoundJson(const CohortRound& round, int round_index,
@@ -151,7 +172,7 @@ void AppendCohortRoundJson(const CohortRound& round, int round_index,
   writer.Number(round.gain);
   writer.Key("keys");
   writer.BeginArray();
-  for (const std::string& key : *round.keys) writer.String(key);
+  for (uint32_t id : *round.ids) writer.String((*round.table)[id]);
   writer.EndArray();
   writer.Key("num_groups");
   writer.Number(round.num_groups);
@@ -327,6 +348,7 @@ Cohort::Cohort(std::string id, const CohortConfig& config, LinearGain gain)
       config_(config),
       gain_(gain),
       id_hash_(static_cast<uint32_t>(util::Fnv1a64(id_) & 0xffffffffULL)),
+      table_(std::make_shared<KeyTable>()),
       rng_(config.seed) {}
 
 util::StatusOr<Cohort> Cohort::Create(
@@ -338,43 +360,34 @@ util::StatusOr<Cohort> Cohort::Create(
                        LinearGain::Create(config.learning_rate));
   Cohort cohort(id, config, gain);
   cohort.participants_.reserve(participants.size());
-  // Join's checks in input order, with duplicates found through a local set
-  // instead of Join's linear resident scan (quadratic over an enroll or a
-  // journal replay).
-  std::unordered_set<std::string_view> keys;
-  keys.reserve(participants.size());
+  cohort.resident_ids_.reserve(participants.size());
+  cohort.keys_.reserve(participants.size());
+  // One join per participant, in input order: a repeated key fails as a
+  // join of a resident one.
   for (const CohortParticipant& participant : participants) {
-    TDG_RETURN_IF_ERROR(ValidateJoinee(participant.key, participant.skill));
-    if (!keys.insert(participant.key).second) {
-      // A repeat: Check reports the earlier entry as already resident.
-      return cohort.Check({.kind = CohortOp::kJoin,
-                           .key = participant.key,
-                           .skill = participant.skill});
-    }
-    cohort.participants_.push_back(participant);
+    TDG_RETURN_IF_ERROR(cohort.Apply({.kind = CohortOp::kJoin,
+                                      .key = participant.key,
+                                      .skill = participant.skill}));
   }
   return cohort;
 }
 
-bool Cohort::HasParticipant(const std::string& key) const {
-  for (const CohortParticipant& participant : participants_) {
-    if (participant.key == key) return true;
-  }
-  return false;
-}
-
 util::Status Cohort::Check(const CohortOp& op) const {
+  auto resident = [&] {
+    const auto key = keys_.find(op.key);
+    return key != keys_.end() && key->second.resident;
+  };
   switch (op.kind) {
     case CohortOp::kJoin:
       TDG_RETURN_IF_ERROR(ValidateJoinee(op.key, op.skill));
-      if (HasParticipant(op.key)) {
+      if (resident()) {
         return util::Status::FailedPrecondition(util::StrFormat(
             "participant '%s' is already resident in cohort '%s'",
             op.key.c_str(), id_.c_str()));
       }
       return util::Status::OK();
     case CohortOp::kLeave:
-      if (!HasParticipant(op.key)) {
+      if (!resident()) {
         return util::Status::NotFound(util::StrFormat(
             "participant '%s' is not resident in cohort '%s'",
             op.key.c_str(), id_.c_str()));
@@ -393,22 +406,51 @@ util::Status Cohort::Check(const CohortOp& op) const {
 util::Status Cohort::Apply(const CohortOp& op) {
   TDG_RETURN_IF_ERROR(Check(op));
   switch (op.kind) {
-    case CohortOp::kJoin:
+    case CohortOp::kJoin: {
+      auto key = keys_.find(op.key);
+      if (key == keys_.end()) key = Admit(op.key);
+      key->second.resident = true;
       participants_.push_back({op.key, op.skill});
+      resident_ids_.push_back(key->second.id);
       break;
-    case CohortOp::kLeave:
-      // Preserve insertion order: later residents shift down one id. The
-      // next round's key epoch re-labels everyone, so round payloads stay
-      // (key,id)-consistent.
-      participants_.erase(std::find_if(
-          participants_.begin(), participants_.end(),
-          [&op](const CohortParticipant& p) { return p.key == op.key; }));
+    }
+    case CohortOp::kLeave: {
+      // Preserve resident order: later residents shift down one position.
+      KeyState& state = keys_.find(op.key)->second;
+      state.resident = false;
+      const auto position =
+          std::find(resident_ids_.begin(), resident_ids_.end(), state.id) -
+          resident_ids_.begin();
+      participants_.erase(participants_.begin() + position);
+      resident_ids_.erase(resident_ids_.begin() + position);
       break;
+    }
     case CohortOp::kAdvance:
       return RunRound();
   }
-  keys_.reset();
+  published_ids_.reset();
   return util::Status::OK();
+}
+
+Cohort::KeyIndex::iterator Cohort::Admit(std::string_view key) {
+  const auto id = static_cast<uint32_t>(keys_.size());
+  if (!table_->Append(id, key)) {
+    // A copy of this cohort took `id` in the shared table first. Go on with
+    // a private table of this cohort's own ids; rounds already published
+    // keep the shared one, whose entries below `id` are the same keys.
+    auto table = std::make_shared<KeyTable>();
+    for (uint32_t i = 0; i < id; ++i) table->Append(i, (*table_)[i]);
+    KeyIndex keys;
+    keys.reserve(keys_.size() + 1);
+    for (const auto& [admitted, state] : keys_) {
+      keys.emplace((*table)[state.id], state);
+    }
+    keys_ = std::move(keys);
+    table_ = std::move(table);
+    const bool appended = table_->Append(id, key);
+    TDG_CHECK(appended);
+  }
+  return keys_.emplace((*table_)[id], KeyState{.id = id}).first;
 }
 
 util::Status Cohort::Join(const std::string& key, double skill) {
@@ -490,16 +532,13 @@ util::Status Cohort::RunRound() {
   }
 
   const int round_index = rounds_advanced();
-  if (keys_ == nullptr) {
-    auto keys = std::make_shared<std::vector<std::string>>();
-    keys->reserve(static_cast<size_t>(n));
-    for (const CohortParticipant& participant : participants_) {
-      keys->push_back(participant.key);
-    }
-    keys_ = std::move(keys);
+  if (published_ids_ == nullptr) {
+    published_ids_ =
+        std::make_shared<const std::vector<uint32_t>>(resident_ids_);
   }
   CohortRound round;
-  round.keys = keys_;
+  round.table = table_;
+  round.ids = published_ids_;
   round.assignment = std::make_shared<const std::vector<int>>(
       std::move(introspection.group_of));
   round.num_groups = static_cast<int>(sizes.size());

@@ -1,10 +1,13 @@
 #ifndef TDG_SERVE_COHORT_H_
 #define TDG_SERVE_COHORT_H_
 
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/interaction.h"
@@ -72,23 +75,66 @@ struct CohortParticipant {
   bool operator==(const CohortParticipant& other) const = default;
 };
 
-/// One epoch of the resident key list, in id order. Immutable once built:
-/// consecutive rounds with no Join or Leave between them share one epoch.
-using KeyEpoch = std::shared_ptr<const std::vector<std::string>>;
+/// Every participant key a cohort has admitted, each under a stable id
+/// (0, 1, 2, ... in admission order). Append-only: an entry never moves and
+/// never changes once written, so a round resolves its ids through the
+/// table after the cohort lock is released while a writer appends. The
+/// entries live in a fixed directory of chunks that grow geometrically
+/// (chunk c holds 64·2^c keys); neither the directory nor a chunk is ever
+/// reallocated, and a writer fills only entries and chunk slots that no
+/// published id reaches yet.
+class KeyTable {
+ public:
+  KeyTable() = default;
+  KeyTable(const KeyTable&) = delete;
+  KeyTable& operator=(const KeyTable&) = delete;
 
-/// One advanced round, flat (key,id) backed: `*keys` are the residents at
-/// round time in id order, `(*assignment)[id]` their group; both are set
-/// on every recorded round. A round is an immutable value — copying one
-/// bumps two reference counts, so a reader can take it out from under the
-/// cohort lock in O(1) and serialize it after the lock is released.
+  /// Writes `key` as entry `id` when `id` is the table's next id. When it
+  /// is not, because a copy of the cohort that shares this table appended
+  /// first, writes nothing and returns false.
+  bool Append(uint32_t id, std::string_view key);
+
+  const std::string& operator[](uint32_t id) const {
+    const int chunk = ChunkOf(id);
+    return chunks_[chunk][id - ChunkStart(chunk)];
+  }
+
+ private:
+  static constexpr int kFirstChunkBits = 6;  // chunk 0 holds 64 keys
+  // 64·(2^26 - 1) ids: every uint32_t id below 2^32 - 64.
+  static constexpr int kChunks = 26;
+
+  static int ChunkOf(uint32_t id) {
+    return std::bit_width((id >> kFirstChunkBits) + 1) - 1;
+  }
+  static uint32_t ChunkStart(int chunk) {
+    return ((1u << chunk) - 1) << kFirstChunkBits;
+  }
+
+  std::unique_ptr<std::string[]> chunks_[kChunks];
+  std::atomic<uint32_t> size_{0};
+};
+
+/// One advanced round: `*ids` are the residents at round time in resident
+/// order, as ids into `*table`, and `(*assignment)[i]` is the group of the
+/// i-th of them; all three are set on every recorded round. A round is an
+/// immutable value — copying one bumps three reference counts, so a reader
+/// can take it out from under the cohort lock in O(1) and serialize it
+/// after the lock is released. Consecutive rounds with no Join or Leave
+/// between them share one id vector.
 struct CohortRound {
-  KeyEpoch keys;
+  std::shared_ptr<const KeyTable> table;
+  std::shared_ptr<const std::vector<uint32_t>> ids;
   std::shared_ptr<const std::vector<int>> assignment;
   int num_groups = 0;
   double gain = 0;
 
-  /// Deep: compares key and assignment contents, never epoch identity, so
-  /// a restored round equals its reference bitwise.
+  /// The key of the resident at position i.
+  const std::string& key(size_t i) const { return (*table)[(*ids)[i]]; }
+
+  /// Deep: compares the resolved keys and the assignment contents, never
+  /// table or vector identity, so a restored round equals its reference
+  /// bitwise.
   bool operator==(const CohortRound& other) const;
 };
 
@@ -192,13 +238,12 @@ class Cohort {
     return static_cast<int>(participants_.size());
   }
   int rounds_advanced() const { return static_cast<int>(rounds_.size()); }
-  /// Residents in id order (insertion order, stable under Leave).
+  /// Residents in resident order: join order, stable under Leave; a key
+  /// that leaves and joins again goes to the end.
   const std::vector<CohortParticipant>& participants() const {
     return participants_;
   }
   const std::vector<CohortRound>& rounds() const { return rounds_; }
-
-  bool HasParticipant(const std::string& key) const;
 
   /// Stable 32-bit label for flight-recorder events (FNV of the id) — the
   /// same cohort hashes identically across restarts.
@@ -214,14 +259,34 @@ class Cohort {
   // Advance's mutation, after Check.
   util::Status RunRound();
 
+  // A key's table id and whether it is resident now.
+  struct KeyState {
+    uint32_t id = 0;
+    bool resident = false;
+  };
+  using KeyIndex = std::unordered_map<std::string_view, KeyState>;
+
+  // Adds `key`, not yet admitted, to the table under the next id.
+  KeyIndex::iterator Admit(std::string_view key);
+
   std::string id_;
   CohortConfig config_;
   LinearGain gain_;
   uint32_t id_hash_ = 0;
   std::vector<CohortParticipant> participants_;
-  // The residents' key epoch; null after a Join or Leave until the next
-  // Advance builds a fresh one.
-  KeyEpoch keys_;
+  // participants_'s table ids, position for position.
+  std::vector<uint32_t> resident_ids_;
+  // The keys this cohort admitted are the table's ids [0, keys_.size()).
+  // Copies of the cohort share the table: the first to append past that
+  // prefix extends it, and any other continues on a private copy of its
+  // own prefix (Admit), so an op on one copy never changes another.
+  std::shared_ptr<KeyTable> table_;
+  // Every admitted key, viewed in *table_. Each copy owns its own index,
+  // and with it its own residency.
+  KeyIndex keys_;
+  // resident_ids_ as published to the last round; null after a Join or
+  // Leave until the next Advance publishes a fresh copy.
+  std::shared_ptr<const std::vector<uint32_t>> published_ids_;
   std::vector<CohortRound> rounds_;
   random::Rng rng_;
 };

@@ -99,9 +99,10 @@ class CohortManager {
   /// All cohort ids, sorted.
   std::vector<std::string> CohortIds() const;
   util::StatusOr<Summary> GetSummary(const std::string& id) const;
-  /// One advanced round. O(1) under the cohort lock: the round's key epoch
-  /// and assignment are shared, immutable values, so the copy handed out is
-  /// two reference-count bumps, and the caller serializes it unlocked.
+  /// One advanced round. O(1) under the cohort lock: the round's key table,
+  /// id vector and assignment are shared, and the entries it reaches are
+  /// immutable, so the copy handed out is three reference-count bumps, and
+  /// the caller serializes it unlocked.
   util::StatusOr<CohortRound> GetRound(const std::string& id,
                                        int round) const;
   /// Deep copy of the cohort under its lock (tests, offline diffing).

@@ -263,7 +263,7 @@ JsonValue RoundDom(const serve::CohortRound& round, int round_index) {
   JsonValue assignment = JsonValue::MakeArray();
   for (int g : *round.assignment) assignment.Append(g);
   JsonValue keys = JsonValue::MakeArray();
-  for (const std::string& key : *round.keys) keys.Append(key);
+  for (size_t i = 0; i < round.ids->size(); ++i) keys.Append(round.key(i));
   JsonValue json = JsonValue::MakeObject();
   json.Set("assignment", std::move(assignment));
   json.Set("gain", round.gain);
@@ -303,12 +303,11 @@ TEST(JsonWriterTest, CohortRoundWithPunctuationKeysStreamsExactly) {
     EXPECT_EQ(streamed, RoundDom(round, t).Serialize());
     auto parsed = JsonValue::Parse(streamed);
     ASSERT_TRUE(parsed.ok()) << parsed.status();
-    std::vector<std::string> parsed_keys;
     const JsonValue parsed_array = *parsed->GetField("keys");
-    for (const JsonValue& key : parsed_array.AsArray()) {
-      parsed_keys.push_back(key.AsString());
+    ASSERT_EQ(parsed_array.AsArray().size(), round.ids->size());
+    for (size_t i = 0; i < round.ids->size(); ++i) {
+      EXPECT_EQ(parsed_array.AsArray()[i].AsString(), round.key(i));
     }
-    EXPECT_EQ(parsed_keys, *round.keys);
   }
 }
 

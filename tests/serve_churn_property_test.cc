@@ -9,10 +9,13 @@
 //   * the round gain is finite and non-negative,
 //
 // that every generated op survives AppendCohortOpJson → ParseCohortOp
-// unchanged, and, for a sample of schedules, that journaling the schedule
-// to disk and replaying it through CohortManager::Open reconstructs the
-// cohort bitwise — rounds, skills, and the RNG stream position (checked by
-// advancing once more on both sides).
+// unchanged, that Cohort::Check answers every join, leave, rejoin,
+// duplicate join and advance with the status (code and message) of a
+// linear scan of the residents, and, for a sample of schedules, that
+// journaling the schedule to disk and replaying it through
+// CohortManager::Open reconstructs the cohort bitwise — rounds, skills,
+// and the RNG stream position (checked by advancing once more on both
+// sides).
 //
 // Seeds are fixed: the schedule corpus is identical on every run.
 
@@ -22,9 +25,12 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "random/rng.h"
+#include "util/status.h"
+#include "util/string_util.h"
 #include "serve/cohort.h"
 #include "serve/cohort_manager.h"
 #include "sweep_shard_test_util.h"
@@ -60,7 +66,13 @@ Schedule RandomSchedule(random::Rng& rng, int index) {
 
   int next_key = 0;
   auto fresh_key = [&next_key, index] {
-    return "s" + std::to_string(index) + "-p" + std::to_string(next_key++);
+    // Built with += to dodge GCC 12's false -Wrestrict (PR105651) on
+    // `"s" + std::to_string(...)` in Release builds.
+    std::string key = "s";
+    key += std::to_string(index);
+    key += "-p";
+    key += std::to_string(next_key++);
+    return key;
   };
   auto fresh_skill = [&rng] { return 0.25 + 4.0 * rng.NextDouble(); };
 
@@ -116,9 +128,11 @@ void CheckRound(const CohortRound& round,
                 const std::string& context) {
   SCOPED_TRACE(context);
   const int n = static_cast<int>(population.size());
-  ASSERT_NE(round.keys, nullptr);
+  ASSERT_NE(round.ids, nullptr);
   ASSERT_NE(round.assignment, nullptr);
-  ASSERT_EQ(*round.keys, population) << "a resident was not grouped";
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < round.ids->size(); ++i) keys.push_back(round.key(i));
+  ASSERT_EQ(keys, population) << "a resident was not grouped";
   ASSERT_EQ(round.assignment->size(), population.size());
   ASSERT_GE(round.num_groups, 1);
   std::vector<int> sizes(static_cast<size_t>(round.num_groups), 0);
@@ -254,6 +268,110 @@ TEST(ServeChurnPropertyTest, JournaledSchedulesReplayBitwise) {
     ASSERT_TRUE(restored_round.ok());
     ASSERT_TRUE(reference_round.ok());
     ASSERT_EQ(*restored_round, *reference_round);
+  }
+}
+
+/// What Check answered when it scanned the residents linearly: the
+/// reference for the key table's O(1) residency.
+util::Status LinearScanCheck(const Cohort& cohort, const CohortOp& op) {
+  bool resident = false;
+  for (const CohortParticipant& participant : cohort.participants()) {
+    resident = resident || participant.key == op.key;
+  }
+  switch (op.kind) {
+    case CohortOp::kJoin:
+      if (util::Status key = ValidateParticipantKey(op.key); !key.ok()) {
+        return key;
+      }
+      if (!(op.skill > 0.0) || !std::isfinite(op.skill)) {
+        return util::Status::InvalidArgument(util::StrFormat(
+            "skill must be a finite positive number, got %g", op.skill));
+      }
+      if (resident) {
+        return util::Status::FailedPrecondition(util::StrFormat(
+            "participant '%s' is already resident in cohort '%s'",
+            op.key.c_str(), cohort.id().c_str()));
+      }
+      return util::Status::OK();
+    case CohortOp::kLeave:
+      if (!resident) {
+        return util::Status::NotFound(util::StrFormat(
+            "participant '%s' is not resident in cohort '%s'",
+            op.key.c_str(), cohort.id().c_str()));
+      }
+      return util::Status::OK();
+    case CohortOp::kAdvance:
+      if (cohort.participants().empty()) {
+        return util::Status::FailedPrecondition(util::StrFormat(
+            "cohort '%s' has no residents to group", cohort.id().c_str()));
+      }
+      return util::Status::OK();
+  }
+  return util::Status::InvalidArgument("unknown cohort op");
+}
+
+TEST(ServeChurnPropertyTest, CheckMatchesALinearResidencyScan) {
+  random::Rng rng(0xC4EC4ull);
+  for (int index = 0; index < 100; ++index) {
+    SCOPED_TRACE("schedule " + std::to_string(index));
+    CohortConfig config;
+    config.group_size = 2 + static_cast<int>(rng.NextBounded(3));
+    // Every key the schedule has used; joins and leaves draw from it, so
+    // they hit residents, keys that left, and (for leaves) keys never seen.
+    std::vector<std::string> used;
+    auto fresh_key = [&used] {
+      std::string key = "k";
+      key += std::to_string(used.size());
+      used.push_back(std::move(key));
+      return used.back();
+    };
+    std::vector<CohortParticipant> initial;
+    const uint64_t initial_count = rng.NextBounded(8);
+    for (uint64_t i = 0; i < initial_count; ++i) {
+      initial.push_back({fresh_key(), 1.0 + static_cast<double>(i)});
+    }
+    auto cohort = Cohort::Create("parity", config, initial);
+    ASSERT_TRUE(cohort.ok()) << cohort.status();
+
+    for (int i = 0; i < 60; ++i) {
+      CohortOp op;
+      const uint64_t draw = rng.NextBounded(10);
+      if (draw < 2) {
+        op = {.kind = CohortOp::kJoin, .key = fresh_key()};
+      } else if (draw < 5 && !used.empty()) {
+        // A rejoin, or a duplicate join when the key is resident.
+        op = {.kind = CohortOp::kJoin,
+              .key = used[rng.NextBounded(used.size())]};
+      } else if (draw < 8 && !used.empty()) {
+        op = {.kind = CohortOp::kLeave,
+              .key = used[rng.NextBounded(used.size())]};
+      } else if (draw < 9) {
+        op = {.kind = CohortOp::kLeave, .key = "never-seen"};
+      }
+      if (op.kind == CohortOp::kJoin) {
+        // Mostly valid skills; a bad one must win over residency.
+        const uint64_t skill = rng.NextBounded(20);
+        op.skill = skill == 0   ? 0.0
+                   : skill == 1 ? -1.0
+                                : 0.5 + rng.NextDouble();
+      }
+      SCOPED_TRACE("op " + std::to_string(i));
+      const util::Status expected = LinearScanCheck(*cohort, op);
+      const util::Status checked = cohort->Check(op);
+      ASSERT_EQ(checked.code(), expected.code()) << checked;
+      ASSERT_EQ(checked.message(), expected.message());
+      const util::Status applied = cohort->Apply(op);
+      ASSERT_EQ(applied.code(), expected.code()) << applied;
+      ASSERT_EQ(applied.message(), expected.message());
+      if (applied.ok() && op.kind == CohortOp::kAdvance) {
+        std::vector<std::string> population;
+        for (const CohortParticipant& participant : cohort->participants()) {
+          population.push_back(participant.key);
+        }
+        CheckRound(cohort->rounds().back(), population, config.group_size,
+                   "round " + std::to_string(cohort->rounds_advanced() - 1));
+      }
+    }
   }
 }
 

@@ -6,6 +6,9 @@
 //     which is what makes served groupings offline-auditable;
 //   * the m/m+1 size profile and the join/leave/advance validation grammar,
 //     and the strict integer fields of the enroll config;
+//   * the key table — rounds share id vectors until churn, copies of a
+//     cohort own their residency, a rejoin goes last under its old id, and
+//     rounds read under churn stay whole while the table grows;
 //   * durability — journals replay to bitwise-identical state (RNG stream
 //     included), a torn final line is healed, a torn header is a fresh
 //     start, a corrupt durable line or a foreign digest is refused, the
@@ -18,10 +21,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dygroups.h"
@@ -280,7 +285,27 @@ TEST(ServeCohortTest, ChurnFreeCohortMatchesRunProcessBitwise) {
   }
 }
 
-TEST(ServeCohortTest, KeyEpochsAreSharedUntilChurn) {
+std::vector<std::string> RoundKeys(const CohortRound& round) {
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < round.ids->size(); ++i) keys.push_back(round.key(i));
+  return keys;
+}
+
+std::vector<std::string> ResidentKeys(const Cohort& cohort) {
+  std::vector<std::string> keys;
+  for (const CohortParticipant& participant : cohort.participants()) {
+    keys.push_back(participant.key);
+  }
+  return keys;
+}
+
+std::string RoundBytes(const CohortRound& round, int t) {
+  std::string bytes;
+  AppendCohortRoundJson(round, t, bytes);
+  return bytes;
+}
+
+TEST(ServeCohortTest, IdVectorsAreSharedUntilChurn) {
   auto cohort = Cohort::Create("epochs", StarConfig(3), MakeParticipants(7));
   ASSERT_TRUE(cohort.ok()) << cohort.status();
   const std::vector<std::string> enrolled = {"p0", "p1", "p2", "p3",
@@ -297,33 +322,168 @@ TEST(ServeCohortTest, KeyEpochsAreSharedUntilChurn) {
 
   const std::vector<CohortRound>& rounds = cohort->rounds();
   ASSERT_EQ(rounds.size(), 5u);
-  // No churn between rounds 0 and 1, nor between 3 and 4: one epoch each.
-  EXPECT_EQ(rounds[0].keys, rounds[1].keys);
-  EXPECT_EQ(rounds[3].keys, rounds[4].keys);
-  // A Join, and then a Leave, each start a new epoch.
-  EXPECT_NE(rounds[1].keys, rounds[2].keys);
-  EXPECT_NE(rounds[2].keys, rounds[3].keys);
-  // Every round owns its assignment.
+  // No churn between rounds 0 and 1, nor between 3 and 4: one id vector
+  // each.
+  EXPECT_EQ(rounds[0].ids, rounds[1].ids);
+  EXPECT_EQ(rounds[3].ids, rounds[4].ids);
+  // A Join, and then a Leave, each start a new id vector.
+  EXPECT_NE(rounds[1].ids, rounds[2].ids);
+  EXPECT_NE(rounds[2].ids, rounds[3].ids);
+  // Every round owns its assignment; all share the cohort's key table.
   EXPECT_NE(rounds[0].assignment, rounds[1].assignment);
+  EXPECT_EQ(rounds[0].table, rounds[4].table);
 
-  // Older epochs keep their keys after the later Leave.
-  EXPECT_EQ(*rounds[0].keys, enrolled);
+  // Older rounds keep their keys after the later Leave.
+  EXPECT_EQ(RoundKeys(rounds[0]), enrolled);
   std::vector<std::string> joined = enrolled;
   joined.push_back("late");
-  EXPECT_EQ(*with_late.keys, joined);
-  EXPECT_EQ(with_late.keys, rounds[2].keys);
+  EXPECT_EQ(RoundKeys(with_late), joined);
+  EXPECT_EQ(with_late.ids, rounds[2].ids);
   EXPECT_EQ(with_late, rounds[2]);
   std::vector<std::string> left = joined;
   left.erase(left.begin() + 2);
-  EXPECT_EQ(*rounds[3].keys, left);
+  EXPECT_EQ(RoundKeys(rounds[3]), left);
 
-  // == compares contents, not epoch identity.
+  // == compares resolved keys and contents, not table or vector identity:
+  // the same keys under other ids in another table are the same round.
   CohortRound copy = rounds[0];
-  copy.keys = std::make_shared<const std::vector<std::string>>(*copy.keys);
+  auto table = std::make_shared<KeyTable>();
+  auto ids = std::make_shared<std::vector<uint32_t>>();
+  for (size_t i = 0; i < enrolled.size(); ++i) {
+    ASSERT_TRUE(table->Append(static_cast<uint32_t>(i),
+                              enrolled[enrolled.size() - 1 - i]));
+    ids->insert(ids->begin(), static_cast<uint32_t>(i));
+  }
+  EXPECT_FALSE(table->Append(0, "taken"));
+  copy.table = table;
+  copy.ids = ids;
   copy.assignment = std::make_shared<const std::vector<int>>(*copy.assignment);
   EXPECT_EQ(copy, rounds[0]);
-  copy.keys = rounds[3].keys;
+  copy.table = rounds[3].table;
+  copy.ids = rounds[3].ids;
   EXPECT_NE(copy, rounds[0]);
+}
+
+// A Cohort is a value: a copy owns its residency, and an op on one copy
+// never changes another, even while the copies share a key table.
+TEST(ServeCohortTest, CopiesOwnTheirResidency) {
+  auto original = Cohort::Create("copies", StarConfig(2), MakeParticipants(5));
+  ASSERT_TRUE(original.ok()) << original.status();
+  ASSERT_TRUE(original->Advance().ok());
+  const CohortRound first = original->rounds()[0];
+  const std::string first_bytes = RoundBytes(first, 0);
+  const std::vector<std::string> enrolled = ResidentKeys(*original);
+
+  // A join on the copy takes the next id in the shared table.
+  Cohort copy = *original;
+  ASSERT_TRUE(copy.Join("fresh", 2.0).ok());
+  const CohortOp join_fresh{.kind = CohortOp::kJoin, .key = "fresh",
+                            .skill = 3.0};
+  const CohortOp leave_fresh{.kind = CohortOp::kLeave, .key = "fresh"};
+  EXPECT_EQ(copy.Check(join_fresh).code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(original->Check(join_fresh).ok());
+  EXPECT_EQ(original->Check(leave_fresh).code(), util::StatusCode::kNotFound);
+  EXPECT_EQ(ResidentKeys(*original), enrolled);
+  EXPECT_EQ(RoundBytes(original->rounds()[0], 0), first_bytes);
+
+  // The original's own join finds that id taken and continues on a
+  // private table; each side sees only its own keys.
+  ASSERT_TRUE(original->Join("other", 4.0).ok());
+  EXPECT_EQ(copy.Check({.kind = CohortOp::kLeave, .key = "other"}).code(),
+            util::StatusCode::kNotFound);
+  ASSERT_TRUE(original->Advance().ok());
+  ASSERT_TRUE(copy.Advance().ok());
+  std::vector<std::string> with_other = enrolled;
+  with_other.push_back("other");
+  std::vector<std::string> with_fresh = enrolled;
+  with_fresh.push_back("fresh");
+  EXPECT_EQ(RoundKeys(original->rounds()[1]), with_other);
+  EXPECT_EQ(RoundKeys(copy.rounds()[1]), with_fresh);
+  EXPECT_NE(original->rounds()[1].table, copy.rounds()[1].table);
+
+  // A leave on a copy of the copy leaves the copy resident.
+  Cohort second = copy;
+  ASSERT_TRUE(second.Leave("p1").ok());
+  EXPECT_TRUE(copy.Check({.kind = CohortOp::kLeave, .key = "p1"}).ok());
+  EXPECT_EQ(copy.num_participants(), 6);
+
+  // Two copies that grow the shared table at once, across chunk
+  // boundaries: each ends with exactly its own keys.
+  Cohort left = *original;
+  Cohort right = *original;
+  constexpr int kJoins = 300;
+  auto grow = [](Cohort& cohort, const std::string& prefix) {
+    for (int i = 0; i < kJoins; ++i) {
+      std::string key = prefix;
+      key += std::to_string(i);
+      ASSERT_TRUE(cohort.Join(key, 1.0 + i).ok());
+    }
+    ASSERT_TRUE(cohort.Advance().ok());
+  };
+  std::thread left_thread([&] { grow(left, "l"); });
+  std::thread right_thread([&] { grow(right, "r"); });
+  left_thread.join();
+  right_thread.join();
+  for (auto [cohort, prefix] :
+       {std::pair<Cohort*, std::string>{&left, "l"}, {&right, "r"}}) {
+    std::vector<std::string> expected = with_other;
+    for (int i = 0; i < kJoins; ++i) {
+      expected.push_back(prefix + std::to_string(i));
+    }
+    EXPECT_EQ(RoundKeys(cohort->rounds().back()), expected) << prefix;
+    EXPECT_EQ(ResidentKeys(*cohort), expected) << prefix;
+  }
+  EXPECT_EQ(ResidentKeys(*original), with_other);
+
+  // Held by value across all of it: the first round keeps its bytes, in
+  // every copy.
+  EXPECT_EQ(RoundBytes(first, 0), first_bytes);
+  for (const Cohort* cohort : {&*original, &copy, &second, &left, &right}) {
+    EXPECT_EQ(RoundBytes(cohort->rounds()[0], 0), first_bytes);
+  }
+}
+
+TEST(ServeCohortTest, ChurnOrderAndRejoins) {
+  auto cohort = Cohort::Create("order", StarConfig(2), MakeParticipants(5));
+  ASSERT_TRUE(cohort.ok()) << cohort.status();
+  ASSERT_TRUE(cohort->Advance().ok());
+  const CohortRound first = cohort->rounds()[0];
+  const std::string first_bytes = RoundBytes(first, 0);
+
+  // A key that left and rejoins goes to the end of the resident order,
+  // under the id it was first admitted with.
+  ASSERT_TRUE(cohort->Leave("p1").ok());
+  ASSERT_TRUE(cohort->Join("p1", 7.0).ok());
+  EXPECT_EQ(ResidentKeys(*cohort),
+            (std::vector<std::string>{"p0", "p2", "p3", "p4", "p1"}));
+  ASSERT_TRUE(cohort->Advance().ok());
+  const CohortRound& second = cohort->rounds()[1];
+  EXPECT_EQ(RoundKeys(second),
+            (std::vector<std::string>{"p0", "p2", "p3", "p4", "p1"}));
+  EXPECT_EQ(second.ids->back(), (*first.ids)[1]);
+  EXPECT_EQ(second.table, first.table);
+
+  // A key that joined since the last advance can leave, and rejoin,
+  // before the next one; so can an enrolled key.
+  ASSERT_TRUE(cohort->Join("x", 2.0).ok());
+  ASSERT_TRUE(cohort->Leave("x").ok());
+  EXPECT_EQ(cohort->Leave("x").code(), util::StatusCode::kNotFound);
+  ASSERT_TRUE(cohort->Join("x", 3.0).ok());
+  EXPECT_EQ(cohort->Join("x", 3.0).code(),
+            util::StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(cohort->Leave("p0").ok());
+  ASSERT_TRUE(cohort->Join("p0", 4.0).ok());
+  // A rejoin brings the skill it joins with.
+  EXPECT_EQ(cohort->participants().back().skill, 4.0);
+  ASSERT_TRUE(cohort->Advance().ok());
+  const std::vector<std::string> order = {"p2", "p3", "p4", "p1", "x", "p0"};
+  EXPECT_EQ(ResidentKeys(*cohort), order);
+  EXPECT_EQ(RoundKeys(cohort->rounds()[2]), order);
+
+  // Held by value across all of it: the first round keeps its bytes.
+  EXPECT_EQ(RoundBytes(first, 0), first_bytes);
+  EXPECT_EQ(RoundBytes(cohort->rounds()[0], 0), first_bytes);
 }
 
 TEST(ServeConcurrentReadTest, RoundsReadUnderChurnAreWholeAndStable) {
@@ -334,7 +494,10 @@ TEST(ServeConcurrentReadTest, RoundsReadUnderChurnAreWholeAndStable) {
   ASSERT_TRUE(m.Advance("live").ok());
 
   constexpr int kAdvances = 300;
-  constexpr int kChurns = 200;
+  // 96 enrolled keys plus one fresh key per churn fill the key table past
+  // the starts of chunks 2 (id 192) and 3 (id 448).
+  constexpr int kChurns = 400;
+  static_assert(96 + kChurns > 448);
   constexpr int kReaders = 3;
   constexpr size_t kMinReads = 100;
   // The writers start once every reader is reading.
@@ -350,11 +513,15 @@ TEST(ServeConcurrentReadTest, RoundsReadUnderChurnAreWholeAndStable) {
   });
   std::thread churner([&] {
     await_readers();
+    std::string previous;
     for (int i = 0; i < kChurns; ++i) {
       std::string key = "j";
       key += std::to_string(i);
       (void)m.Join("live", key, 1.5 + 0.01 * i);
       if (i % 3 != 0) (void)m.Leave("live", key);
+      // j(i-1) left at i-1 (i-1 = 1 mod 3): it rejoins under its old id.
+      if (i % 3 == 2) (void)m.Join("live", previous, 2.5);
+      previous = std::move(key);
     }
     --writers_running;
   });
@@ -381,7 +548,7 @@ TEST(ServeConcurrentReadTest, RoundsReadUnderChurnAreWholeAndStable) {
             rng() % static_cast<unsigned>(summary->rounds));
         auto round = m.GetRound("live", t);
         if (!round.ok()) continue;
-        if (round->keys->size() != round->assignment->size()) ++torn;
+        if (round->ids->size() != round->assignment->size()) ++torn;
         std::string bytes;
         AppendCohortRoundJson(*round, t, bytes);
         mine.push_back({t, std::move(bytes)});
@@ -466,7 +633,8 @@ TEST_F(ServeJournalTest, ReplayRestoresBitwiseStateAndRngStream) {
   ASSERT_TRUE(restored_cohort.ok()) << restored_cohort.status();
   ASSERT_TRUE(reference_cohort.ok());
   // Bitwise state: every round (keys, assignment, gain) and every resident
-  // skill. CohortRound equality is deep (contents, not epoch identity) and
+  // skill. CohortRound equality is deep (resolved keys and contents, not
+  // table or vector identity) and
   // CohortParticipant's is defaulted ==, i.e. exact doubles.
   EXPECT_EQ(restored_cohort->rounds(), reference_cohort->rounds());
   EXPECT_EQ(restored_cohort->participants(),
