@@ -99,7 +99,9 @@
 #            -DCMAKE_CXX_FLAGS=-Werror on the command line: the repo's
 #            -Wall -Wextra warnings fail the build; then the same build
 #            with -DTDG_OBS_DISABLED=ON (build only), where compiled-out
-#            macros leave variables unused
+#            macros leave variables unused, and a Release (-O3) build only,
+#            whose deeper inlining raises warnings (GCC 12's -Wrestrict
+#            on string concatenation) that RelWithDebInfo does not
 #
 # Build trees live under build-ci/<config> so they never disturb ./build.
 
@@ -1119,6 +1121,12 @@ run_werror() {
     -DCMAKE_CXX_FLAGS=-Werror -DTDG_OBS_DISABLED=ON >/dev/null
   echo "==> [werror] build every target with observability compiled out"
   cmake --build "${obs_off_dir}" -j "${JOBS}" >/dev/null
+  local release_dir="build-ci/werror-release"
+  echo "==> [werror] configure (-Werror, Release)"
+  cmake -B "${release_dir}" -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+  echo "==> [werror] build every target in Release"
+  cmake --build "${release_dir}" -j "${JOBS}" >/dev/null
   echo "==> [werror] OK"
 }
 

@@ -1,7 +1,9 @@
 #include "serve/cohort.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <memory>
 #include <span>
@@ -159,26 +161,97 @@ bool CohortRound::operator==(const CohortRound& other) const {
   return true;
 }
 
+namespace {
+
+// The round's fixed bytes around its values, members in sorted key order
+// as a JsonValue object writes them.
+constexpr std::string_view kAssignmentOpen = "{\"assignment\":[";
+constexpr std::string_view kGainMember = "],\"gain\":";
+constexpr std::string_view kKeysOpen = ",\"keys\":[";
+constexpr std::string_view kNumGroupsMember = "],\"num_groups\":";
+constexpr std::string_view kRoundMember = ",\"round\":";
+
+// Bytes std::to_chars writes for `value`. Compares, not a division per
+// digit: a group index below 10^4 takes no division at all.
+size_t DecimalSize(int value) {
+  unsigned magnitude = value < 0 ? 0u - static_cast<unsigned>(value)
+                                 : static_cast<unsigned>(value);
+  size_t size = value < 0 ? 2 : 1;  // the sign and the first digit
+  for (; magnitude >= 10000; magnitude /= 10000) size += 4;
+  return size + (magnitude >= 10) + (magnitude >= 100) + (magnitude >= 1000);
+}
+
+size_t Commas(size_t values) { return values > 0 ? values - 1 : 0; }
+
+char* Put(char* dest, std::string_view bytes) {
+  std::memcpy(dest, bytes.data(), bytes.size());
+  return dest + bytes.size();
+}
+
+}  // namespace
+
 void AppendCohortRoundJson(const CohortRound& round, int round_index,
                            std::string& out) {
-  // Members in sorted key order, as a JsonValue object would write them.
-  util::JsonWriter writer(out);
-  writer.BeginObject();
-  writer.Key("assignment");
-  writer.BeginArray();
-  for (int g : *round.assignment) writer.Number(g);
-  writer.EndArray();
-  writer.Key("gain");
-  writer.Number(round.gain);
-  writer.Key("keys");
-  writer.BeginArray();
-  for (uint32_t id : *round.ids) writer.String((*round.table)[id]);
-  writer.EndArray();
-  writer.Key("num_groups");
-  writer.Number(round.num_groups);
-  writer.Key("round");
-  writer.Number(round_index);
-  writer.EndObject();
+  // Two passes: the first sums the exact size of the round's bytes, the
+  // second resizes `out` once and writes them through a raw pointer. The
+  // bytes are JsonWriter's (DESIGN.md §13): the gain goes through
+  // JsonWriter::Number, every int is std::to_chars (Number's form for any
+  // int-valued double below 1e15), and every key is util::WriteJsonString,
+  // the escape behind JsonWriter::String.
+  const std::vector<int>& assignment = *round.assignment;
+  const std::vector<uint32_t>& ids = *round.ids;
+  const KeyTable& table = *round.table;
+  std::string gain;
+  util::JsonWriter(gain).Number(round.gain);
+
+  size_t size = kAssignmentOpen.size() + Commas(assignment.size()) +
+                kGainMember.size() + gain.size() + kKeysOpen.size() +
+                Commas(ids.size()) + kNumGroupsMember.size() +
+                DecimalSize(round.num_groups) + kRoundMember.size() +
+                DecimalSize(round_index) + 1;
+  for (int group : assignment) size += DecimalSize(group);
+  size_t key_bytes = 0;
+  size_t unescaped_key_bytes = 0;
+  for (uint32_t id : ids) {
+    const std::string& key = table[id];
+    key_bytes += util::JsonStringSize(key);
+    unescaped_key_bytes += key.size() + 2;
+  }
+  size += key_bytes;
+  // When no key needs an escape (the common round), each is copied whole
+  // rather than scanned a second time by WriteJsonString.
+  const bool escaped = key_bytes != unescaped_key_bytes;
+
+  const size_t start = out.size();
+  out.resize(start + size);
+  char* dest = out.data() + start;
+  char* const end = out.data() + out.size();
+  dest = Put(dest, kAssignmentOpen);
+  for (size_t i = 0; i < assignment.size(); ++i) {
+    if (i > 0) *dest++ = ',';
+    dest = std::to_chars(dest, end, assignment[i]).ptr;
+  }
+  dest = Put(dest, kGainMember);
+  dest = Put(dest, gain);
+  dest = Put(dest, kKeysOpen);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) *dest++ = ',';
+    const std::string& key = table[ids[i]];
+    if (escaped) {
+      dest = util::WriteJsonString(key, dest);
+    } else {
+      *dest++ = '"';
+      dest = Put(dest, key);
+      *dest++ = '"';
+    }
+  }
+  dest = Put(dest, kNumGroupsMember);
+  dest = std::to_chars(dest, end, round.num_groups).ptr;
+  dest = Put(dest, kRoundMember);
+  dest = std::to_chars(dest, end, round_index).ptr;
+  *dest++ = '}';
+  TDG_CHECK(dest == end) << "round bytes sized " << size << ", wrote "
+                         << (dest - (out.data() + start));
 }
 
 util::JsonValue CohortRoundToJson(const CohortRound& round,

@@ -138,7 +138,8 @@ struct CohortRound {
   bool operator==(const CohortRound& other) const;
 };
 
-/// Streams the canonical wire form of one round into `out`:
+/// Appends the canonical wire form of one round to `out`, sized exactly
+/// first and then written with one resize (DESIGN.md §13):
 /// {"assignment":[...],"gain":g,"keys":[...],"num_groups":k,"round":t}.
 /// This is the one definition of the round's bytes; the HTTP server writes
 /// it straight into the response body.

@@ -1,9 +1,12 @@
 #include "util/json.h"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -85,6 +88,66 @@ bool JsonValue::operator==(const JsonValue& other) const {
   return false;
 }
 
+namespace {
+
+// How each byte is written inside a JSON string: '"', '\\' and the five
+// named control bytes as '\\' and their letter, every other control byte
+// as \u00XX (letter 'u'), and every other byte as itself (letter 0).
+constexpr std::array<char, 256> kEscapeLetter = [] {
+  std::array<char, 256> letter{};
+  for (int c = 0; c < 0x20; ++c) letter[c] = 'u';
+  for (const char* pair : {"\"\"", "\\\\", "\nn", "\rr", "\tt", "\bb", "\ff"}) {
+    letter[static_cast<unsigned char>(pair[0])] = pair[1];
+  }
+  return letter;
+}();
+
+// Bytes the escape of each byte adds to it.
+constexpr std::array<uint8_t, 256> kEscapeExtra = [] {
+  std::array<uint8_t, 256> extra{};
+  for (int c = 0; c < 256; ++c) {
+    extra[c] = kEscapeLetter[c] == 'u' ? 5 : kEscapeLetter[c] != 0;
+  }
+  return extra;
+}();
+
+}  // namespace
+
+size_t JsonStringSize(std::string_view text) {
+  size_t size = text.size() + 2;
+  for (char c : text) size += kEscapeExtra[static_cast<unsigned char>(c)];
+  return size;
+}
+
+char* WriteJsonString(std::string_view text, char* dest) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *dest++ = '"';
+  // Copy runs of plain bytes whole; only escaped bytes are rewritten.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    const char letter = kEscapeLetter[c];
+    if (letter == 0) continue;
+    std::memcpy(dest, text.data() + run, i - run);
+    dest += i - run;
+    run = i + 1;
+    *dest++ = '\\';
+    *dest++ = letter;
+    if (letter == 'u') {
+      *dest++ = '0';
+      *dest++ = '0';
+      *dest++ = kHex[c >> 4];
+      *dest++ = kHex[c & 0xf];
+    }
+  }
+  if (run < text.size()) {  // an empty view's data() may be null
+    std::memcpy(dest, text.data() + run, text.size() - run);
+    dest += text.size() - run;
+  }
+  *dest++ = '"';
+  return dest;
+}
+
 void JsonWriter::NewLine() {
   if (indent_ == 0) return;
   out_.push_back('\n');
@@ -136,46 +199,9 @@ void JsonWriter::Number(double value) {
 
 void JsonWriter::String(std::string_view value) {
   BeforeValue();
-  static constexpr char kHex[] = "0123456789abcdef";
-  out_.push_back('"');
-  // Copy runs of plain bytes whole; only '"', '\\' and control bytes are
-  // rewritten.
-  size_t run = 0;
-  for (size_t i = 0; i < value.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(value[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out_.append(value.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"':
-        out_ += "\\\"";
-        break;
-      case '\\':
-        out_ += "\\\\";
-        break;
-      case '\n':
-        out_ += "\\n";
-        break;
-      case '\r':
-        out_ += "\\r";
-        break;
-      case '\t':
-        out_ += "\\t";
-        break;
-      case '\b':
-        out_ += "\\b";
-        break;
-      case '\f':
-        out_ += "\\f";
-        break;
-      default:
-        out_ += "\\u00";
-        out_.push_back(kHex[c >> 4]);
-        out_.push_back(kHex[c & 0xf]);
-    }
-  }
-  out_.append(value.data() + run, value.size() - run);
-  out_.push_back('"');
+  const size_t at = out_.size();
+  out_.resize(at + JsonStringSize(value));
+  WriteJsonString(value, out_.data() + at);
 }
 
 void JsonWriter::Key(std::string_view key) {

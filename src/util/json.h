@@ -1,6 +1,7 @@
 #ifndef TDG_UTIL_JSON_H_
 #define TDG_UTIL_JSON_H_
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -131,6 +132,16 @@ class JsonValue {
 
 /// Escapes a string for embedding in JSON (adds surrounding quotes).
 std::string JsonEscape(std::string_view text);
+
+/// The JSON string form of `text` (quotes included) in two steps, for a
+/// writer that sizes its whole output before writing it: JsonStringSize is
+/// the exact byte count, and WriteJsonString writes those bytes at `dest`
+/// and returns the end. JsonWriter::String is these two calls, so every
+/// JSON string this repo writes goes through the one escape rule:
+/// '"', '\\', \n, \r, \t, \b and \f get their two-byte escapes, other
+/// bytes below 0x20 are \u00XX, and every other byte is copied as is.
+size_t JsonStringSize(std::string_view text);
+char* WriteJsonString(std::string_view text, char* dest);
 
 }  // namespace tdg::util
 

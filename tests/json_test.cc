@@ -257,6 +257,63 @@ TEST(JsonWriterTest, ControlBytesEscapeAsLowercaseUnicode) {
   EXPECT_EQ(parsed->AsString(), raw);
 }
 
+TEST(JsonWriterTest, EscapeHelperMatchesTheWriterOnEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    // The escape rule, spelled out apart from the code under test.
+    std::string escaped;
+    switch (b) {
+      case '"':
+        escaped = "\\\"";
+        break;
+      case '\\':
+        escaped = "\\\\";
+        break;
+      case '\n':
+        escaped = "\\n";
+        break;
+      case '\r':
+        escaped = "\\r";
+        break;
+      case '\t':
+        escaped = "\\t";
+        break;
+      case '\b':
+        escaped = "\\b";
+        break;
+      case '\f':
+        escaped = "\\f";
+        break;
+      default:
+        escaped = b < 0x20 ? StrFormat("\\u%04x", b)
+                           : std::string(1, static_cast<char>(b));
+    }
+    // The byte alone, and inside a run of plain bytes that is copied whole.
+    std::string alone(1, static_cast<char>(b));
+    std::string inside = "ab";
+    inside += alone;
+    inside += "yz";
+    for (const auto& [text, body] :
+         {std::pair<std::string, std::string>{alone, escaped},
+          std::pair<std::string, std::string>{inside,
+                                              "ab" + escaped + "yz"}}) {
+      SCOPED_TRACE(StrFormat("byte 0x%02x in '%s'", b, text.c_str()));
+      std::string expected = "\"";
+      expected += body;
+      expected += '"';
+      ASSERT_EQ(JsonStringSize(text), expected.size());
+      std::string written(expected.size(), '\0');
+      EXPECT_EQ(WriteJsonString(text, written.data()),
+                written.data() + written.size());
+      EXPECT_EQ(written, expected);
+      EXPECT_EQ(JsonEscape(text), expected);  // JsonWriter::String
+    }
+  }
+  EXPECT_EQ(JsonStringSize(""), 2u);
+  char empty[2];
+  EXPECT_EQ(WriteJsonString(std::string_view(), empty), empty + 2);
+  EXPECT_EQ(std::string_view(empty, 2), "\"\"");
+}
+
 /// The round wire form as a DOM, member by member — what the server
 /// answered before rounds were streamed.
 JsonValue RoundDom(const serve::CohortRound& round, int round_index) {

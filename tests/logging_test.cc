@@ -96,7 +96,10 @@ TEST(LoggingTest, PrefixCarriesMonotonicTimestampAndThreadId) {
   EXPECT_NE(output.find("[INFO "), std::string::npos);
   EXPECT_NE(output.find(" t"), std::string::npos);
   EXPECT_NE(output.find('.'), std::string::npos);  // fractional seconds
-  std::string expected_tid = "t" + std::to_string(CurrentThreadId());
+  // Built with += rather than `"t" + std::to_string(...)`, which GCC 12
+  // flags with a false -Wrestrict (PR105651) in Release builds.
+  std::string expected_tid = "t";
+  expected_tid += std::to_string(CurrentThreadId());
   EXPECT_NE(output.find(expected_tid), std::string::npos);
   SetMinLogSeverity(original);
 }

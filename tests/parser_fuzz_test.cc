@@ -67,8 +67,11 @@ util::JsonValue RandomJson(random::Rng& rng, int depth) {
       util::JsonValue object = util::JsonValue::MakeObject();
       uint64_t len = rng.NextBounded(4);
       for (uint64_t i = 0; i < len; ++i) {
-        object.Set("k" + std::to_string(rng.NextBounded(100)),
-                   RandomJson(rng, depth - 1));
+        // Built with += rather than `"k" + std::to_string(...)`, which GCC
+        // 12 flags with a false -Wrestrict (PR105651) in Release builds.
+        std::string key = "k";
+        key += std::to_string(rng.NextBounded(100));
+        object.Set(key, RandomJson(rng, depth - 1));
       }
       return object;
     }
@@ -81,7 +84,11 @@ util::JsonValue RandomJson(random::Rng& rng, int depth) {
 std::string RandomCsv(random::Rng& rng) {
   std::vector<std::string> header;
   uint64_t cols = 1 + rng.NextBounded(4);
-  for (uint64_t c = 0; c < cols; ++c) header.push_back("h" + std::to_string(c));
+  for (uint64_t c = 0; c < cols; ++c) {
+    std::string name = "h";  // += for the same -Wrestrict as RandomJson's keys
+    name += std::to_string(c);
+    header.push_back(std::move(name));
+  }
   util::CsvDocument doc(std::move(header));
   uint64_t rows = rng.NextBounded(5);
   for (uint64_t r = 0; r < rows; ++r) {

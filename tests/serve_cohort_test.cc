@@ -20,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -37,6 +39,7 @@
 #include "util/file_util.h"
 #include "util/json.h"
 #include "util/net.h"
+#include "util/string_util.h"
 
 namespace tdg::serve {
 namespace {
@@ -486,6 +489,127 @@ TEST(ServeCohortTest, ChurnOrderAndRejoins) {
   EXPECT_EQ(RoundBytes(cohort->rounds()[0], 0), first_bytes);
 }
 
+// A key of `length` bytes drawn from `alphabet`.
+std::string RandomKey(std::mt19937_64& rng, std::string_view alphabet,
+                      size_t length) {
+  std::uniform_int_distribution<size_t> pick(0, alphabet.size() - 1);
+  std::string key(length, ' ');
+  for (char& c : key) c = alphabet[pick(rng)];
+  return key;
+}
+
+// The round's wire form built member by member as a JsonValue and
+// serialized: the oracle for AppendCohortRoundJson's sized pass.
+std::string RoundOracle(const CohortRound& round, int round_index) {
+  util::JsonValue assignment = util::JsonValue::MakeArray();
+  for (int group : *round.assignment) assignment.Append(group);
+  util::JsonValue keys = util::JsonValue::MakeArray();
+  for (size_t i = 0; i < round.ids->size(); ++i) keys.Append(round.key(i));
+  util::JsonValue json = util::JsonValue::MakeObject();
+  json.Set("assignment", std::move(assignment));
+  json.Set("gain", round.gain);
+  json.Set("keys", std::move(keys));
+  json.Set("num_groups", round.num_groups);
+  json.Set("round", round_index);
+  return json.Serialize();
+}
+
+TEST(ServeCohortTest, RoundWireFormMatchesTheDomOracle) {
+  // Every byte ValidateParticipantKey admits, and the same without '\\'
+  // (the common round, whose keys are copied whole).
+  std::string admitted;
+  for (int c = 0x20; c < 0x7f; ++c) {
+    if (c != '/' && c != '"') admitted.push_back(static_cast<char>(c));
+  }
+  std::string plain = admitted;
+  std::erase(plain, '\\');
+  // Group indices on both sides of every digit-count step up to 4 digits;
+  // an assignment also draws the int extremes, which no round holds.
+  const std::vector<int> boundaries = {0, 1, 9, 10, 99, 100, 999, 1000};
+  const std::vector<int> extremes = {-1, -10, 9999, 10000, INT_MAX, INT_MIN};
+  const std::vector<double> gains = {0,     3,          1e14, -2,
+                                     1e15,  0.1,        1.0 / 3,
+                                     -0.5,  12345.678,  2.5e-300};
+  const std::vector<size_t> sizes = {1, 2, 9, 10, 64, 4096, 5000};
+  std::mt19937_64 rng(0x5EED);
+  auto uniform = [&rng](size_t lo, size_t hi) {
+    return std::uniform_int_distribution<size_t>(lo, hi)(rng);
+  };
+  bool saw_backslash = false;
+  for (size_t trial = 0; trial < 20; ++trial) {
+    const size_t n = trial < sizes.size() ? sizes[trial] : uniform(1, 5000);
+    const std::string_view alphabet = trial % 2 == 0 ? admitted : plain;
+    SCOPED_TRACE(util::StrFormat("trial %zu: n=%zu, %s keys", trial, n,
+                                 trial % 2 == 0 ? "any" : "plain"));
+    // More keys admitted than resident: the round's ids are a churned
+    // subset of the table in shuffled order.
+    auto table = std::make_shared<KeyTable>();
+    std::vector<uint32_t> ids(n + uniform(0, n));
+    for (uint32_t id = 0; id < ids.size(); ++id) {
+      const size_t length = id % 3 == 0 ? 1 : id % 3 == 1 ? 128
+                                                          : uniform(1, 128);
+      const std::string key = RandomKey(rng, alphabet, length);
+      ASSERT_TRUE(ValidateParticipantKey(key).ok()) << key;
+      saw_backslash |= key.find('\\') != std::string::npos;
+      ASSERT_TRUE(table->Append(id, key));
+      ids[id] = id;
+    }
+    std::shuffle(ids.begin(), ids.end(), rng);
+    ids.resize(n);
+    // Two rounds share the id vector, as churn-free rounds do.
+    const auto shared_ids =
+        std::make_shared<const std::vector<uint32_t>>(std::move(ids));
+    for (size_t copy = 0; copy < 2; ++copy) {
+      const size_t draw = 2 * trial + copy;
+      std::vector<int> assignment(n);
+      for (int& group : assignment) {
+        switch (uniform(0, 7)) {
+          case 0:
+            group = extremes[uniform(0, extremes.size() - 1)];
+            break;
+          case 1:
+          case 2:
+          case 3:
+            group = boundaries[uniform(0, boundaries.size() - 1)];
+            break;
+          default:
+            group = static_cast<int>(uniform(0, 1000));
+        }
+      }
+      CohortRound round;
+      round.table = table;
+      round.ids = shared_ids;
+      round.assignment =
+          std::make_shared<const std::vector<int>>(std::move(assignment));
+      round.num_groups = boundaries[draw % boundaries.size()] + 1;
+      round.gain = gains[draw % gains.size()];
+      const int t = draw % 3 == 0   ? 0
+                    : draw % 3 == 1 ? 1'000'000'000
+                                    : static_cast<int>(uniform(1, 999'999'999));
+      // A response head already in the buffer stays in front of the round.
+      const std::string prefix = copy == 0 ? "" : "HTTP/1.1 200 OK\r\n\r\n";
+      std::string out = prefix;
+      AppendCohortRoundJson(round, t, out);
+      std::string expected = prefix;
+      expected += RoundOracle(round, t);
+      ASSERT_EQ(out, expected) << "round " << t << ", gain " << round.gain;
+      // The oracle shares the escape with the writer; the parse does not.
+      auto parsed = util::JsonValue::Parse(
+          std::string_view(out).substr(prefix.size()));
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      const util::JsonValue keys = *parsed->GetField("keys");
+      ASSERT_EQ(keys.AsArray().size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(keys.AsArray()[i].AsString(), round.key(i))
+            << "resident " << i;
+      }
+      EXPECT_EQ(parsed->GetField("gain")->AsNumber(), round.gain);
+      EXPECT_EQ(parsed->GetField("round")->AsNumber(), t);
+    }
+  }
+  EXPECT_TRUE(saw_backslash);
+}
+
 TEST(ServeConcurrentReadTest, RoundsReadUnderChurnAreWholeAndStable) {
   auto manager = CohortManager::Open({});
   ASSERT_TRUE(manager.ok()) << manager.status();
@@ -812,8 +936,10 @@ TEST_F(ServeJournalTest, JournalBytesArePinned) {
   const size_t digest_at = journal.find(digest_key);
   ASSERT_NE(digest_at, std::string::npos);
   const size_t digest_begin = digest_at + digest_key.size();
+  // The count-and-char replace: GCC 12 flags the const char* one with a
+  // false -Wrestrict (PR105651) in Release builds.
   journal.replace(digest_begin, journal.find('"', digest_begin) - digest_begin,
-                  "*");
+                  1, '*');
   EXPECT_EQ(journal,
             "{\"config\":{\"group_size\":2,\"learning_rate\":0.25,"
             "\"mode\":\"star\",\"policy\":\"star\",\"seed\":3},"
