@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer + configuration matrix for the tdg repo.
 #
-#   ci/check.sh            run the full matrix (asan, ubsan, tsan, obs-off,
+#   ci/check.sh            run the full matrix (asan, ubsan, tsan,
 #                          bench-smoke, crash-resume, monitor, profile, soa,
 #                          blackbox, serve, tracing, werror)
 #   ci/check.sh asan       run one configuration
@@ -12,9 +12,6 @@
 #   tsan     ThreadSanitizer build, concurrency-sensitive tests only
 #            (ParallelFor, the parallel exact solvers, observability,
 #            sweep — including the golden byte-stability test)
-#   obs-off  -DTDG_OBS_DISABLED=ON build, full ctest suite — proves the
-#            compiled-out observability path builds and leaves every result
-#            unchanged
 #   bench-smoke  plain build of every bench/ and examples/ binary (and
 #            tdg_sweep_shard_child); each must reject --no_such_flag, the
 #            examples' malformed flags (example_study_buddies --weeks=x,
@@ -24,7 +21,9 @@
 #            runs two fast benches with --report_out, self-checks the
 #            emitted tdg.bench_report.v2 artifacts, and diffs each report
 #            against itself expecting a clean all-unchanged pass — the
-#            end-to-end smoke test of the perf telemetry pipeline
+#            end-to-end smoke test of the perf telemetry pipeline; last,
+#            self-checks every committed tdg.bench_report.v2 file in
+#            bench/reports/, so a schema change cannot orphan them
 #   crash-resume  AddressSanitizer build with the fault-injection hooks
 #            compiled in; runs the crash/torn-write/shard-planner/death
 #            suites, then a CLI-level e2e: require a checkpointed
@@ -97,11 +96,10 @@
 #            records in the black-box dump via `tdg_blackbox --trace_id`
 #   werror   plain RelWithDebInfo build of every target with
 #            -DCMAKE_CXX_FLAGS=-Werror on the command line: the repo's
-#            -Wall -Wextra warnings fail the build; then the same build
-#            with -DTDG_OBS_DISABLED=ON (build only), where compiled-out
-#            macros leave variables unused, and a Release (-O3) build only,
-#            whose deeper inlining raises warnings (GCC 12's -Wrestrict
-#            on string concatenation) that RelWithDebInfo does not
+#            -Wall -Wextra warnings fail the build; then a Release (-O3)
+#            build only, whose deeper inlining raises warnings (GCC 12's
+#            -Wrestrict on string concatenation) that RelWithDebInfo does
+#            not
 #
 # Build trees live under build-ci/<config> so they never disturb ./build.
 
@@ -116,7 +114,6 @@ configure_flags() {
     asan) echo "-DTDG_SANITIZE=address" ;;
     ubsan) echo "-DTDG_SANITIZE=undefined" ;;
     tsan) echo "-DTDG_SANITIZE=thread" ;;
-    obs-off) echo "-DTDG_OBS_DISABLED=ON" ;;
     *)
       echo "unknown configuration '$1'" >&2
       exit 2
@@ -236,6 +233,17 @@ run_bench_smoke() {
       exit 1
     fi
   done
+  echo "==> [bench-smoke] self-check every committed bench report"
+  local committed=0
+  for report in bench/reports/*.json; do
+    grep -q '"schema": "tdg.bench_report.v2"' "${report}" || continue
+    "${build_dir}/examples/tdg_perfdiff" --self-check="${report}"
+    committed=$((committed + 1))
+  done
+  if [[ "${committed}" -eq 0 ]]; then
+    echo "no committed tdg.bench_report.v2 file in bench/reports/" >&2
+    exit 1
+  fi
   echo "==> [bench-smoke] OK"
 }
 
@@ -1115,12 +1123,6 @@ run_werror() {
     -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   echo "==> [werror] build every target"
   cmake --build "${build_dir}" -j "${JOBS}" >/dev/null
-  local obs_off_dir="build-ci/werror-obs-off"
-  echo "==> [werror] configure (-Werror, -DTDG_OBS_DISABLED=ON)"
-  cmake -B "${obs_off_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS=-Werror -DTDG_OBS_DISABLED=ON >/dev/null
-  echo "==> [werror] build every target with observability compiled out"
-  cmake --build "${obs_off_dir}" -j "${JOBS}" >/dev/null
   local release_dir="build-ci/werror-release"
   echo "==> [werror] configure (-Werror, Release)"
   cmake -B "${release_dir}" -S . -DCMAKE_BUILD_TYPE=Release \
@@ -1184,8 +1186,8 @@ run_config() {
 if [[ $# -gt 0 ]]; then
   for config in "$@"; do run_config "${config}"; done
 else
-  for config in asan ubsan tsan obs-off bench-smoke crash-resume monitor \
-      profile soa blackbox serve tracing werror; do
+  for config in asan ubsan tsan bench-smoke crash-resume monitor profile \
+      soa blackbox serve tracing werror; do
     run_config "${config}"
   done
 fi

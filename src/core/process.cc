@@ -42,11 +42,7 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
   // ApplyRound's group_gains_out), so recorded and unrecorded runs are
   // bitwise identical; when neither the recorder nor the history needs
   // them, they are not computed.
-#if defined(TDG_OBS_DISABLED)
-  const bool blackbox = false;
-#else
   const bool blackbox = obs::FlightRecorder::Global().active();
-#endif
   soa::RoundIntrospection introspection;
   std::vector<int> previous_group_of;
   if (blackbox) {
@@ -127,10 +123,6 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
 
 void RecordGroupGainSummary(int round,
                             const std::vector<double>& group_gains) {
-#if defined(TDG_OBS_DISABLED)
-  (void)round;
-  (void)group_gains;
-#else
   if (group_gains.empty()) return;
   if (!obs::FlightRecorder::Global().active()) return;
   double min_gain = group_gains[0];
@@ -145,7 +137,6 @@ void RecordGroupGainSummary(int round,
                static_cast<double>(round),
                static_cast<double>(group_gains.size()), min_gain,
                sum / static_cast<double>(group_gains.size()), max_gain);
-#endif
 }
 
 }  // namespace tdg

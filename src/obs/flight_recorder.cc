@@ -97,7 +97,8 @@ std::size_t FileBytes(int max_rings, std::size_t ring_bytes) {
 // Mapped-file handle + geometry. Published once via an atomic pointer and
 // never freed or unmapped: a thread still holding a pointer from a
 // previous epoch keeps writing into valid (orphaned) memory instead of
-// faulting. The leak is bounded by the number of Start calls.
+// faulting. The memory is bounded by the number of Start calls; earlier
+// epochs' States stay reachable through FlightRecorder::retired_.
 struct FlightRecorder::State {
   std::byte* map = nullptr;
   std::size_t map_bytes = 0;
@@ -225,6 +226,9 @@ util::Status FlightRecorder::Start(Options options) {
     util::AddFatalHandler(&FlightRecorder::CrashSync);
   }
 
+  if (State* previous = state_.load(std::memory_order_relaxed)) {
+    retired_.push_back(previous);
+  }
   state_.store(state, std::memory_order_release);
   last_path_ = options.path;
   SetActive(true);

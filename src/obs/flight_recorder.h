@@ -37,9 +37,7 @@ namespace tdg::obs {
 ///
 /// Start/Stop cost a mutex; Record costs two relaxed/acquire loads when
 /// inactive and one 64-byte memcpy when active. The TDG_BLACKBOX macro
-/// additionally compiles out — arguments unevaluated — under
-/// TDG_OBS_DISABLED, while the explicit API keeps working, so obs-off
-/// builds still honor an explicit --blackbox.
+/// evaluates its arguments only when the recorder is active.
 ///
 /// The recorder is the only event store: timed scopes are `span` records
 /// written by closing zones (zone.h: name, duration, nesting depth), and
@@ -205,8 +203,11 @@ class FlightRecorder {
 
   std::atomic<bool> active_{false};
   std::atomic<State*> state_{nullptr};
-  mutable std::mutex mutex_;  // serializes Start/Stop; guards last_path_
+  mutable std::mutex mutex_;  // serializes Start/Stop; guards the two below
   std::string last_path_;
+  // Earlier epochs' States, never freed (stragglers may still write through
+  // them) and owned here so the process still reaches them.
+  std::vector<State*> retired_;
 };
 
 /// A decoded dump: header facts plus all surviving events merged across
@@ -246,14 +247,7 @@ util::JsonValue BlackboxToChromeTrace(const BlackboxDump& dump);
 
 /// Records a typed event into the global flight recorder. `...` are up to
 /// six double-convertible values (the type's payload slots, in order); they
-/// are only evaluated when the recorder is active, and the whole statement
-/// compiles out under TDG_OBS_DISABLED.
-#if defined(TDG_OBS_DISABLED)
-#define TDG_BLACKBOX(type, ...) \
-  do {                          \
-    (void)sizeof(type);         \
-  } while (0)
-#else
+/// are only evaluated when the recorder is active.
 #define TDG_BLACKBOX(type, ...)                               \
   do {                                                        \
     ::tdg::obs::FlightRecorder& tdg_blackbox_recorder =       \
@@ -262,6 +256,5 @@ util::JsonValue BlackboxToChromeTrace(const BlackboxDump& dump);
       tdg_blackbox_recorder.Record((type), {__VA_ARGS__});    \
     }                                                         \
   } while (0)
-#endif
 
 #endif  // TDG_OBS_FLIGHT_RECORDER_H_

@@ -270,28 +270,7 @@ class MetricsRegistry {
 
 /// Instrumentation macros. `name` must be a constant per call site (each
 /// expansion caches its registry handle in a function-local static); use the
-/// MetricsRegistry API directly for dynamic names. All of them compile to
-/// nothing under TDG_OBS_DISABLED.
-#if defined(TDG_OBS_DISABLED)
-
-#define TDG_OBS_COUNTER_ADD(name, delta) \
-  do {                                   \
-    (void)sizeof(name);                  \
-    (void)sizeof(delta);                 \
-  } while (0)
-#define TDG_OBS_GAUGE_SET(name, value) \
-  do {                                 \
-    (void)sizeof(name);                \
-    (void)sizeof(value);               \
-  } while (0)
-#define TDG_OBS_HISTOGRAM_RECORD(name, value) \
-  do {                                        \
-    (void)sizeof(name);                       \
-    (void)sizeof(value);                      \
-  } while (0)
-
-#else  // !TDG_OBS_DISABLED
-
+/// MetricsRegistry API directly for dynamic names.
 #define TDG_OBS_COUNTER_ADD(name, delta)                         \
   do {                                                           \
     static ::tdg::obs::Counter& tdg_obs_counter_handle =         \
@@ -310,7 +289,5 @@ class MetricsRegistry {
         ::tdg::obs::MetricsRegistry::Global().GetHistogram(name);  \
     tdg_obs_histogram_handle.Record(value);                        \
   } while (0)
-
-#endif  // TDG_OBS_DISABLED
 
 #endif  // TDG_OBS_METRICS_H_

@@ -13,16 +13,10 @@
 ///     buffers whose dump survives kill -9; `tdg_blackbox` decodes it into
 ///     a summary, JSONL, or a Chrome trace, and /blackboxz tails it live.
 ///
-/// Controls:
-///   * compile time — building with -DTDG_OBS_DISABLED compiles every
-///     TDG_BLACKBOX / TDG_ZONE / TDG_OBS_* macro to nothing. Explicit API calls
-///     (e.g. the sweep's process-latency histogram that feeds mean_micros,
-///     FlightRecorder::Record) remain functional: they are product
-///     features, not optional instrumentation.
-///   * runtime — SetMetricsEnabled(false) freezes every metric, and the
-///     recorder is off unless FlightRecorder::Start ran (--blackbox). With
-///     both off, instrumented hot paths cost one relaxed atomic load per
-///     site.
+/// Controls are runtime only: SetMetricsEnabled(false) freezes every
+/// metric, and the recorder is off unless FlightRecorder::Start ran
+/// (--blackbox). With both off, instrumented hot paths cost one relaxed
+/// atomic load per site.
 ///
 /// A third pillar — the live monitoring plane (stats_server.h,
 /// prometheus.h) — serves the same registry over loopback HTTP (/metrics

@@ -22,7 +22,7 @@ namespace tdg::obs {
 /// black-box dump.
 ///
 /// This is explicit API (no macro): /tracez and /slowz are product surface
-/// like /blackboxz, so tracing keeps working under TDG_OBS_DISABLED.
+/// like /blackboxz.
 
 /// The timed request phases, in request order. Values index
 /// RequestContext::phase_micros and ride in kRequestPhase blackbox payloads.

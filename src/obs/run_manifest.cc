@@ -83,18 +83,13 @@ std::string UtcNow() {
   return buffer;
 }
 
-// Reads an optional string/bool/number field, leaving `out` untouched when
+// Reads an optional string/number field, leaving `out` untouched when
 // the field is absent or of the wrong type (forward compatibility: an old
 // reader must not choke on a manifest from a newer writer).
 void ReadString(const util::JsonValue& json, std::string_view key,
                 std::string& out) {
   auto field = json.GetField(key);
   if (field.ok() && field->is_string()) out = field->AsString();
-}
-
-void ReadBool(const util::JsonValue& json, std::string_view key, bool& out) {
-  auto field = json.GetField(key);
-  if (field.ok() && field->is_bool()) out = field->AsBool();
 }
 
 void ReadNumber(const util::JsonValue& json, std::string_view key,
@@ -113,9 +108,6 @@ RunManifest RunManifest::Capture(uint64_t seed, int argc,
   manifest.compiler_flags = TDG_BUILD_FLAGS;
   manifest.build_type = TDG_BUILD_TYPE;
   manifest.sanitizer = TDG_BUILD_SANITIZE;
-#if defined(TDG_OBS_DISABLED)
-  manifest.obs_macros_disabled = true;
-#endif
   manifest.os = OsName();
   manifest.hostname = HostName();
   manifest.cpu_model = CpuModel();
@@ -133,9 +125,7 @@ std::string RunManifest::BuildDigest(std::string_view extra) const {
   uint64_t hash = util::Fnv1a64(git_sha);
   for (std::string_view part :
        {std::string_view(compiler), std::string_view(compiler_flags),
-        std::string_view(build_type), std::string_view(sanitizer),
-        std::string_view(obs_macros_disabled ? "obs-off" : "obs-on"),
-        extra}) {
+        std::string_view(build_type), std::string_view(sanitizer), extra}) {
     hash = util::Fnv1a64("\x1f", hash);
     hash = util::Fnv1a64(part, hash);
   }
@@ -149,7 +139,6 @@ RunManifest RunManifest::Normalized() const {
   normalized.compiler_flags = "<flags>";
   normalized.build_type = "<build-type>";
   normalized.sanitizer = "<sanitizer>";
-  normalized.obs_macros_disabled = false;
   normalized.os = "<os>";
   normalized.hostname = "<hostname>";
   normalized.cpu_model = "<cpu>";
@@ -166,7 +155,6 @@ util::JsonValue RunManifest::ToJson() const {
   json.Set("compiler_flags", compiler_flags);
   json.Set("build_type", build_type);
   json.Set("sanitizer", sanitizer);
-  json.Set("obs_macros_disabled", obs_macros_disabled);
   json.Set("os", os);
   json.Set("hostname", hostname);
   json.Set("cpu_model", cpu_model);
@@ -198,7 +186,6 @@ util::StatusOr<RunManifest> RunManifest::FromJson(
   ReadString(json, "compiler_flags", manifest.compiler_flags);
   ReadString(json, "build_type", manifest.build_type);
   ReadString(json, "sanitizer", manifest.sanitizer);
-  ReadBool(json, "obs_macros_disabled", manifest.obs_macros_disabled);
   ReadString(json, "os", manifest.os);
   ReadString(json, "hostname", manifest.hostname);
   ReadString(json, "cpu_model", manifest.cpu_model);

@@ -31,7 +31,6 @@ struct RunManifest {
   std::string compiler_flags;  // CMAKE_CXX_FLAGS + build-type flags
   std::string build_type;      // e.g. "RelWithDebInfo"
   std::string sanitizer;       // "", "address", "undefined", "thread"
-  bool obs_macros_disabled = false;  // built with TDG_OBS_DISABLED
   // Host provenance.
   std::string os;        // "linux" / "darwin" / "unknown"
   std::string hostname;
@@ -48,7 +47,7 @@ struct RunManifest {
                              const char* const* argv = nullptr);
 
   /// Stable 16-hex-char FNV-1a digest over the *build* provenance fields
-  /// (git sha, compiler, flags, build type, sanitizer, obs flag) plus
+  /// (git sha, compiler, flags, build type, sanitizer) plus
   /// `extra` (caller-supplied configuration text). Host and run fields are
   /// deliberately excluded: the same binary resuming the same experiment on
   /// another day — or another machine — must digest identically, while a
@@ -57,7 +56,7 @@ struct RunManifest {
   std::string BuildDigest(std::string_view extra = "") const;
 
   /// Copy with every volatile field (timestamp, hostname, cpu, git sha,
-  /// compiler, flags, build type, sanitizer, thread count, os, obs flag)
+  /// compiler, flags, build type, sanitizer, thread count, os)
   /// replaced by a stable placeholder — what golden tests compare against.
   RunManifest Normalized() const;
 

@@ -121,8 +121,7 @@ void SetPlane(std::uint8_t plane, bool on);
 /// RAII zone: opens the span when the recorder is recording and the perf
 /// domain when profiling is on; closing records the span and charges the
 /// domain, then hands the thread back to the enclosing profiled zone.
-/// Prefer TDG_ZONE, which compiles out under TDG_OBS_DISABLED; the class
-/// itself works in every build.
+/// Prefer TDG_ZONE, which names the zone variable for you.
 class ScopedZone {
  public:
   explicit ScopedZone(Zone zone) : zone_(zone) {
@@ -154,15 +153,8 @@ class ScopedZone {
 #define TDG_ZONE_CONCAT(a, b) TDG_ZONE_CONCAT_INNER(a, b)
 
 /// Opens zone `zone` (an obs::Zone value) for the rest of the enclosing
-/// block; compiles out, argument unevaluated, under TDG_OBS_DISABLED.
-#if defined(TDG_OBS_DISABLED)
-#define TDG_ZONE(zone) \
-  do {                  \
-    (void)sizeof(zone); \
-  } while (0)
-#else
+/// block.
 #define TDG_ZONE(zone) \
   ::tdg::obs::ScopedZone TDG_ZONE_CONCAT(tdg_zone_, __LINE__)(zone)
-#endif
 
 #endif  // TDG_OBS_ZONE_H_

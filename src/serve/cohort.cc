@@ -223,6 +223,8 @@ void AppendCohortRoundJson(const CohortRound& round, int round_index,
   const bool escaped = key_bytes != unescaped_key_bytes;
 
   const size_t start = out.size();
+  // One spare byte: both readers end the round with a line terminator.
+  out.reserve(start + size + 1);
   out.resize(start + size);
   char* dest = out.data() + start;
   char* const end = out.data() + out.size();

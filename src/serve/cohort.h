@@ -142,7 +142,9 @@ struct CohortRound {
 /// first and then written with one resize (DESIGN.md §13):
 /// {"assignment":[...],"gain":g,"keys":[...],"num_groups":k,"round":t}.
 /// This is the one definition of the round's bytes; the HTTP server writes
-/// it straight into the response body.
+/// it straight into the response body. `out` keeps room for one more byte,
+/// so the line terminator the route and `tdg_servectl` put after a round
+/// does not reallocate it.
 void AppendCohortRoundJson(const CohortRound& round, int round_index,
                            std::string& out);
 

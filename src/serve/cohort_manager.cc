@@ -87,9 +87,7 @@ util::StatusOr<Cohort> CohortFromHeader(const util::JsonValue& header) {
   return Cohort::Create(enroll.id, enroll.config, enroll.participants);
 }
 
-// The parameters are unused when TDG_OBS_DISABLED compiles TDG_BLACKBOX out.
-void RecordChurn([[maybe_unused]] const Cohort& cohort,
-                 [[maybe_unused]] int joined, [[maybe_unused]] int left) {
+void RecordChurn(const Cohort& cohort, int joined, int left) {
   TDG_BLACKBOX(obs::BlackboxEventType::kCohortChurn,
                static_cast<double>(cohort.id_hash()),
                static_cast<double>(cohort.rounds_advanced()),

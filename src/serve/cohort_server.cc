@@ -134,9 +134,9 @@ void CohortServer::HandleConnection(util::net::Socket connection) {
   tail_sampler_.Offer(context);
   // Per-endpoint latency (rolling windows and cumulative histogram) and
   // response classes are tdg_serve's /metrics product surface, like the
-  // tail sampler: explicit registry API, alive even under TDG_OBS_DISABLED.
-  // Label sets are bounded by the router, so dynamic names cannot grow the
-  // registry without bound.
+  // tail sampler. Their names are dynamic, so they use the registry API,
+  // not the macros; label sets are bounded by the router, so they cannot
+  // grow the registry without bound.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const double micros = static_cast<double>(context.total_micros);
   registry

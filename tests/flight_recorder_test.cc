@@ -344,10 +344,6 @@ TEST(FlightRecorderSpanTest, SpansNestWithDepthAndContainment) {
 
   auto dump = ReadBlackbox(path);
   ASSERT_TRUE(dump.ok()) << dump.status();
-#if defined(TDG_OBS_DISABLED)
-  // The macro compiles to nothing in the disabled build.
-  EXPECT_TRUE(dump->events.empty());
-#else
   ASSERT_EQ(dump->events.size(), 3u);
   // A span is recorded when it closes, so the enclosing one comes last.
   const BlackboxEvent& outer = dump->events[2];
@@ -363,7 +359,6 @@ TEST(FlightRecorderSpanTest, SpansNestWithDepthAndContainment) {
     EXPECT_GE(inner.ts_micros - inner.values[1], outer_start);
     EXPECT_LE(inner.ts_micros, outer.ts_micros);
   }
-#endif
 }
 
 TEST(FlightRecorderSpanTest, ChromeJsonRoundTripsThroughParser) {
@@ -371,8 +366,6 @@ TEST(FlightRecorderSpanTest, ChromeJsonRoundTripsThroughParser) {
   FlightRecorder& recorder = FlightRecorder::Global();
   ASSERT_TRUE(recorder.Start(SmallOptions(path)).ok());
   {
-    // The class records in both builds (only the macro compiles out), so
-    // this also covers the view in TDG_OBS_DISABLED builds.
     ScopedZone outer(Zone::kAmtExperiment);
     ScopedZone inner(Zone::kAmtRound);
   }
@@ -585,9 +578,8 @@ int RunChildWithBlackbox(const std::string& config_path,
 }
 
 // How many checkpoint cell records reached disk (the file opens with a
-// schema/header line, which does not carry a cell_index). Unused when
-// TDG_OBS_DISABLED compiles the cross-check out.
-[[maybe_unused]] int CheckpointCellCount(const std::string& path) {
+// schema/header line, which does not carry a cell_index).
+int CheckpointCellCount(const std::string& path) {
   std::ifstream in(path);
   int cells = 0;
   std::string line;
@@ -623,12 +615,6 @@ TEST(FlightRecorderCrashTest, KilledShardLeavesDecodableBlackbox) {
   ASSERT_TRUE(dump.ok()) << dump.status();
   EXPECT_FALSE(dump->clean_shutdown) << "a killed child must not look clean";
 
-#if defined(TDG_OBS_DISABLED)
-  // The TDG_BLACKBOX instrumentation sites compile out in obs-off builds
-  // (only the explicit API keeps working), so there are no semantic events
-  // to cross-check — decodability + the missing clean-shutdown flag above
-  // are the whole contract here.
-#else
   // Semantic events for the in-flight work made it: with one worker
   // thread, the recorded cell_end events are exactly the checkpoint's
   // cells, in order, ending at the crash cut.
@@ -666,7 +652,6 @@ TEST(FlightRecorderCrashTest, KilledShardLeavesDecodableBlackbox) {
   }
   EXPECT_EQ(static_cast<int>(clean_cell_ends.size()),
             CheckpointCellCount(checkpoint2));
-#endif  // TDG_OBS_DISABLED
 }
 
 }  // namespace

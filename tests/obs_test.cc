@@ -237,19 +237,15 @@ TEST(ObsThreadingTest, ConcurrentRecordingIsLossless) {
   EXPECT_EQ(histogram.Count(), kIterations);
   EXPECT_GE(histogram.Max(), 99.0);
 
-#if !defined(TDG_OBS_DISABLED)
   auto dump = ReadBlackbox(dump_path);
   ASSERT_TRUE(dump.ok()) << dump.status();
   EXPECT_EQ(dump->overwritten, 0u);
   EXPECT_EQ(dump->events.size(), static_cast<size_t>(kIterations));
-#endif
 }
 
 // Observability must never perturb results: gains from RunSweep are
 // bit-identical whether metrics and the flight recorder are on or
-// metrics are disabled at runtime. The compiled-out (TDG_OBS_DISABLED)
-// build runs this same test, extending the guarantee to the compile-out
-// path.
+// metrics are disabled at runtime.
 TEST(ObsDeterminismTest, SweepGainsUnchangedByObservability) {
   exp::SweepConfig config;
   config.name = "obs-determinism";

@@ -1,6 +1,7 @@
 // Tests for obs::RunManifest — the provenance record attached to every
 // bench report / sweep / CLI run. Covers Capture() field population, the
-// ToJson/FromJson round-trip, forward-compatible parsing, and a golden
+// ToJson/FromJson round-trip, forward-compatible parsing (including the
+// manifests inside the committed bench/reports/*.json), and a golden
 // file over the Normalized() form (volatile fields pinned to placeholders
 // so the golden bytes only change when the schema does).
 //
@@ -13,14 +14,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "util/file_util.h"
 #include "util/json.h"
 
 #ifndef TDG_TESTS_GOLDEN_DIR
 #error "TDG_TESTS_GOLDEN_DIR must be defined by tests/CMakeLists.txt"
+#endif
+#ifndef TDG_BENCH_REPORTS_DIR
+#error "TDG_BENCH_REPORTS_DIR must be defined by tests/CMakeLists.txt"
 #endif
 
 namespace tdg::obs {
@@ -82,6 +89,55 @@ TEST(RunManifestTest, FromJsonIgnoresUnknownFields) {
   auto parsed = RunManifest::FromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed.value(), manifest);
+}
+
+// The keys ToJson writes, and nothing else: there is one build, so no
+// field names an observability variant.
+const std::set<std::string> kManifestKeys = {
+    "args",      "build_type",       "compiler", "compiler_flags",
+    "cpu_model", "git_sha",          "hardware_threads",
+    "hostname",  "os",               "sanitizer", "schema",
+    "seed",      "timestamp_utc"};
+
+std::set<std::string> KeysOf(const util::JsonValue& json) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : json.AsObject()) keys.insert(key);
+  return keys;
+}
+
+TEST(RunManifestTest, ToJsonWritesExactlyTheManifestFields) {
+  EXPECT_EQ(KeysOf(RunManifest::Capture(/*seed=*/3).ToJson()),
+            kManifestKeys);
+}
+
+TEST(RunManifestTest, FromJsonReadsEveryCommittedBenchReport) {
+  // The committed certificates were written by a manifest that carried one
+  // more build field (the retired observability variant); they must keep
+  // parsing, and every field the current schema names must survive.
+  int reports = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(TDG_BENCH_REPORTS_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    auto text = util::ReadFileToString(entry.path().string());
+    ASSERT_TRUE(text.ok()) << text.status();
+    auto report = util::JsonValue::Parse(text.value());
+    ASSERT_TRUE(report.ok()) << entry.path() << ": " << report.status();
+    auto schema = report->GetField("schema");
+    if (!schema.ok() || schema->AsString() != "tdg.bench_report.v2") continue;
+    SCOPED_TRACE(entry.path().string());
+    ++reports;
+    auto json = report->GetField("manifest");
+    ASSERT_TRUE(json.ok()) << json.status();
+    auto manifest = RunManifest::FromJson(json.value());
+    ASSERT_TRUE(manifest.ok()) << manifest.status();
+    util::JsonValue reread = manifest->ToJson();
+    for (const std::string& key : kManifestKeys) {
+      EXPECT_EQ(reread.GetField(key)->Serialize(),
+                json->GetField(key)->Serialize())
+          << key;
+    }
+  }
+  EXPECT_GT(reports, 0);
 }
 
 TEST(RunManifestTest, NormalizedPinsVolatileFieldsOnly) {

@@ -590,6 +590,8 @@ TEST(ServeCohortTest, RoundWireFormMatchesTheDomOracle) {
       const std::string prefix = copy == 0 ? "" : "HTTP/1.1 200 OK\r\n\r\n";
       std::string out = prefix;
       AppendCohortRoundJson(round, t, out);
+      // A spare byte, so the route's trailing '\n' does not reallocate.
+      EXPECT_GT(out.capacity(), out.size());
       std::string expected = prefix;
       expected += RoundOracle(round, t);
       ASSERT_EQ(out, expected) << "round " << t << ", gain " << round.gain;

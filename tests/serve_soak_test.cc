@@ -277,7 +277,6 @@ TEST(ServeSoakTest, ContendedAdvancesAreTracedEndToEnd) {
   EXPECT_TRUE(saw_start);
   EXPECT_TRUE(saw_end);
 
-#if !defined(TDG_OBS_DISABLED)
   // Kernel time inside the served request is traced too: the window
   // `tdg_blackbox --trace_id` cuts out (the request's thread, between its
   // request_start and request_end) holds the round's span record and the
@@ -298,7 +297,6 @@ TEST(ServeSoakTest, ContendedAdvancesAreTracedEndToEnd) {
   }
   EXPECT_TRUE(saw_round_span);
   EXPECT_TRUE(saw_cohort_round);
-#endif
 }
 
 }  // namespace

@@ -204,9 +204,6 @@ TEST(StatsServerTest, MetricsCarriesSweepCellsOwned) {
 
   auto body = util::net::HttpBody(Get(server->port(), "/metrics"));
   ASSERT_TRUE(body.ok());
-#if defined(TDG_OBS_DISABLED)
-  EXPECT_EQ(body->find("tdg_sweep_cells_owned"), std::string::npos);
-#else
   // The sample line, labelled or not: "tdg_sweep_cells_owned[{...}] 16".
   const std::size_t owned = body->find("\ntdg_sweep_cells_owned");
   ASSERT_NE(owned, std::string::npos) << *body;
@@ -216,7 +213,6 @@ TEST(StatsServerTest, MetricsCarriesSweepCellsOwned) {
   EXPECT_NE(body->find("\ntdg_sweep_cells_completed_total"),
             std::string::npos)
       << *body;
-#endif
 }
 
 TEST(StatsServerTest, ConcurrentScrapesAllSucceed) {
@@ -271,13 +267,10 @@ TEST(StatsServerTest, StopIsIdempotentAndPortCloses) {
   EXPECT_FALSE(client.ok());
 }
 
-// Satellite of the obs-off CI config: with TDG_OBS_DISABLED the macros
-// compile to nothing while the explicit APIs (FlightRecorder::Record,
-// ScopedZone, every HTTP endpoint) keep working — scrapes degrade
-// to smaller outputs, never crashes. The same test runs in normal builds,
-// where it additionally pins the macro counts, so a skew between the two
-// paths fails exactly one config.
-TEST(StatsServerTest, ObsDisabledBuildDegradesCleanly) {
+// The instrumentation macros (TDG_BLACKBOX, TDG_ZONE) and the explicit APIs
+// (FlightRecorder::Record, ScopedZone) record into the same dump, in
+// program order, while every HTTP endpoint keeps answering.
+TEST(StatsServerTest, MacrosAndExplicitApisBothRecord) {
   const std::string dir = test::MakeScratchDir();
 
   // Flight recorder: event and zone macros + explicit record and zone.
@@ -311,16 +304,10 @@ TEST(StatsServerTest, ObsDisabledBuildDegradesCleanly) {
   for (const BlackboxEvent& event : dump->events) {
     labels.push_back(BlackboxEventLabel(event));
   }
-#if defined(TDG_OBS_DISABLED)
-  // Only the explicit record and span.
-  EXPECT_EQ(labels, (std::vector<std::string>{"note", "process/round"}));
-  EXPECT_DOUBLE_EQ(dump->events[0].values[0], 2.0);
-#else
   EXPECT_EQ(labels, (std::vector<std::string>{"note", "process/run", "note",
                                                "process/round"}));
   EXPECT_DOUBLE_EQ(dump->events[0].values[0], 1.0);
   EXPECT_DOUBLE_EQ(dump->events[2].values[0], 2.0);
-#endif
 }
 
 TEST(StatsServerTest, SweepOutputsAreByteIdenticalWithServerOn) {

@@ -36,12 +36,11 @@ class ScopedProfiling {
   bool previous_;
 };
 
-// CounterValue and Skills serve only tests skipped under TDG_OBS_DISABLED.
-[[maybe_unused]] int64_t CounterValue(const std::string& name) {
+int64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Global().GetCounter(name).Value();
 }
 
-[[maybe_unused]] SkillVector Skills(int n) {
+SkillVector Skills(int n) {
   SkillVector skills(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     skills[i] = 1.0 + std::fmod(0.6180339887 * (i + 1) * (i + 3), 5.0);
@@ -91,9 +90,6 @@ TEST(ZoneTest, NonIntegralSpanIdsDecodeRaw) {
 }
 
 TEST(ZoneTest, EveryPerfDomainIsChargedByItsKernel) {
-#if defined(TDG_OBS_DISABLED)
-  GTEST_SKIP() << "perf attribution compiles out under TDG_OBS_DISABLED";
-#else
   const std::vector<std::string> domains = {
       "core/skills/sort",
       "core/skills/deficits",
@@ -151,16 +147,12 @@ TEST(ZoneTest, EveryPerfDomainIsChargedByItsKernel) {
     EXPECT_GT(CounterValue("perf/" + domains[i] + "/calls"), before[i])
         << domains[i];
   }
-#endif
 }
 
 // Self-time inside one fused round: the nested sort charges itself, the
 // round domain charges the rest, and the two never add up to more than the
 // thread spent — the invariant `tdg_profile --check` gates on.
 TEST(ZoneTest, FusedRoundChargesSortAndRoundOnceEach) {
-#if defined(TDG_OBS_DISABLED)
-  GTEST_SKIP() << "perf attribution compiles out under TDG_OBS_DISABLED";
-#else
   const LinearGain linear(0.5);
   const LogGain log_gain(0.5);
   struct Case {
@@ -204,7 +196,6 @@ TEST(ZoneTest, FusedRoundChargesSortAndRoundOnceEach) {
                   (CounterValue(round + "task_clock_ns") - round_ns),
               window_ns);
   }
-#endif
 }
 
 }  // namespace
