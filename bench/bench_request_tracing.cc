@@ -13,7 +13,8 @@
 //   request/advance        one cohort advance through CohortManager. With
 //                          --tracing=on the op carries the full
 //                          request-path scaffolding (mint + bind + phase
-//                          spans + Finish + TailSampler::Offer +
+//                          spans + Finish + TailSampler::Offer, a
+//                          threshold compare for a fast advance, +
 //                          WindowedHistogram::Record); with --tracing=off
 //                          it is the bare advance every pre-tracing build
 //                          served. Deliberately the worst case: a ~6 us
@@ -138,7 +139,7 @@ int Main(int argc, char** argv) {
                       : "DESIGN.md §14 — tracing OFF (baseline)");
 
   serve::CohortManager* manager = OpenBenchManager();
-  obs::TailSampler sampler;  // default thresholds, as served
+  obs::TailSampler sampler;  // the default threshold, as served
   obs::WindowedHistogram windowed(
       obs::WindowedHistogram::Options{/*output_scale=*/1e-6});
 

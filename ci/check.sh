@@ -88,12 +88,13 @@
 #            in) and tsan, then a CLI e2e: start tdg_serve with a low
 #            /slowz threshold, an injected slow advance
 #            (TDG_TEST_SLOW_ADVANCE_MICROS), and --blackbox; drive
-#            traffic; curl /tracez and /slowz mid-traffic and require the
-#            slowed advance's per-phase breakdown (lock wait, journal
-#            fsync, compute); check `tdg_servectl stats` renders the
-#            rolling windows and /metrics exports the windowed p99; then
-#            shut down and resolve a /tracez id to the same request's
-#            records in the black-box dump via `tdg_blackbox --trace_id`
+#            traffic; curl /slowz mid-traffic and require the slowed
+#            advance's per-phase breakdown (lock wait, journal fsync,
+#            compute) and every line at or above the threshold; check
+#            `tdg_servectl stats` renders the rolling windows and /metrics
+#            exports the windowed p99; then shut down and resolve a /slowz
+#            trace id to the same request's records in the black-box dump
+#            via `tdg_blackbox --trace_id`
 #   werror   plain RelWithDebInfo build of every target with
 #            -DCMAKE_CXX_FLAGS=-Werror on the command line: the repo's
 #            -Wall -Wextra warnings fail the build; then a Release (-O3)
@@ -1015,7 +1016,7 @@ run_tracing() {
   (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" \
     --no-tests=error -R "${filter}")
 
-  echo "==> [tracing] e2e: slow request through /slowz, /tracez, blackbox"
+  echo "==> [tracing] e2e: slow request through /slowz and the blackbox"
   local work="${asan_dir}/e2e"
   rm -rf "${work}"
   mkdir -p "${work}"
@@ -1066,7 +1067,12 @@ EOF
   echo "==> [tracing] /slowz carries the per-phase breakdown"
   curl -sf "${base}/slowz" > "${work}/slowz.jsonl"
   grep -q '"endpoint":"advance"' "${work}/slowz.jsonl"
-  grep -q '"slow":true' "${work}/slowz.jsonl"
+  # /slowz keeps only requests at or above --slow_micros=5000.
+  if grep -Ev '"total_micros":([5-9][0-9]{3}|[0-9]{5,})[,}]' \
+      "${work}/slowz.jsonl"; then
+    echo "/slowz holds a line under the 5000 us threshold (above)" >&2
+    exit 1
+  fi
   grep -q '"lock_wait_micros":' "${work}/slowz.jsonl"
   grep -q '"journal_fsync_micros":' "${work}/slowz.jsonl"
   grep -q '"serialize_micros":' "${work}/slowz.jsonl"
@@ -1091,14 +1097,12 @@ EOF
   grep -q 'p99_ms' "${work}/stats.txt"
   grep 'advance' "${work}/stats.txt" | grep -q '1m'
 
-  echo "==> [tracing] /tracez id resolves in the black-box dump"
-  curl -sf "${base}/tracez" > "${work}/tracez.json"
+  echo "==> [tracing] /slowz trace id resolves in the black-box dump"
   local trace_id
-  trace_id="$(sed -E \
-    's/.*"endpoint":"advance"[^}]*"trace_id":([0-9]+).*/\1/' \
-    "${work}/tracez.json")"
+  trace_id="$(grep -m1 '"endpoint":"advance"' "${work}/slowz.jsonl" \
+    | sed -E 's/.*"trace_id":([0-9]+).*/\1/')"
   if ! [[ "${trace_id}" =~ ^[0-9]+$ ]]; then
-    echo "could not extract an advance trace id from /tracez" >&2
+    echo "could not extract an advance trace id from /slowz" >&2
     exit 1
   fi
   kill "${serve_pid}"

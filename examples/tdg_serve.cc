@@ -3,11 +3,13 @@
 //
 //   tdg_serve --state_dir=DIR [--port=P] [--port_file=F] [--workers=N]
 //             [--blackbox=DUMP.bin] [--no_metrics]
-//             [--slow_micros=T] [--slow_sample_n=N]
+//             [--slow_micros=T]
 //
-// --slow_micros sets the /slowz tail-sampling threshold (default 100000 =
-// 100 ms; 0 keeps every request); --slow_sample_n keeps every Nth request
-// regardless of latency (default 64, 0 disables the sample leg).
+// --slow_micros sets the /slowz threshold (default 100000 = 100 ms; 0 keeps
+// every request): /slowz lists the newest 256 requests at or above it, each
+// with its trace id and per-phase breakdown. With --blackbox on, a /slowz
+// trace id resolves in the dump through `tdg_blackbox --trace_id`, and
+// /blackboxz lists every request_end record.
 //
 // Binds 127.0.0.1 only. --port=0 (the default) picks an ephemeral port;
 // scripts discover it through --port_file. --state_dir enables the
@@ -47,13 +49,13 @@ int main(int argc, char** argv) {
       argc, argv,
       {{"state_dir", kString}, {"port", kInt}, {"port_file", kString},
        {"workers", kInt}, {"blackbox", kString}, {"no_metrics", kBool},
-       {"slow_micros", kInt}, {"slow_sample_n", kInt}});
+       {"slow_micros", kInt}});
   if (!parsed.ok()) {
     std::fprintf(stderr, "tdg_serve: %s\n", parsed.ToString().c_str());
     std::fprintf(stderr,
                  "usage: tdg_serve --state_dir=DIR [--port=P] "
                  "[--port_file=F] [--workers=N] [--blackbox=DUMP.bin] "
-                 "[--no_metrics] [--slow_micros=T] [--slow_sample_n=N]\n");
+                 "[--no_metrics] [--slow_micros=T]\n");
     return 2;
   }
   if (flags.GetBool("no_metrics", false)) {
@@ -85,10 +87,8 @@ int main(int argc, char** argv) {
   server_options.port = static_cast<int>(flags.GetInt("port", 0));
   server_options.port_file = flags.GetString("port_file", "");
   server_options.num_workers = static_cast<int>(flags.GetInt("workers", 4));
-  server_options.tail.slow_threshold_micros =
-      flags.GetInt("slow_micros", server_options.tail.slow_threshold_micros);
-  server_options.tail.sample_every = static_cast<int>(
-      flags.GetInt("slow_sample_n", server_options.tail.sample_every));
+  server_options.slow_threshold_micros =
+      flags.GetInt("slow_micros", server_options.slow_threshold_micros);
   auto server =
       tdg::serve::CohortServer::Start(manager->get(), server_options);
   if (!server.ok()) {

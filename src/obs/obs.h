@@ -44,8 +44,8 @@
 /// windowed_histogram.h, tail_sampler.h) — gives the cohort serving plane
 /// per-request trace ids threaded into the flight recorder, rolling
 /// 10s/1m/5m latency windows (p50/p95/p99, QPS, error rate) on /metrics
-/// and /statusz, and a bounded ring of slow-request phase breakdowns on
-/// /slowz with a /tracez index. See the which-tool-when table in README
+/// and /statusz, and a bounded ring of slow-request phase breakdowns and
+/// trace ids on /slowz. See the which-tool-when table in README
 /// "Observability".
 
 #include "obs/bench_report.h"

@@ -21,8 +21,8 @@ namespace tdg::obs {
 /// the kCohortRound records the core emits on the same thread — out of a
 /// black-box dump.
 ///
-/// This is explicit API (no macro): /tracez and /slowz are product surface
-/// like /blackboxz.
+/// This is explicit API (no macro): /slowz is product surface like
+/// /blackboxz.
 
 /// The timed request phases, in request order. Values index
 /// RequestContext::phase_micros and ride in kRequestPhase blackbox payloads.
@@ -54,7 +54,7 @@ struct RequestContext {
   uint64_t trace_id = 0;
   std::string endpoint;        // routing label, set once routed
   int status = 0;              // HTTP status, set by FinishRequest
-  int64_t start_unix_ms = 0;   // wall clock, for /tracez & /slowz display
+  int64_t start_unix_ms = 0;   // wall clock, for /slowz display
   int64_t start_micros = 0;    // util::MonotonicMicros at bind
   int64_t total_micros = 0;    // set by FinishRequest
   std::array<int64_t, kNumRequestPhases> phase_micros{};

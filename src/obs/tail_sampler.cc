@@ -1,55 +1,38 @@
 #include "obs/tail_sampler.h"
 
-#include <utility>
 #include <vector>
+
+#include "util/json.h"
 
 namespace tdg::obs {
 namespace {
 
-util::JsonValue TraceToJson(const RequestContext& trace, bool with_phases,
-                            bool slow) {
+util::JsonValue TraceToJson(const RequestContext& trace) {
   util::JsonValue object = util::JsonValue::MakeObject();
   object.Set("trace_id", static_cast<long long>(trace.trace_id));
   object.Set("endpoint", trace.endpoint);
   object.Set("status", static_cast<long long>(trace.status));
   object.Set("start_unix_ms", static_cast<long long>(trace.start_unix_ms));
   object.Set("total_micros", static_cast<long long>(trace.total_micros));
-  if (with_phases) {
-    object.Set("slow", slow);
-    for (int i = 0; i < kNumRequestPhases; ++i) {
-      const RequestPhase phase = static_cast<RequestPhase>(i);
-      object.Set(std::string(RequestPhaseName(phase)) + "_micros",
-                 static_cast<long long>(
-                     trace.phase_micros[static_cast<size_t>(i)]));
-    }
+  for (int i = 0; i < kNumRequestPhases; ++i) {
+    const RequestPhase phase = static_cast<RequestPhase>(i);
+    object.Set(std::string(RequestPhaseName(phase)) + "_micros",
+               static_cast<long long>(
+                   trace.phase_micros[static_cast<size_t>(i)]));
   }
   return object;
 }
 
 }  // namespace
 
-TailSampler::TailSampler() : TailSampler(Options{}) {}
-
-TailSampler::TailSampler(Options options) : options_(options) {}
+TailSampler::TailSampler(int64_t slow_threshold_micros)
+    : slow_threshold_micros_(slow_threshold_micros) {}
 
 void TailSampler::Offer(const RequestContext& context) {
-  const int64_t n = offered_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const bool slow = context.total_micros >= options_.slow_threshold_micros;
-  const bool sampled =
-      options_.sample_every > 0 && n % options_.sample_every == 1;
+  if (context.total_micros < slow_threshold_micros_) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (options_.recent_capacity > 0) {
-    recent_.push_back(context);
-    while (recent_.size() > static_cast<size_t>(options_.recent_capacity)) {
-      recent_.pop_front();
-    }
-  }
-  if ((slow || sampled) && options_.slow_capacity > 0) {
-    slow_.push_back(context);
-    while (slow_.size() > static_cast<size_t>(options_.slow_capacity)) {
-      slow_.pop_front();
-    }
-  }
+  slow_.push_back(context);
+  if (slow_.size() > static_cast<size_t>(kCapacity)) slow_.pop_front();
 }
 
 std::string TailSampler::SlowTracesJsonl() const {
@@ -60,26 +43,10 @@ std::string TailSampler::SlowTracesJsonl() const {
   }
   std::string out;
   for (auto it = traces.rbegin(); it != traces.rend(); ++it) {
-    const bool slow = it->total_micros >= options_.slow_threshold_micros;
-    out += TraceToJson(*it, /*with_phases=*/true, slow).Serialize();
+    out += TraceToJson(*it).Serialize();
     out += '\n';
   }
   return out;
-}
-
-util::JsonValue TailSampler::RecentTracesJson() const {
-  std::vector<RequestContext> traces;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    traces.assign(recent_.begin(), recent_.end());
-  }
-  util::JsonValue array = util::JsonValue::MakeArray();
-  for (auto it = traces.rbegin(); it != traces.rend(); ++it) {
-    array.Append(TraceToJson(*it, /*with_phases=*/false, /*slow=*/false));
-  }
-  util::JsonValue root = util::JsonValue::MakeObject();
-  root.Set("traces", std::move(array));
-  return root;
 }
 
 }  // namespace tdg::obs

@@ -1,71 +1,47 @@
 #ifndef TDG_OBS_TAIL_SAMPLER_H_
 #define TDG_OBS_TAIL_SAMPLER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
 
 #include "obs/request_context.h"
-#include "util/json.h"
 
 namespace tdg::obs {
 
-/// Keeps the interesting traces (DESIGN.md §14). Every finished request is
-/// offered; the sampler retains two bounded rings:
+/// Keeps the slow requests (DESIGN.md §14): the serving plane's only
+/// in-memory request store. Every finished request is offered; those whose
+/// end-to-end latency is at or above the threshold go into one bounded
+/// ring, served as JSONL at /slowz with the per-phase breakdown. A fast
+/// request never enters the ring, so it never evicts a slow one.
 ///
-///  - `slow`: requests whose end-to-end latency crossed the threshold, plus
-///    a deterministic 1-in-N sample of everything else (so /slowz always
-///    shows a recent baseline to compare a tail spike against). Served as
-///    JSONL at /slowz with the per-phase breakdown.
-///  - `recent`: the last N completed traces regardless of latency, served
-///    as JSON at /tracez — the index for `tdg_blackbox --trace_id`.
-///
-/// Memory is bounded by the two capacities times sizeof(RequestContext)
-/// (~120 B + endpoint label) — a few tens of KiB at the defaults,
-/// regardless of traffic or uptime. Thread-safe; Offer takes one mutex for
-/// a couple of deque ops, far off the request path's critical phases.
+/// Memory is bounded by kCapacity times sizeof(RequestContext) (~120 B +
+/// endpoint label), a few tens of KiB regardless of traffic or uptime.
+/// Thread-safe; Offer takes one mutex for a couple of deque ops, and only
+/// for a slow request.
 class TailSampler {
  public:
-  struct Options {
-    /// End-to-end latency at or above which a trace is kept as slow.
-    /// <= 0 keeps every request (used by tests and by --slow_micros=0).
-    int64_t slow_threshold_micros = 100 * 1000;
-    /// Also keep every Nth request regardless of latency; <= 0 disables
-    /// the sampling leg.
-    int sample_every = 64;
-    int slow_capacity = 256;
-    int recent_capacity = 128;
-  };
+  /// The ring keeps the newest kCapacity slow requests.
+  static constexpr int kCapacity = 256;
+  static constexpr int64_t kDefaultSlowMicros = 100 * 1000;
 
-  TailSampler();  // default Options
-  explicit TailSampler(Options options);
+  /// `slow_threshold_micros` <= 0 keeps every request (--slow_micros=0).
+  explicit TailSampler(int64_t slow_threshold_micros = kDefaultSlowMicros);
 
   /// Files one finished request (call after FinishRequest populated
   /// status/total).
   void Offer(const RequestContext& context);
 
   /// One JSON object per line, newest first: trace_id, endpoint, status,
-  /// start_unix_ms, total_micros, slow (threshold crossed vs sampled), and
-  /// one `<phase>_micros` field per timed phase.
+  /// start_unix_ms, total_micros, and one `<phase>_micros` field per timed
+  /// phase.
   std::string SlowTracesJsonl() const;
 
-  /// {"traces": [{trace_id, endpoint, status, start_unix_ms,
-  /// total_micros}, ...]}, newest first.
-  util::JsonValue RecentTracesJson() const;
-
-  int64_t offered() const {
-    return offered_.load(std::memory_order_relaxed);
-  }
-  const Options& options() const { return options_; }
-
  private:
-  Options options_;
-  std::atomic<int64_t> offered_{0};
+  const int64_t slow_threshold_micros_;
   mutable std::mutex mutex_;
-  std::deque<RequestContext> slow_;    // newest at back
-  std::deque<RequestContext> recent_;  // newest at back
+  std::deque<RequestContext> slow_;  // newest at back
 };
 
 }  // namespace tdg::obs

@@ -74,7 +74,7 @@ bool SplitCohortPath(std::string_view path,
 
 CohortServer::CohortServer(CohortManager* manager, Options options)
     : manager_(manager),
-      tail_sampler_(options.tail),
+      tail_sampler_(options.slow_threshold_micros),
       http_(options, [this](const util::net::HttpServer&,
                             util::net::Socket connection) {
         HandleConnection(std::move(connection));
@@ -100,7 +100,7 @@ util::StatusOr<std::unique_ptr<CohortServer>> CohortServer::Start(
 void CohortServer::HandleConnection(util::net::Socket connection) {
   // One trace per accepted connection: the context rides a thread-local
   // down through CohortManager/Cohort (phase spans) and its id is stamped
-  // into every flight-recorder record the request emits, so a /tracez id
+  // into every flight-recorder record the request emits, so a /slowz id
   // resolves to the request's causal path in a tdg_blackbox dump.
   obs::RequestContext context;
   context.trace_id = obs::MintTraceId();
@@ -115,7 +115,7 @@ void CohortServer::HandleConnection(util::net::Socket connection) {
   if (!request.ok()) {
     // Transport/limit rejections (408/413/400/...) are requests too: they
     // get the "unreadable" endpoint label and flow through the same
-    // latency histograms and response-class counters as routed traffic.
+    // latency windows and response-class counters as routed traffic.
     response = util::net::BuildHttpErrorResponse(request.status());
     endpoint_label = "unreadable";
   } else {
@@ -132,18 +132,17 @@ void CohortServer::HandleConnection(util::net::Socket connection) {
   context.endpoint = endpoint_label;
   obs::FinishRequest(context, status);
   tail_sampler_.Offer(context);
-  // Per-endpoint latency (rolling windows and cumulative histogram) and
-  // response classes are tdg_serve's /metrics product surface, like the
-  // tail sampler. Their names are dynamic, so they use the registry API,
-  // not the macros; label sets are bounded by the router, so they cannot
-  // grow the registry without bound.
+  // Per-endpoint rolling latency windows and response classes are
+  // tdg_serve's /metrics product surface, like the tail sampler. Their
+  // names are dynamic, so they use the registry API, not the macros; label
+  // sets are bounded by the router, so they cannot grow the registry
+  // without bound.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  const double micros = static_cast<double>(context.total_micros);
   registry
       .GetWindowed("serve/latency_seconds/" + endpoint_label,
                    /*output_scale=*/1e-6)
-      .Record(micros, /*error=*/status >= 400);
-  registry.GetHistogram("serve/latency/" + endpoint_label).Record(micros);
+      .Record(static_cast<double>(context.total_micros),
+              /*error=*/status >= 400);
   const int klass = status / 100;
   registry
       .GetCounter(klass == 2   ? "serve/responses/2xx"
@@ -170,12 +169,6 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
   if (!get && !post) {
     *endpoint_label = "other";
     return MethodNotAllowed();
-  }
-
-  if (path == "/tracez") {
-    *endpoint_label = "tracez";
-    if (!get) return MethodNotAllowed();
-    return OkJson(tail_sampler_.RecentTracesJson());
   }
 
   if (path == "/slowz") {

@@ -38,10 +38,10 @@ namespace tdg::serve {
 ///                                    (AppendCohortRoundJson)
 ///   POST /cohorts/<id>/join          {"key","skill"} → {"id","participants"}
 ///   POST /cohorts/<id>/leave         {"key"} → {"id","participants"}
-///   GET  /tracez                     {"traces":[...]} — recently completed
-///                                    requests with their trace ids
-///   GET  /slowz                      JSONL, one slow/sampled request per
-///                                    line with the per-phase breakdown
+///   GET  /slowz                      JSONL, one request at or above the
+///                                    slow threshold per line, newest
+///                                    first, with its trace id and
+///                                    per-phase breakdown
 ///
 /// Error mapping: read/parse failures use util::net's contract (400 / 408 /
 /// 413 / 501); application errors map NotFound → 404, FailedPrecondition
@@ -52,9 +52,9 @@ class CohortServer {
   struct Options : util::net::HttpServer::Options {
     /// Provenance served on /statusz; captured at Start when left default.
     obs::RunManifest manifest;
-    /// Tail-sampling knobs for /slowz and /tracez (threshold, 1-in-N
-    /// sample, ring capacities).
-    obs::TailSampler::Options tail;
+    /// End-to-end latency at or above which a request is kept on /slowz;
+    /// <= 0 keeps every request.
+    int64_t slow_threshold_micros = obs::TailSampler::kDefaultSlowMicros;
   };
 
   /// Binds, writes the port file, and launches the accept loop + workers.
@@ -68,9 +68,6 @@ class CohortServer {
   /// The actually bound port (resolves port 0 requests).
   int port() const { return http_.port(); }
   int64_t requests_served() const { return http_.requests_served(); }
-
-  /// The /slowz + /tracez sampler (exposed for tests).
-  const obs::TailSampler& tail_sampler() const { return tail_sampler_; }
 
   /// Stops accepting, drains queued connections, joins all threads.
   /// Idempotent.

@@ -1,7 +1,7 @@
 // Tests for the request-tracing plane (DESIGN.md §14): trace-id minting,
 // thread-local context binding, per-phase accumulation, the flight-recorder
 // round trip (a request's kRequestStart/Phase/End records are recoverable
-// from a dump by trace id), and the TailSampler's retention rules.
+// from a dump by trace id), and the TailSampler's retention rule.
 
 #include <gtest/gtest.h>
 
@@ -169,99 +169,71 @@ RequestContext MakeTrace(uint64_t trace_id, const std::string& endpoint,
   return context;
 }
 
+int CountLines(const std::string& jsonl) {
+  int lines = 0;
+  for (char c : jsonl) lines += c == '\n';
+  return lines;
+}
+
 TEST(TailSamplerTest, ThresholdSelectsSlowRequests) {
-  TailSampler::Options options;
-  options.slow_threshold_micros = 1000;
-  options.sample_every = 0;  // isolate the threshold leg
-  TailSampler sampler(options);
+  TailSampler sampler(/*slow_threshold_micros=*/1000);
   sampler.Offer(MakeTrace(1, "advance", 200, 500));   // fast — dropped
-  sampler.Offer(MakeTrace(2, "advance", 200, 5000));  // slow — kept
+  sampler.Offer(MakeTrace(2, "advance", 503, 5000));  // slow — kept
   const std::string jsonl = sampler.SlowTracesJsonl();
-  // Object keys serialize sorted, so trace_id is the closing field.
-  EXPECT_EQ(jsonl.find("\"trace_id\":1}"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"trace_id\":2}"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"compute_micros\":2500"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"lock_wait_micros\":0"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"journal_fsync_micros\":0"), std::string::npos);
-  EXPECT_EQ(sampler.offered(), 2);
+  ASSERT_EQ(CountLines(jsonl), 1);
+  auto line = util::JsonValue::Parse(jsonl.substr(0, jsonl.size() - 1));
+  ASSERT_TRUE(line.ok()) << line.status();
+  EXPECT_EQ(line->GetField("trace_id")->AsNumber(), 2.0);
+  EXPECT_EQ(line->GetField("endpoint")->AsString(), "advance");
+  EXPECT_EQ(line->GetField("status")->AsNumber(), 503.0);
+  EXPECT_EQ(line->GetField("total_micros")->AsNumber(), 5000.0);
+  EXPECT_EQ(line->GetField("compute_micros")->AsNumber(), 2500.0);
+  EXPECT_EQ(line->GetField("lock_wait_micros")->AsNumber(), 0.0);
+  EXPECT_EQ(line->GetField("journal_fsync_micros")->AsNumber(), 0.0);
 }
 
 TEST(TailSamplerTest, ZeroThresholdKeepsEverything) {
-  TailSampler::Options options;
-  options.slow_threshold_micros = 0;
-  TailSampler sampler(options);
+  TailSampler sampler(/*slow_threshold_micros=*/0);
   for (uint64_t i = 1; i <= 5; ++i) {
     sampler.Offer(MakeTrace(i, "join", 200, 10));
   }
   std::string jsonl = sampler.SlowTracesJsonl();
-  int lines = 0;
-  for (char c : jsonl) lines += c == '\n';
-  EXPECT_EQ(lines, 5);
+  EXPECT_EQ(CountLines(jsonl), 5);
   // Newest first.
   EXPECT_LT(jsonl.find("\"trace_id\":5}"), jsonl.find("\"trace_id\":1}"));
 }
 
-TEST(TailSamplerTest, SampleLegKeepsEveryNth) {
-  TailSampler::Options options;
-  options.slow_threshold_micros = 1000000;  // nothing is slow
-  options.sample_every = 4;
-  TailSampler sampler(options);
-  for (uint64_t i = 1; i <= 12; ++i) {
-    sampler.Offer(MakeTrace(i, "join", 200, 10));
+TEST(TailSamplerTest, FastRequestsNeverEvictSlowOnes) {
+  TailSampler sampler;  // the default threshold, as served
+  sampler.Offer(MakeTrace(7, "advance", 200, 250 * 1000));
+  const uint64_t fast = 64 * TailSampler::kCapacity;
+  for (uint64_t i = 1; i <= fast; ++i) {
+    sampler.Offer(MakeTrace(1000 + i, "join", 200, 300));
   }
-  std::string jsonl = sampler.SlowTracesJsonl();
-  int lines = 0;
-  for (char c : jsonl) lines += c == '\n';
-  EXPECT_EQ(lines, 3);  // 1 in 4 of 12
-  // Sampled (not slow) traces are marked slow:false.
-  EXPECT_NE(jsonl.find("\"slow\":false"), std::string::npos);
-  EXPECT_EQ(jsonl.find("\"slow\":true"), std::string::npos);
+  const std::string jsonl = sampler.SlowTracesJsonl();
+  EXPECT_EQ(CountLines(jsonl), 1);
+  EXPECT_NE(jsonl.find("\"trace_id\":7}"), std::string::npos);
 }
 
-TEST(TailSamplerTest, CapacitiesBoundBothRings) {
-  TailSampler::Options options;
-  options.slow_threshold_micros = 0;
-  options.slow_capacity = 8;
-  options.recent_capacity = 4;
-  TailSampler sampler(options);
-  for (uint64_t i = 1; i <= 100; ++i) {
+TEST(TailSamplerTest, CapacityBoundsTheRing) {
+  TailSampler sampler(/*slow_threshold_micros=*/0);
+  const uint64_t offered = TailSampler::kCapacity + 8;
+  for (uint64_t i = 1; i <= offered; ++i) {
     sampler.Offer(MakeTrace(i, "leave", 200, 99));
   }
-  std::string jsonl = sampler.SlowTracesJsonl();
-  int lines = 0;
-  for (char c : jsonl) lines += c == '\n';
-  EXPECT_EQ(lines, 8);
-  EXPECT_NE(jsonl.find("\"trace_id\":100}"), std::string::npos);  // newest kept
-  EXPECT_EQ(jsonl.find("\"trace_id\":92}"), std::string::npos);   // oldest gone
-
-  const util::JsonValue recent = sampler.RecentTracesJson();
-  ASSERT_TRUE(recent.is_object());
-  const auto traces = recent.GetField("traces");
-  ASSERT_TRUE(traces.ok());
-  ASSERT_EQ(traces->AsArray().size(), 4u);
-  // Newest first.
-  EXPECT_EQ(traces->AsArray()[0].GetField("trace_id")->AsNumber(), 100.0);
-  EXPECT_EQ(traces->AsArray()[3].GetField("trace_id")->AsNumber(), 97.0);
-}
-
-TEST(TailSamplerTest, RecentTraceFieldsMatchContext) {
-  TailSampler sampler;
-  sampler.Offer(MakeTrace(42, "advance", 503, 1234));
-  const util::JsonValue recent = sampler.RecentTracesJson();
-  const auto traces = recent.GetField("traces");
-  ASSERT_TRUE(traces.ok());
-  ASSERT_EQ(traces->AsArray().size(), 1u);
-  const util::JsonValue& trace = traces->AsArray()[0];
-  EXPECT_EQ(trace.GetField("trace_id")->AsNumber(), 42.0);
-  EXPECT_EQ(trace.GetField("endpoint")->AsString(), "advance");
-  EXPECT_EQ(trace.GetField("status")->AsNumber(), 503.0);
-  EXPECT_EQ(trace.GetField("total_micros")->AsNumber(), 1234.0);
+  const std::string jsonl = sampler.SlowTracesJsonl();
+  EXPECT_EQ(CountLines(jsonl), TailSampler::kCapacity);
+  // Newest first; the 8 oldest are gone.
+  auto newest = util::JsonValue::Parse(jsonl.substr(0, jsonl.find('\n')));
+  ASSERT_TRUE(newest.ok()) << newest.status();
+  EXPECT_EQ(newest->GetField("trace_id")->AsNumber(),
+            static_cast<double>(offered));
+  EXPECT_EQ(jsonl.find("\"trace_id\":8}"), std::string::npos);
+  EXPECT_NE(jsonl.find("\"trace_id\":9}"), std::string::npos);
 }
 
 TEST(TailSamplerTest, OfferIsThreadSafe) {
-  TailSampler::Options options;
-  options.slow_threshold_micros = 0;
-  TailSampler sampler(options);
+  TailSampler sampler(/*slow_threshold_micros=*/0);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&sampler, t] {
@@ -272,12 +244,8 @@ TEST(TailSamplerTest, OfferIsThreadSafe) {
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(sampler.offered(), 1000);
-  // Both rings still within capacity after concurrent pushes.
-  std::string jsonl = sampler.SlowTracesJsonl();
-  int lines = 0;
-  for (char c : jsonl) lines += c == '\n';
-  EXPECT_LE(lines, sampler.options().slow_capacity);
+  // 1,000 concurrent offers fill the ring exactly to its capacity.
+  EXPECT_EQ(CountLines(sampler.SlowTracesJsonl()), TailSampler::kCapacity);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Serving-plane telemetry coverage (DESIGN.md §14): every response class —
 // 2xx, 4xx, 5xx, and requests the transport layer rejected before routing
-// (HttpLimits violations) — lands in the per-endpoint latency histograms
-// and the response-class counters; /metrics exports the rolling windowed
-// quantiles; /statusz carries the windows table; /tracez and /slowz serve
-// the tail sampler's rings.
+// (HttpLimits violations) — lands in the per-endpoint rolling latency
+// windows and the response-class counters; /metrics exports the windowed
+// quantiles; /statusz carries the windows table; /slowz serves the tail
+// sampler's ring, the server's only request listing.
 //
 // The metrics registry is process-global, so every check is a before/after
 // delta (each gtest TEST runs as its own ctest process, but tests still
@@ -38,19 +38,22 @@ std::string EnrollBody(const std::string& id, int participants) {
   return body + "]}";
 }
 
-int64_t HistogramCount(const std::string& name) {
-  return obs::MetricsRegistry::Global().GetHistogram(name).Count();
-}
-
 int64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Global().GetCounter(name).Value();
 }
 
+// The widest window (5m) sees everything a test just recorded.
+obs::WindowStats WidestWindow(const std::string& name) {
+  return obs::MetricsRegistry::Global().GetWindowed(name).Snapshot()
+      .windows.back();
+}
+
 int64_t WindowedCount(const std::string& name) {
-  // The widest window (5m) sees everything a test just recorded.
-  const obs::WindowedHistogramStats stats =
-      obs::MetricsRegistry::Global().GetWindowed(name).Snapshot();
-  return stats.windows.back().count;
+  return WidestWindow(name).count;
+}
+
+int64_t WindowedErrors(const std::string& name) {
+  return WidestWindow(name).errors;
 }
 
 // The server files a request's telemetry after the response bytes are on
@@ -92,7 +95,6 @@ class ServeTelemetryTest : public testing::Test {
 
 TEST_F(ServeTelemetryTest, SuccessfulRequestsRecordLatencyAndResponseClass) {
   StartServer();
-  const int64_t hist_before = HistogramCount("serve/latency/healthz");
   const int64_t windowed_before =
       WindowedCount("serve/latency_seconds/healthz");
   const int64_t ok_before = CounterValue("serve/responses/2xx");
@@ -104,12 +106,10 @@ TEST_F(ServeTelemetryTest, SuccessfulRequestsRecordLatencyAndResponseClass) {
   }
 
   EXPECT_TRUE(Eventually([&] {
-    return HistogramCount("serve/latency/healthz") == hist_before + 3 &&
-           WindowedCount("serve/latency_seconds/healthz") ==
+    return WindowedCount("serve/latency_seconds/healthz") ==
                windowed_before + 3 &&
            CounterValue("serve/responses/2xx") == ok_before + 3;
   }));
-  EXPECT_EQ(HistogramCount("serve/latency/healthz"), hist_before + 3);
   EXPECT_EQ(WindowedCount("serve/latency_seconds/healthz"),
             windowed_before + 3);
   EXPECT_EQ(CounterValue("serve/responses/2xx"), ok_before + 3);
@@ -117,11 +117,13 @@ TEST_F(ServeTelemetryTest, SuccessfulRequestsRecordLatencyAndResponseClass) {
 
 TEST_F(ServeTelemetryTest, ErrorResponsesAreRecordedNotDropped) {
   StartServer();
-  const int64_t cohort_before = HistogramCount("serve/latency/cohort");
-  const int64_t other_before = HistogramCount("serve/latency/other");
+  const int64_t cohort_before = WindowedCount("serve/latency_seconds/cohort");
+  const int64_t other_before = WindowedCount("serve/latency_seconds/other");
+  const int64_t cohort_errors_before =
+      WindowedErrors("serve/latency_seconds/cohort");
+  const int64_t other_errors_before =
+      WindowedErrors("serve/latency_seconds/other");
   const int64_t err4_before = CounterValue("serve/responses/4xx");
-  const int64_t win_cohort_before =
-      WindowedCount("serve/latency_seconds/cohort");
 
   // 404 on a routed endpoint (unknown cohort) and on an unknown path.
   auto missing = util::net::HttpGet(port(), "/cohorts/no-such-cohort");
@@ -132,57 +134,67 @@ TEST_F(ServeTelemetryTest, ErrorResponsesAreRecordedNotDropped) {
   EXPECT_EQ(*util::net::HttpStatusCode(*unknown), 404);
 
   EXPECT_TRUE(Eventually([&] {
-    return HistogramCount("serve/latency/cohort") == cohort_before + 1 &&
-           HistogramCount("serve/latency/other") == other_before + 1 &&
+    return WindowedCount("serve/latency_seconds/cohort") ==
+               cohort_before + 1 &&
+           WindowedCount("serve/latency_seconds/other") == other_before + 1 &&
            CounterValue("serve/responses/4xx") == err4_before + 2;
   }));
-  EXPECT_EQ(HistogramCount("serve/latency/cohort"), cohort_before + 1);
-  EXPECT_EQ(HistogramCount("serve/latency/other"), other_before + 1);
+  EXPECT_EQ(WindowedCount("serve/latency_seconds/cohort"), cohort_before + 1);
+  EXPECT_EQ(WindowedCount("serve/latency_seconds/other"), other_before + 1);
   EXPECT_EQ(CounterValue("serve/responses/4xx"), err4_before + 2);
-  // The windowed histogram marks them as errors.
-  EXPECT_EQ(WindowedCount("serve/latency_seconds/cohort"),
-            win_cohort_before + 1);
-  const auto stats = obs::MetricsRegistry::Global()
-                         .GetWindowed("serve/latency_seconds/cohort")
-                         .Snapshot();
-  EXPECT_GT(stats.windows.back().errors, 0);
+  // The windows mark them as errors.
+  EXPECT_EQ(WindowedErrors("serve/latency_seconds/cohort"),
+            cohort_errors_before + 1);
+  EXPECT_EQ(WindowedErrors("serve/latency_seconds/other"),
+            other_errors_before + 1);
 }
 
 TEST_F(ServeTelemetryTest, LimitRejectedRequestsStillHitTheHistograms) {
-  // Requests the transport layer refuses before routing (HttpLimits) must
-  // not vanish from telemetry: they get the "unreadable" endpoint label.
+  // Requests the transport layer refuses before routing (HttpLimits, or an
+  // unsupported framing) must not vanish from telemetry: they get the
+  // "unreadable" endpoint label.
   CohortServer::Options options;
   options.limits.max_body_bytes = 64;
   StartServer(std::move(options));
-  const int64_t unreadable_before = HistogramCount("serve/latency/unreadable");
   const int64_t win_before = WindowedCount("serve/latency_seconds/unreadable");
+  const int64_t errors_before =
+      WindowedErrors("serve/latency_seconds/unreadable");
   const int64_t err4_before = CounterValue("serve/responses/4xx");
+  const int64_t err5_before = CounterValue("serve/responses/5xx");
 
+  auto send_raw = [&](const std::string& head) {
+    auto client = util::net::ConnectLoopback(port(), /*timeout_ms=*/5000);
+    EXPECT_TRUE(client.ok()) << client.status();
+    if (!client.ok()) return 0;
+    EXPECT_TRUE(client->WriteAll(head).ok());
+    auto response = client->ReadToEof(1 << 20, /*timeout_ms=*/10000);
+    EXPECT_TRUE(response.ok()) << response.status();
+    if (!response.ok()) return 0;
+    auto code = util::net::HttpStatusCode(*response);
+    return code.ok() ? *code : 0;
+  };
   // Declares a body over the limit; the server rejects (413) after reading
   // only the head, before any body bytes exist to route.
-  auto client = util::net::ConnectLoopback(port(), /*timeout_ms=*/5000);
-  ASSERT_TRUE(client.ok()) << client.status();
-  ASSERT_TRUE(client
-                  ->WriteAll("POST /cohorts HTTP/1.1\r\n"
-                             "Content-Length: 1000\r\n\r\n")
-                  .ok());
-  auto response = client->ReadToEof(1 << 20, /*timeout_ms=*/10000);
-  ASSERT_TRUE(response.ok()) << response.status();
-  auto code = util::net::HttpStatusCode(*response);
-  ASSERT_TRUE(code.ok());
-  EXPECT_GE(*code, 400);
-  EXPECT_LT(*code, 500);
+  const int too_large = send_raw(
+      "POST /cohorts HTTP/1.1\r\nContent-Length: 1000\r\n\r\n");
+  EXPECT_GE(too_large, 400);
+  EXPECT_LT(too_large, 500);
+  // A chunked body is not supported: 501.
+  EXPECT_EQ(send_raw("POST /cohorts HTTP/1.1\r\n"
+                     "Transfer-Encoding: chunked\r\n\r\n"),
+            501);
 
   EXPECT_TRUE(Eventually([&] {
-    return HistogramCount("serve/latency/unreadable") ==
-               unreadable_before + 1 &&
-           WindowedCount("serve/latency_seconds/unreadable") ==
-               win_before + 1 &&
-           CounterValue("serve/responses/4xx") == err4_before + 1;
+    return WindowedCount("serve/latency_seconds/unreadable") ==
+               win_before + 2 &&
+           CounterValue("serve/responses/4xx") == err4_before + 1 &&
+           CounterValue("serve/responses/5xx") == err5_before + 1;
   }));
-  EXPECT_EQ(HistogramCount("serve/latency/unreadable"), unreadable_before + 1);
-  EXPECT_EQ(WindowedCount("serve/latency_seconds/unreadable"), win_before + 1);
+  EXPECT_EQ(WindowedCount("serve/latency_seconds/unreadable"), win_before + 2);
+  EXPECT_EQ(WindowedErrors("serve/latency_seconds/unreadable"),
+            errors_before + 2);
   EXPECT_EQ(CounterValue("serve/responses/4xx"), err4_before + 1);
+  EXPECT_EQ(CounterValue("serve/responses/5xx"), err5_before + 1);
 }
 
 TEST_F(ServeTelemetryTest, MetricsExportRollingQuantilesPerEndpoint) {
@@ -257,9 +269,9 @@ TEST_F(ServeTelemetryTest, StatuszCarriesTheWindowsTable) {
   EXPECT_TRUE(one_minute->GetField("error_rate").ok());
 }
 
-TEST_F(ServeTelemetryTest, TracezAndSlowzServeTheSampledTraces) {
+TEST_F(ServeTelemetryTest, SlowzServesTheKeptTraces) {
   CohortServer::Options options;
-  options.tail.slow_threshold_micros = 0;  // keep everything
+  options.slow_threshold_micros = 0;  // keep everything
   StartServer(std::move(options));
   ASSERT_EQ(*util::net::HttpStatusCode(*util::net::HttpDo(
                 port(), "POST", "/cohorts", EnrollBody("tele", 6))),
@@ -270,68 +282,51 @@ TEST_F(ServeTelemetryTest, TracezAndSlowzServeTheSampledTraces) {
 
   // Both the enroll's and the advance's traces are filed after their
   // responses; poll until both are visible.
-  std::string tracez_body;
+  std::string slowz_body;
   ASSERT_TRUE(Eventually([&] {
-    auto tracez = util::net::HttpGet(port(), "/tracez");
-    if (!tracez.ok() || *util::net::HttpStatusCode(*tracez) != 200) {
+    auto slowz = util::net::HttpGet(port(), "/slowz");
+    if (!slowz.ok() || *util::net::HttpStatusCode(*slowz) != 200) {
       return false;
     }
-    auto got = util::net::HttpBody(*tracez);
+    auto got = util::net::HttpBody(*slowz);
     if (!got.ok()) return false;
-    tracez_body = *got;
-    auto probe = util::JsonValue::Parse(tracez_body);
-    if (!probe.ok()) return false;
-    auto probe_traces = probe->GetField("traces");
-    return probe_traces.ok() && probe_traces->AsArray().size() >= 2 &&
-           tracez_body.find("\"endpoint\":\"advance\"") != std::string::npos;
-  })) << "advance trace never appeared on /tracez";
-  auto tracez_json = util::JsonValue::Parse(tracez_body);
-  ASSERT_TRUE(tracez_json.ok()) << tracez_json.status();
-  auto traces = tracez_json->GetField("traces");
-  ASSERT_TRUE(traces.ok());
-  ASSERT_GE(traces->AsArray().size(), 2u);  // enroll + advance at least
-  bool saw_advance = false;
-  for (const util::JsonValue& trace : traces->AsArray()) {
-    EXPECT_NE(trace.GetField("trace_id")->AsNumber(), 0.0);
-    if (trace.GetField("endpoint")->AsString() == "advance") {
-      saw_advance = true;
-      EXPECT_EQ(trace.GetField("status")->AsNumber(), 200.0);
-    }
-  }
-  EXPECT_TRUE(saw_advance);
-
-  auto slowz = util::net::HttpGet(port(), "/slowz");
-  ASSERT_TRUE(slowz.ok()) << slowz.status();
-  ASSERT_EQ(*util::net::HttpStatusCode(*slowz), 200);
-  auto slowz_body = util::net::HttpBody(*slowz);
-  ASSERT_TRUE(slowz_body.ok());
+    slowz_body = *got;
+    return slowz_body.find("\"endpoint\":\"cohorts\"") != std::string::npos &&
+           slowz_body.find("\"endpoint\":\"advance\"") != std::string::npos;
+  })) << "advance trace never appeared on /slowz";
   // Per-phase breakdown: the advance's trace carries the lock-wait,
   // journal-fsync, and compute spans by name.
-  EXPECT_NE(slowz_body->find("\"endpoint\":\"advance\""), std::string::npos);
-  EXPECT_NE(slowz_body->find("lock_wait_micros"), std::string::npos);
-  EXPECT_NE(slowz_body->find("journal_fsync_micros"), std::string::npos);
-  EXPECT_NE(slowz_body->find("compute_micros"), std::string::npos);
-  EXPECT_NE(slowz_body->find("serialize_micros"), std::string::npos);
-  // Each line parses as JSON.
+  EXPECT_NE(slowz_body.find("lock_wait_micros"), std::string::npos);
+  EXPECT_NE(slowz_body.find("journal_fsync_micros"), std::string::npos);
+  EXPECT_NE(slowz_body.find("compute_micros"), std::string::npos);
+  EXPECT_NE(slowz_body.find("serialize_micros"), std::string::npos);
+  // Each line parses as JSON and carries a trace id, the index for
+  // `tdg_blackbox --trace_id`.
   size_t start = 0;
   int lines = 0;
-  while (start < slowz_body->size()) {
-    size_t end = slowz_body->find('\n', start);
+  bool saw_advance = false;
+  while (start < slowz_body.size()) {
+    size_t end = slowz_body.find('\n', start);
     if (end == std::string::npos) break;
-    auto line = util::JsonValue::Parse(slowz_body->substr(start, end - start));
-    EXPECT_TRUE(line.ok()) << slowz_body->substr(start, end - start);
+    auto line = util::JsonValue::Parse(slowz_body.substr(start, end - start));
+    ASSERT_TRUE(line.ok()) << slowz_body.substr(start, end - start);
+    EXPECT_NE(line->GetField("trace_id")->AsNumber(), 0.0);
+    if (line->GetField("endpoint")->AsString() == "advance") {
+      saw_advance = true;
+      EXPECT_EQ(line->GetField("status")->AsNumber(), 200.0);
+    }
     ++lines;
     start = end + 1;
   }
+  EXPECT_TRUE(saw_advance);
   EXPECT_GE(lines, 2);
 
-  // POSTs to the read-only telemetry endpoints are rejected.
-  EXPECT_EQ(*util::net::HttpStatusCode(
-                *util::net::HttpDo(port(), "POST", "/tracez", "{}")),
-            405);
+  // /slowz is read-only, and the only request listing.
   EXPECT_EQ(*util::net::HttpStatusCode(
                 *util::net::HttpDo(port(), "POST", "/slowz", "{}")),
             405);
+  EXPECT_EQ(*util::net::HttpStatusCode(*util::net::HttpGet(port(), "/tracez")),
+            404);
 }
 
 }  // namespace
